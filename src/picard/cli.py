@@ -11,6 +11,7 @@ from .conductor import analyze_prime, global_conductor
 from .curves import InseparableCurveError, normalize, parse_curve_text
 from .exact import is_prime
 from .fixtures import run_fixtures
+from .localfield import PrecisionSettingError, max_pi_digits
 from .search import CheckpointCorruptError, SearchConfig, run_search
 from .wild3 import WildWitness, WitnessInvalidError
 
@@ -140,6 +141,11 @@ def cmd_verify_examples(_args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        max_pi_digits()
+    except PrecisionSettingError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
     if args.command == "analyze":
         return cmd_analyze(args)
     if args.command == "search":

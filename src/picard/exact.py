@@ -323,25 +323,30 @@ def factor_integer(n):
     return sign, sorted(factors.items())
 
 
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 1, in integers only.
+
+    The root of n >> (k*h), for h half the root's bits, rounded up and
+    shifted back gives an upper bound close enough for integer Newton from
+    above, which stops at the floor.
+    """
+    bits = (n.bit_length() - 1) // k + 1  # the root has at most this many bits
+    if bits == 1:
+        return 1
+    h = bits // 2
+    x = (_iroot(n >> (k * h), k) + 1) << h
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def nth_root_exact(n, k):
     """Integer k-th root of n >= 0 if it is exact, else None."""
     if n < 0:
         return None
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for cand in range(max(1, r - 2), r + 3):
-        if cand ** k == n:
-            return cand
-    # float guess can be off for very large n; fall back to bisection
-    lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        t = mid ** k
-        if t == n:
-            return mid
-        if t < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    r = _iroot(n, k)
+    return r if r**k == n else None

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .clusters import ClusterTree, cluster_tree, inertia_permutation
 from .cover import SpecialFiber, cover_fiber
-from .localfield import lift_over_ring
+from .localfield import extend_split
+from .localfield import lift_over_ring  # noqa: F401  (bench/tracing.py wraps this name)
 
 
 class UnsupportedActionError(RuntimeError):
@@ -323,7 +324,9 @@ def analyze_tame(f_ints, p, ram):
     """Run cluster tree -> cover -> inertia quotient for a tame prime.
 
     ram is the Ramification record from splitting_ramification (must be
-    tame).  Relifts the roots over the cube-twisted extension when needed.
+    tame).  When the cube twist is needed, the split roots are carried over
+    to pi'^(3*e0) = p by extend_split rather than lifted again, so the
+    cluster tree and the root order are those of ram.split.
     """
     e0 = ram.e
     tree = cluster_tree(ram.split)
@@ -331,12 +334,7 @@ def analyze_tame(f_ints, p, ram):
     # the twist multiplies the index by 3 even when 3 | e0: with e = 3*e0
     # every n_Z = e*v_Z(f) = 3*(e0*v_Z) is a multiple of 3
     e = 3 * e0 if needs_cube_twist(tree, e0) else e0
-    if e == e0:
-        sr = ram.split
-    else:
-        sr = lift_over_ring(f_ints, p, e, k=ram.split.ring.k)
-        if cluster_tree(sr).signature() != tree.signature():
-            raise UnsupportedActionError("cluster tree changed under base extension")
+    sr = ram.split if e == e0 else extend_split(ram.split)
     quotient = inertia_quotient(tree, fiber, sr, e)
     if quotient.epsilon % 2 or not (0 <= quotient.epsilon <= 6):
         raise UnsupportedActionError(f"epsilon = {quotient.epsilon} violates parity/range")

@@ -10,7 +10,22 @@ intermediate digit erosion can never produce a falsely certified root.
 
 Residue fields F_{p^k} never need k > 12 here: every root of a quartic over
 Q_p^nr lives in residue degree <= 4 and the roots of unity zeta_e for
-e | 24 live in degree <= 2.
+e | 72 live in degree <= 6.
+
+Costs are kept to one pass of each kind of work:
+
+- Inverses in F_{p^k} come from pow(a, -1, p) when k = 1 and from the
+  extended Euclidean algorithm in F_p[t] modulo h when k > 1, never from
+  a^(p^k - 2).
+- Polynomial division over F_{p^k} inverts the divisor's leading
+  coefficient only when it is not 1; gpowmod makes its modulus monic once.
+- Roots lifted over pi^e = c*p are reused for the cube twist over
+  pi'^(3e) = c*p through pi = pi'^3 (extend_split): the pi^i coefficient
+  moves to index 3i, certified balls scale by 3, N and c stay.  When
+  zeta_{3e} is missing, the residue field grows to k' = lcm(k, ord_{3e}(p))
+  along t -> theta, theta the Hensel lift of the first root of h_k in
+  F_{p^k'}.
+- UnramifiedRing.zeta(e) is computed once per ring.
 """
 
 import os
@@ -25,10 +40,24 @@ DEFAULT_PI_DIGITS = 20  # per unit of e; ring precision N in p-digits
 HARD_K_CAP = 24
 
 
+class PrecisionSettingError(ValueError):
+    """PICARD_MAX_PRECISION is set to something other than a positive integer."""
+
+
 def max_pi_digits():
     """Precision ceiling in pi-digits, overridable via PICARD_MAX_PRECISION."""
     v = os.environ.get("PICARD_MAX_PRECISION")
-    return int(v) if v else 640
+    if not v:
+        return 640
+    try:
+        n = int(v)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise PrecisionSettingError(
+            f"PICARD_MAX_PRECISION must be a positive integer, got {v!r}"
+        )
+    return n
 
 
 class NeedsLargerE(Exception):
@@ -104,32 +133,38 @@ def _fp_poly_is_irreducible(coeffs, p):
     return True
 
 
+def _fp_trim(u, p):
+    """Drop zero leading coefficients of an F_p polynomial, in place."""
+    while u and u[-1] % p == 0:
+        u.pop()
+    return u
+
+
 def _is_small_prime(d):
     return d > 1 and all(d % i for i in range(2, d))
 
 
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of F_p polynomials, b trimmed and nonzero."""
+    a = a[:]
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] * inv % p
+        off = len(a) - len(b)
+        q[off] = c
+        for i, x in enumerate(b):
+            a[off + i] = (a[off + i] - c * x) % p
+        _fp_trim(a, p)
+    return q, a
+
+
 def _fp_gcd_with(mod_coeffs, a, p):
     """gcd of the monic modulus poly and a, both over F_p, monic output."""
-    f = mod_coeffs[:]
-    g = a[:]
-
-    def trim(u):
-        while u and u[-1] % p == 0:
-            u.pop()
-        return u
-
-    f, g = trim(f), trim(g)
+    f = _fp_trim(mod_coeffs[:], p)
+    g = _fp_trim(a[:], p)
     while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            c = f[-1] * inv % p
-            off = len(f) - len(g)
-            for i in range(len(g)):
-                f[off + i] = (f[off + i] - c * g[i]) % p
-            f = trim(f)
-            if not f:
-                break
-        f, g = g, f
+        f, g = g, _fp_divmod(f, g, p)[1]
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
 
@@ -221,7 +256,23 @@ class GF:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0 in GF")
-        return self.pow(a, self.p**self.k - 2)
+        p, k = self.p, self.k
+        if k == 1:
+            return (pow(a[0], -1, p),)
+        # extended Euclid in F_p[t]: s1 * a = r1 (mod h) throughout, and the
+        # remainders end in a nonzero constant because h is irreducible
+        r0, r1 = list(self.h), _fp_trim(list(a), p)
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            q, r = _fp_divmod(r0, r1, p)
+            s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+            for i, x in enumerate(q):
+                if x:
+                    for j, y in enumerate(s1):
+                        s[i + j] = (s[i + j] - x * y) % p
+            r0, r1, s0, s1 = r1, r, s1, _fp_trim(s, p)
+        c = pow(r1[0], -1, p)
+        return tuple(x * c % p for x in s1) + (0,) * (k - len(s1))
 
     def pow(self, a, n):
         result = self.one
@@ -278,10 +329,10 @@ def gdivmod(F, a, b):
     if not b:
         raise ZeroDivisionError
     a = a[:]
-    inv = F.inv(b[-1])
+    inv = None if b[-1] == F.one else F.inv(b[-1])
     q = [F.zero] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
-        c = F.mul(a[-1], inv)
+        c = a[-1] if inv is None else F.mul(a[-1], inv)
         off = len(a) - len(b)
         q[off] = c
         for i in range(len(b)):
@@ -297,13 +348,19 @@ def ggcd(F, a, b):
     while b:
         _, r = gdivmod(F, a, b)
         a, b = b, r
-    if a:
-        inv = F.inv(a[-1])
-        a = [F.mul(c, inv) for c in a]
-    return a
+    return gmonic(F, a) if a else a
+
+
+def gmonic(F, a):
+    """a scaled to leading coefficient one (a nonzero)."""
+    if a[-1] == F.one:
+        return a[:]
+    inv = F.inv(a[-1])
+    return [F.mul(c, inv) for c in a]
 
 
 def gpowmod(F, base, n, mod):
+    mod = gmonic(F, mod)
     result = [F.one]
     _, acc = gdivmod(F, base, mod)
     while n:
@@ -357,15 +414,11 @@ def residue_roots(F, poly):
         raise ValueError("zero polynomial")
     q = F.p**F.k
     # squarefree part via gcd with derivative is unnecessary: gcd with x^q - x
-    # picks up each F-rational root exactly once
+    # picks up each F-rational root exactly once (all of poly, made monic,
+    # when poly divides x^q - x)
     xq = gpowmod(F, [F.zero, F.one], q, poly)
     xq_minus_x = gadd(F, xq, [F.zero, F.neg(F.one)])
-    lin = ggcd(F, xq_minus_x, poly) if xq_minus_x else poly[:]
-    if xq_minus_x == []:
-        # poly divides x^q - x: splits into distinct linear factors
-        lin = poly[:]
-        inv = F.inv(lin[-1])
-        lin = [F.mul(c, inv) for c in lin]
+    lin = ggcd(F, xq_minus_x, poly)
     rng = random.Random(repr((F.p, F.k, tuple(map(tuple, poly)))))
     roots = _find_roots_linear_part(F, lin, rng)
     roots.sort()
@@ -420,6 +473,7 @@ class UnramifiedRing:
                 cur = [(a - top * c) % self.mod for a, c in zip(cur, h[:k])]
             rows.append(tuple(cur))
         self._red = rows
+        self._zeta = {}
 
     def from_int(self, n):
         return (n % self.mod,) + (0,) * (self.k - 1)
@@ -495,9 +549,14 @@ class UnramifiedRing:
         return z
 
     def zeta(self, e):
-        """Primitive e-th root of unity (requires e | p^k - 1), Hensel lifted."""
+        """Primitive e-th root of unity (requires e | p^k - 1), Hensel lifted.
+
+        Computed once per ring and order.
+        """
         if e == 1:
             return self.one
+        if e in self._zeta:
+            return self._zeta[e]
         q = self.p**self.k - 1
         if q % e:
             raise ValueError(f"no zeta_{e} in F_{self.p}^{self.k}")
@@ -514,6 +573,7 @@ class UnramifiedRing:
             fz = self.sub(self.mul(ze1, z), self.one)
             dz = self.mul(e_inv_needed, ze1)
             z = self.sub(z, self.mul(fz, self.inv_unit(dz)))
+        self._zeta[e] = z
         return z
 
 
@@ -960,6 +1020,57 @@ def lift_over_ring(f_ints, p, e, c=1, k=1, n_digits=DEFAULT_PI_DIGITS):
             if N * 2 * e > ceiling:
                 raise
             N *= 2
+
+
+def _unramified_images(U, U2):
+    """Images of 1, t, ..., t^(k-1) under O/p^N at degree k -> degree k' (k | k').
+
+    The map is the identity when the degrees agree and t -> theta otherwise,
+    theta the Hensel lift of the first root of h_k that residue_roots gives
+    in F_{p^k'}.
+    """
+    k = U.k
+    if U2.k == k:
+        return [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    h = [U2.from_int(c) for c in U.gf.h]
+    dh = rpoly_deriv(U2, h)
+    roots, _ = residue_roots(U2.gf, [U2.to_gf(c) for c in h])
+    theta = U2.lift_gf(roots[0][0])
+    for _ in range(max(1, (U2.N - 1).bit_length()) + 1):
+        step = U2.mul(rpoly_eval(U2, h, theta), U2.inv_unit(rpoly_eval(U2, dh, theta)))
+        theta = U2.sub(theta, step)
+    images = [U2.one]
+    for _ in range(1, k):
+        images.append(U2.mul(images[-1], theta))
+    return images
+
+
+def extend_split(sr):
+    """The roots of sr over pi'^(3e) = c*p (the cube twist), through pi = pi'^3.
+
+    No root is lifted again: the pi^i coefficient of each root moves to index
+    3i and every certified (fval, ball) pair is multiplied by 3, while N and
+    c stay.  The residue field grows to k' = lcm(k, ord_{3e}(p)), so that
+    zeta_{3e} lives in it, along _unramified_images.  Root order is kept.
+    """
+    ring = sr.ring
+    r = 3
+    e = r * ring.e
+    ord_e = multiplicative_order(ring.p, e)
+    k = ring.k * ord_e // gcd(ring.k, ord_e)
+    big = TameRing(TameExtension(ring.p, e, ring.c), k, ring.N)
+    U2 = big.U
+    images = _unramified_images(ring.U, U2)
+    mod = U2.mod
+    roots = []
+    for root in sr.roots:
+        out = [U2.zero] * e
+        for i, u in enumerate(root):
+            out[r * i] = tuple(
+                sum(c * img[j] for c, img in zip(u, images)) % mod for j in range(k)
+            )
+        roots.append(tuple(out))
+    return SplitRoots(big, roots, [(r * a, r * ball) for a, ball in sr.cert])
 
 
 TAME_E_CANDIDATES = (1, 2, 3, 4, 6, 8, 12, 24)

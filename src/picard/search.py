@@ -34,7 +34,6 @@ class SearchConfig:
     height: int
     workers: int = 1
     resume_from: int | None = None  # last completed a3 slice
-    p3_bound_hi: int = 21
 
     def __post_init__(self):
         if not self.primes:

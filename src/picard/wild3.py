@@ -24,6 +24,8 @@ from .localfield import (
     TameRing,
     gadd,
     gdivmod,
+    geval,
+    ggcd,
     gmul,
     gtrim,
     multiplicative_order,
@@ -112,7 +114,7 @@ def _rf(gf, num, den):
         raise ZeroDivisionError
     if not num:
         return [], [gf.one]
-    g = _ggcd(gf, num, den)
+    g = ggcd(gf, num, den)
     if len(g) > 1:
         num, _ = gdivmod(gf, num, g)
         den, _ = gdivmod(gf, den, g)
@@ -120,14 +122,6 @@ def _rf(gf, num, den):
     num = [gf.mul(c, lead) for c in num]
     den = [gf.mul(c, lead) for c in den]
     return num, den
-
-
-def _ggcd(gf, a, b):
-    a, b = a[:], b[:]
-    while b:
-        _, r = gdivmod(gf, a, b)
-        a, b = b, r
-    return a
 
 
 def _radd(gf, x, y):
@@ -183,18 +177,11 @@ def _ord_at(gf, poly, xi):
 def _reval(gf, x, xi):
     """Value of the rational function at xi; None marks a pole."""
     num, den = x
-    dv = _geval(gf, den, xi)
+    dv = geval(gf, den, xi)
     if gf.is_zero(dv):
         return None
-    nv = _geval(gf, num, xi)
+    nv = geval(gf, num, xi)
     return gf.mul(nv, gf.inv(dv))
-
-
-def _geval(gf, poly, xi):
-    acc = gf.zero
-    for c in reversed(poly):
-        acc = gf.add(gf.mul(acc, xi), c)
-    return acc
 
 
 def _reval_inf(gf, x):

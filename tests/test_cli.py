@@ -74,3 +74,12 @@ def test_analyze_rejects_degenerate_inputs(capsys):
     # composite --prime
     assert main(["analyze", "--curve", "[1,0,0,0,-1]", "--prime", "4"]) == 2
     capsys.readouterr()
+
+
+def test_bad_precision_setting_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("PICARD_MAX_PRECISION", "abc")
+    code = main(["analyze", "--curve", "[1,0,14,72,-41]", "--prime", "5"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "PICARD_MAX_PRECISION" in err[0]

@@ -140,3 +140,21 @@ def test_nth_root_exact():
     assert nth_root_exact(3**36 * 2**36, 36) == 6
     assert nth_root_exact(2**36 + 1, 36) is None
     assert nth_root_exact(1, 7) == 1
+
+
+def test_nth_root_exact_is_integer_only_for_huge_inputs():
+    # 10**400 overflows a float; the root must still come out exactly
+    assert nth_root_exact(10**400, 36) is None
+    assert nth_root_exact(7**1080, 36) == 7**30
+    assert nth_root_exact(7**1080 + 1, 36) is None
+    assert nth_root_exact(10**720, 36) == 10**20
+
+
+def test_nth_root_exact_brackets_random_roots():
+    rng = random.Random(36)
+    for _ in range(300):
+        k = rng.choice([2, 3, 36])
+        r = rng.randrange(2, 1 << rng.randrange(2, 200))
+        assert nth_root_exact(r**k, k) == r
+        assert nth_root_exact(r**k - 1, k) is None
+        assert nth_root_exact(r**k + 1, k) is None

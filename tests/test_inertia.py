@@ -229,3 +229,67 @@ def test_chart_data_against_substitution_oracle():
                 assert lf.gtrim(
                     gf, lf.gadd(gf, lhs, [gf.neg(x) for x in acc])
                 ) == [], (c.label, p, key, j)
+
+
+def _embedding_cases():
+    """Pinned cube-twist cases, then a seeded random corpus of them.
+
+    The pinned ones grow the residue field: k = 3 -> 6 at 5, k = 2 -> 6 at
+    5 (theta a root of a quadratic h in F_{5^6}), k = 1 -> 3 at 7 and
+    k = 1 -> 2 at 5.
+    """
+    yield from [([1, 0, 25, 125, 0], 5), ([1, 0, 0, -10, 0], 5),
+                ([1, 0, 0, -7, 0], 7), ([1, 0, 0, 0, -5], 5)]
+    rng = random.Random(2024)
+    while True:
+        coeffs = [1] + [rng.randint(-25, 25) for _ in range(4)]
+        if discriminant(poly_from_ints(coeffs)) != 0:
+            yield coeffs, rng.choice([5, 7, 11, 13])
+
+
+def test_embedded_split_matches_relift_oracle():
+    """extend_split against lifting the roots again over pi'^(3 e0) = p."""
+    from math import lcm
+
+    import picard.localfield as lf
+    from picard.cover import cover_fiber
+    from picard.localfield import extend_split, lift_over_ring
+
+    done, grown = 0, set()
+    for coeffs, p in _embedding_cases():
+        if done == 30:
+            break
+        c, _ = normalize(poly_from_ints(coeffs))
+        if c.ord_disc(p) == 0:
+            continue
+        ram = splitting_ramification(c.f, p)
+        tree = cluster_tree(ram.split)
+        if not ram.tame or not needs_cube_twist(tree, ram.e):
+            continue
+        done += 1
+        ints = [int(x) for x in c.f.coeffs]
+        e, k = 3 * ram.e, ram.split.ring.k
+        sr = extend_split(ram.split)
+        ring = sr.ring
+        assert (ring.e, ring.N, ring.c) == (e, ram.split.ring.N, ram.split.ring.c)
+        assert ring.k == lcm(k, lf.multiplicative_order(p, e))
+        if ring.k > k:
+            grown.add(k)
+        # the embedding is a ring map: f at each embedded root keeps its
+        # valuation, in pi' units, and the balls scale with it
+        fpoly = lf.rpoly_from_ints(ring, ints)
+        for z, (fval, ball), (fval0, ball0) in zip(sr.roots, sr.cert, ram.split.cert):
+            assert ring.val(lf.rpoly_eval(ring, fpoly, z)) == fval == 3 * fval0
+            assert ball == 3 * ball0
+        oracle = lift_over_ring(ints, p, e, k=k)
+        assert cluster_tree(sr).signature() == tree.signature()
+        assert cluster_tree(oracle).signature() == tree.signature(), (c.label, p)
+        fiber = cover_fiber(tree)
+        got = analyze_tame(ints, p, ram)
+        want = inertia_quotient(tree, fiber, oracle, e)
+        assert got.e_semistable == e
+        assert (got.epsilon, got.quotient.quotient_genera, got.quotient.gamma0) == (
+            want.epsilon, want.quotient_genera, want.gamma0,
+        ), (c.label, p)
+    assert done == 30
+    assert {1, 2, 3} <= grown

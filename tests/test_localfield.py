@@ -257,3 +257,117 @@ def test_cluster_tree_from_approx_roots():
     assert t.component_count() == 2
     proper = [nd for nd in t.nodes if not nd.is_root]
     assert proper[0].depth == 3
+
+
+def _nonzero_elements(F):
+    return [a for a in F.elements() if not F.is_zero(a)]
+
+
+def test_gf_inverse_exhaustive_small_fields():
+    for p, k in [(p, k) for p in (2, 3) for k in (1, 2, 3, 4)] + [(5, 2)]:
+        F = lf.GF(p, k)
+        for a in _nonzero_elements(F):
+            assert F.mul(F.inv(a), a) == F.one, (p, k, a)
+
+
+def test_gf_inverse_random_large_fields():
+    rng = random.Random(7)
+    for p, k in [(10007, 2), (1000003, 1)]:
+        F = lf.GF(p, k)
+        for _ in range(200):
+            a = tuple(rng.randrange(p) for _ in range(k))
+            if not F.is_zero(a):
+                inv = F.inv(a)
+                assert F.mul(inv, a) == F.one
+                # Fermat's a^(p^k - 2) is the same unique inverse
+                assert inv == F.pow(a, p**k - 2)
+
+
+def test_gf_inverse_of_zero_raises():
+    for p, k in [(2, 1), (5, 2), (10007, 2)]:
+        F = lf.GF(p, k)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(F.zero)
+
+
+def _gdivmod_fermat(F, a, b):
+    """Schoolbook division inverting the leading coefficient by Fermat."""
+    a = a[:]
+    inv = F.pow(b[-1], F.p**F.k - 2)
+    q = [F.zero] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = F.mul(a[-1], inv)
+        off = len(a) - len(b)
+        q[off] = c
+        for i in range(len(b)):
+            a[off + i] = F.sub(a[off + i], F.mul(c, b[i]))
+        a = lf.gtrim(F, a)
+        if not a:
+            break
+    return lf.gtrim(F, q), a
+
+
+def _ggcd_fermat(F, a, b):
+    a, b = a[:], b[:]
+    while b:
+        a, b = b, _gdivmod_fermat(F, a, b)[1]
+    if a:
+        inv = F.pow(a[-1], F.p**F.k - 2)
+        a = [F.mul(c, inv) for c in a]
+    return a
+
+
+def test_gdivmod_and_ggcd_match_fermat_reference():
+    rng = random.Random(13)
+    for p, k in [(2, 3), (3, 2), (5, 1), (7, 2), (10007, 2)]:
+        F = lf.GF(p, k)
+
+        def rand_poly(deg, monic):
+            poly = [tuple(rng.randrange(p) for _ in range(k)) for _ in range(deg)]
+            lead = F.one
+            while not monic and (lead == F.one or F.is_zero(lead)):
+                lead = tuple(rng.randrange(p) for _ in range(k))
+            return lf.gtrim(F, poly + [lead])
+
+        for _ in range(40):
+            a = rand_poly(rng.randrange(0, 7), rng.random() < 0.5)
+            for monic in (True, False):
+                b = rand_poly(rng.randrange(0, 4), monic)
+                if not b:
+                    continue
+                assert lf.gdivmod(F, a, b) == _gdivmod_fermat(F, a, b)
+                assert lf.ggcd(F, a, b) == _ggcd_fermat(F, a, b)
+                common = rand_poly(1, monic)
+                assert lf.ggcd(F, lf.gmul(F, a, common), lf.gmul(F, b, common)) == _ggcd_fermat(
+                    F, lf.gmul(F, a, common), lf.gmul(F, b, common)
+                )
+
+
+def test_gpowmod_non_monic_modulus():
+    F = lf.GF(7, 2)
+    mod = [F.one, F.from_int(3), F.from_int(5)]  # 5x^2 + 3x + 1
+    monic = lf.gmonic(F, mod)
+    assert monic[-1] == F.one
+    base = [F.from_int(2), F.one]
+    assert lf.gpowmod(F, base, 1000, mod) == lf.gpowmod(F, base, 1000, monic)
+    # reference: multiply and reduce one step at a time
+    acc = [F.one]
+    for _ in range(1000):
+        acc = lf.gdivmod(F, lf.gmul(F, acc, base), mod)[1]
+    assert lf.gpowmod(F, base, 1000, mod) == acc
+
+
+def test_zeta_is_computed_once_per_ring():
+    U = lf.UnramifiedRing(7, 2, 12)
+    assert U.zeta(8) is U.zeta(8)
+    assert lf._upow(U, U.zeta(8), 4) != U.one
+    R = lf.TameRing(lf.TameExtension(7, 8, 1), 2, 12)
+    assert R.zeta(8) is R.zeta(8)
+
+
+def test_precision_env_rejects_non_positive_integers(monkeypatch):
+    for bad in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("PICARD_MAX_PRECISION", bad)
+        with pytest.raises(lf.PrecisionSettingError):
+            lf.max_pi_digits()
+    assert issubclass(lf.PrecisionSettingError, ValueError)
