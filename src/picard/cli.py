@@ -9,7 +9,7 @@ import sys
 
 from .conductor import analyze_prime, global_conductor
 from .curves import InseparableCurveError, normalize, parse_curve_text
-from .exact import is_prime
+from .exact import FactorizationBudgetError, is_prime
 from .fixtures import run_fixtures
 from .localfield import PrecisionSettingError, max_pi_digits
 from .search import CheckpointCorruptError, SearchConfig, run_search
@@ -53,6 +53,9 @@ def cmd_analyze(args):
         curve, wit = normalize(f)
     except InseparableCurveError:
         print("error: the quartic is inseparable (Delta = 0)", file=sys.stderr)
+        return 1
+    except FactorizationBudgetError as ex:
+        print(f"error: {ex}", file=sys.stderr)
         return 1
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)

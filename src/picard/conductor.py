@@ -116,15 +116,17 @@ def analyze_p2(curve: PicardCurve) -> ConductorReport:
 
     Wild splitting fields (the common case) give status unknown-wild with
     2 <= f_2 <= 28 and the f_2 != 1 constraint; f_2 > 0 there because an
-    exceptional prime needs an unramified splitting field.
+    exceptional prime needs an unramified splitting field.  Most wild cases
+    are told from Delta alone (see ``sqrt_disc_unramified_at_2``), before
+    any root is lifted.
     """
     if curve.ord_disc(2) == 0:
         return ConductorReport(
             p=2, status="computed", f_lo=0, f_hi=0, reduction_type="a",
             epsilon=0, delta=0, detail={"good_reduction": True},
         )
-    ram = splitting_ramification(curve.f, 2)
-    if ram.tame:
+    ram = splitting_ramification(curve.f, 2) if sqrt_disc_unramified_at_2(curve) else None
+    if ram is not None and ram.tame:
         analysis = analyze_tame([int(c) for c in curve.f.coeffs], 2, ram)
         eps = analysis.epsilon
         if eps % 2:
@@ -150,6 +152,17 @@ def analyze_p2(curve: PicardCurve) -> ConductorReport:
         f_hi=P2_WILD_HI,
         notes=("f_2 != 1", "splitting field of f is wildly ramified at 2"),
     )
+
+
+def sqrt_disc_unramified_at_2(curve: PicardCurve) -> bool:
+    """True when Delta is a square in Q_2^nr: Delta = 2^v u, v even, u = 1 mod 4.
+
+    A tame splitting field at 2 is Q_2^nr(2^(1/e)) with e odd, which has no
+    quadratic subextension yet contains sqrt(Delta) = +-prod(r_i - r_j).  So
+    False proves the splitting field wildly ramified.
+    """
+    v = curve.ord_disc(2)
+    return v % 2 == 0 and (curve.disc >> v) % 4 == 1
 
 
 def analyze_p3(curve: PicardCurve, witness: WildWitness | None = None,

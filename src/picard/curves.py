@@ -13,42 +13,13 @@ from fractions import Fraction
 
 from .exact import (
     Poly,
+    disc_quartic_monic,  # noqa: F401  (re-exported; tests import it from here)
     discriminant,
     factor_integer,
     nth_root_exact,
     poly_from_ints,
     valuation,
 )
-
-
-def disc_quartic_monic(a3, a2, a1, a0):
-    """Discriminant of x^4 + a3 x^3 + a2 x^2 + a1 x + a0 over the integers.
-
-    Closed form of the Sylvester resultant, used as the fast path in the
-    search loop; tests pin it against the resultant route.
-    """
-    a0_2 = a0 * a0
-    a1_2 = a1 * a1
-    a3_2 = a3 * a3
-    a2_2 = a2 * a2
-    return (
-        256 * a0 * a0_2
-        - 192 * a0_2 * a1 * a3
-        - 128 * a0_2 * a2_2
-        + 144 * a0_2 * a2 * a3_2
-        - 27 * a0_2 * a3_2 * a3_2
-        + 144 * a0 * a1_2 * a2
-        - 6 * a0 * a1_2 * a3_2
-        - 80 * a0 * a1 * a2_2 * a3
-        + 18 * a0 * a1 * a2 * a3 * a3_2
-        + 16 * a0 * a2_2 * a2_2
-        - 4 * a0 * a2 * a2_2 * a3_2
-        - 27 * a1_2 * a1_2
-        + 18 * a1 * a1_2 * a2 * a3
-        - 4 * a1 * a1_2 * a3 * a3_2
-        - 4 * a1_2 * a2 * a2_2
-        + a1_2 * a2_2 * a3_2
-    )
 
 
 @dataclass(frozen=True)
@@ -172,7 +143,7 @@ def normalize(f_raw, label=None):
         raise InseparableCurveError("quartic is inseparable")
 
     lc = f_raw.lc
-    f = f_raw.compose_linear(Fraction(1) / lc, 0).scale(lc**3)
+    f = f_raw if lc == 1 else f_raw.compose_linear(Fraction(1) / lc, 0).scale(lc**3)
     wit = EquivalenceWitness(u=Fraction(1), shift=Fraction(0), lc=lc)
 
     # clear denominators: a_i scales by u^{3(4-i)}

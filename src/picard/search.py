@@ -2,23 +2,32 @@
 
 Iterates monic integral quartics x^4 + a3 x^3 + a2 x^2 + a1 x + a0 with
 |a_i| <= height, keeps the separable ones whose discriminant is supported
-on the prime set S, normalizes, deduplicates against the already retained
-curves under scaling + translation, and analyzes each retained curve at its
-bad primes.  Output order is coefficient-lexicographic and byte-identical
-across reruns, including with workers > 1 (slices are merged in order and
-all stateful work happens on the writer side).
+on the prime set S, normalizes, keeps one curve per class under scaling +
+translation, and analyzes each retained curve at its bad primes.
+
+With workers > 1 the per-candidate work runs in a process pool, as two
+kinds of task: ``normalized_slice`` scans one a3 slice, normalizes every
+hit and computes its ``class_key``; ``analyze_curve`` analyzes one retained
+curve at its bad primes.  The writer keeps everything stateful: it takes
+the slices in order, drops a candidate whose class key it has seen,
+submits the analyses of the rest, and writes the records in enumeration
+order, flushing after each slice.  With one worker the same tasks run
+in-process.  Output order is coefficient-lexicographic and byte-identical
+across reruns and worker counts.
 """
 
 import json
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing import Pool
 
 from .conductor import analyze_prime
 from .curves import (
     PicardCurve,
     curve_text,
-    disc_quartic_monic,
-    equivalent,
+    equivalent,  # noqa: F401  (unused here; bench/tracing.py wraps this binding)
     normalize,
 )
 from .exact import poly_from_ints
@@ -40,6 +49,8 @@ class SearchConfig:
             raise ValueError("S must be nonempty")
         if self.height < 1:
             raise ValueError("height must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -112,19 +123,77 @@ def scan_slice(args):
     return out
 
 
-def _candidate_stream(cfg):
-    """Candidates slice by slice; each item is (a3, [tuples])."""
-    slices = [a3 for a3 in range(-cfg.height, cfg.height + 1)]
-    if cfg.resume_from is not None:
-        slices = [a3 for a3 in slices if a3 > cfg.resume_from]
-    args = [(a3, cfg.height, tuple(cfg.primes)) for a3 in slices]
-    if cfg.workers > 1 and len(args) > 1:
-        with Pool(cfg.workers) as pool:
-            for a3, found in zip(slices, pool.imap(scan_slice, args, chunksize=1)):
-                yield a3, found
-    else:
-        for a3, arg in zip(slices, args):
-            yield a3, scan_slice(arg)
+def class_key(curve):
+    """Dedup key of a normalized curve: equal iff the curves are equivalent.
+
+    For f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0 the key is (P, |Q|, R) from
+    256 f((y - a3)/4) = y^4 + P y^2 + Q y + R.  Normalized models with equal
+    discriminants differ by x -> +-x + b (u^36 = 1 forces u = +-1), and
+    f(+-x + b) has the same depressed form as f up to the sign of Q.
+    """
+    a3, a2, a1, a0 = (c.numerator for c in curve.f.coeffs[3::-1])
+    a3_2 = a3 * a3
+    return (
+        16 * a2 - 6 * a3_2,
+        abs(8 * a3 * a3_2 - 32 * a2 * a3 + 64 * a1),
+        -3 * a3_2 * a3_2 + 16 * a2 * a3_2 - 64 * a1 * a3 + 256 * a0,
+    )
+
+
+def normalized_slice(args):
+    """(source, normalized curve, class key) for each hit of one a3 slice."""
+    out = []
+    for a3, a2, a1, a0 in scan_slice(args):
+        source = (1, a3, a2, a1, a0)
+        curve, _ = normalize(poly_from_ints(source))
+        out.append((source, curve, class_key(curve)))
+    return out
+
+
+def analyze_curve(curve):
+    """Reports of one retained curve at each of its bad primes."""
+    return tuple(analyze_prime(curve, p) for p in curve.bad_prime_candidates())
+
+
+class _Done:
+    """A task run in-process at once, read like a pool's ``AsyncResult``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, fn, args):
+        self.value = fn(*args)
+
+    def get(self):
+        return self.value
+
+
+@contextmanager
+def _task_runner(workers):
+    """submit(fn, args) -> result handle: a pool's, or in-process for one worker."""
+    if workers == 1:
+        yield _Done
+        return
+    with Pool(workers) as pool:
+        yield pool.apply_async
+
+
+def _slice_records(a3, fresh):
+    """The records of one slice in order, then its end-of-slice marker."""
+    for source, curve, reports in fresh:
+        reports = reports.get()
+        lo = hi = 1
+        for r in reports:
+            lo *= r.p**r.f_lo
+            hi *= r.p**r.f_hi
+        yield a3, SearchRecord(
+            curve=curve,
+            source=source,
+            reports=reports,
+            conductor_lo=lo,
+            conductor_hi=hi,
+            dedup_class=curve.label,
+        )
+    yield a3, None
 
 
 def replay_retained(lines):
@@ -148,38 +217,34 @@ def enumerate_search(cfg: SearchConfig, retained=None):
     """Yield (a3_slice, record-or-None): records in deterministic order.
 
     A None record marks the end of a slice (its checkpoint boundary).
-    retained carries dedup state when resuming.
+    retained carries dedup state when resuming.  ``workers`` slices are
+    scanned ahead, and a slice's records are taken once the next slice's
+    analyses are submitted, so the pool always has work queued.
     """
-    retained = list(retained) if retained else []
-    for a3, found in _candidate_stream(cfg):
-        for tup in found:
-            a3_, a2, a1, a0 = tup
-            f = poly_from_ints([1, a3_, a2, a1, a0])
-            curve, _ = normalize(f)
-            dup = None
-            for rep in retained:
-                if rep.disc == curve.disc and equivalent(rep, curve) is not None:
-                    dup = rep
-                    break
-            if dup is not None:
-                continue
-            retained.append(curve)
-            reports = tuple(
-                analyze_prime(curve, p) for p in curve.bad_prime_candidates()
-            )
-            lo = hi = 1
-            for r in reports:
-                lo *= r.p**r.f_lo
-                hi *= r.p**r.f_hi
-            yield a3, SearchRecord(
-                curve=curve,
-                source=(1, a3_, a2, a1, a0),
-                reports=reports,
-                conductor_lo=lo,
-                conductor_hi=hi,
-                dedup_class=retained[-1].label,
-            )
-        yield a3, None
+    seen = {class_key(curve) for curve in retained or ()}
+    a3s = iter(range(-cfg.height, cfg.height + 1))
+    if cfg.resume_from is not None:
+        a3s = (a3 for a3 in a3s if a3 > cfg.resume_from)
+    with _task_runner(cfg.workers) as submit:
+
+        def scan(a3):
+            return a3, submit(normalized_slice, ((a3, cfg.height, tuple(cfg.primes)),))
+
+        scans = deque(scan(a3) for a3 in islice(a3s, cfg.workers))
+        analyzing = deque()
+        while scans:
+            a3, found = scans.popleft()
+            scans.extend(scan(a3_next) for a3_next in islice(a3s, 1))
+            fresh = []
+            for source, curve, key in found.get():
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append((source, curve, submit(analyze_curve, (curve,))))
+            analyzing.append((a3, fresh))
+            if len(analyzing) > 1:
+                yield from _slice_records(*analyzing.popleft())
+        while analyzing:
+            yield from _slice_records(*analyzing.popleft())
 
 
 def run_search(cfg: SearchConfig, out_path):

@@ -83,3 +83,13 @@ def test_bad_precision_setting_is_a_usage_error(monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "PICARD_MAX_PRECISION" in err[0]
+
+
+def test_analyze_unfactorable_discriminant_exit_1(capsys):
+    # Delta(x^4 + a0) = 256 a0^3, and a0 = (2^61 - 1)(2^89 - 1) is beyond rho's budget
+    a0 = (2**61 - 1) * (2**89 - 1)
+    code = main(["analyze", "--curve", f"[1,0,0,0,{a0}]"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "digit cofactor" in err[0]

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+import picard.conductor
 from picard.conductor import (
     ConductorReport,
     analyze_p2,
@@ -7,9 +10,11 @@ from picard.conductor import (
     analyze_prime,
     conductor_tame,
     global_conductor,
+    sqrt_disc_unramified_at_2,
 )
-from picard.curves import normalize
+from picard.curves import InseparableCurveError, normalize
 from picard.exact import poly_from_ints
+from picard.localfield import WildSplittingError, split_over_minimal_tame
 from picard.wild3 import WildWitness, WitnessInvalidError
 
 EXA_TAME = poly_from_ints([1, 0, 14, 72, -41])
@@ -96,6 +101,27 @@ def test_analyze_p2_wild_constraints():
     assert rep.status == "unknown-wild"
     assert (rep.f_lo, rep.f_hi) == (2, 28)
     assert any("f_2 != 1" in n for n in rep.notes)
+
+
+def test_disc_check_for_wildness_at_2_agrees_with_lifting(monkeypatch):
+    # every normalized separable monic quartic with |a_i| <= 3 and 2 | Delta
+    # that the discriminant check calls wild: no tame e splits it, and the
+    # report is the one the lifting path gives
+    wild = {}
+    for a in itertools.product(range(-3, 4), repeat=4):
+        try:
+            curve, _ = normalize(poly_from_ints([1, *a]))
+        except InseparableCurveError:
+            continue
+        if curve.ord_disc(2) > 0 and not sqrt_disc_unramified_at_2(curve):
+            wild[curve.f] = curve
+    assert len(wild) > 400
+    for curve in wild.values():
+        with pytest.raises(WildSplittingError):
+            split_over_minimal_tame([int(c) for c in curve.f.coeffs], 2)
+    checked = [analyze_p2(curve).to_dict() for curve in wild.values()]
+    monkeypatch.setattr(picard.conductor, "sqrt_disc_unramified_at_2", lambda curve: True)
+    assert [analyze_p2(curve).to_dict() for curve in wild.values()] == checked
 
 
 def test_analyze_p2_good_reduction():

@@ -5,6 +5,7 @@ from math import inf
 import pytest
 
 from picard.exact import (
+    FactorizationBudgetError,
     Poly,
     discriminant,
     factor_integer,
@@ -23,6 +24,28 @@ def test_discriminant_pinned_values():
     assert discriminant(poly_from_ints([1, 0, 14, 72, -41])) == -(2**10) * 3**4 * 5**6
     # Delta = 3^10
     assert discriminant(poly_from_ints([1, -3, -24, -1, 0])) == 3**10
+
+
+def test_discriminant_matches_resultant_oracle():
+    # non-monic, Fraction and inseparable quartics against res(f, f') / lc
+    rng = random.Random(41)
+
+    def small():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    cases = []
+    for _ in range(60):
+        lc = rng.choice([-3, -1, 2, 5, 12])
+        cases.append(Poly([rng.randint(-30, 30) for _ in range(4)] + [lc]))
+        cases.append(Poly([small() for _ in range(4)] + [1]))
+        cases.append(Poly([small() for _ in range(4)] + [Fraction(rng.randint(1, 9), -rng.randint(1, 7))]))
+        root = Poly([-small(), 1])
+        cases.append(root * root * Poly([rng.randint(-9, 9), rng.randint(-9, 9), rng.choice([-3, 1, 2])]))
+    for f in cases:
+        d = discriminant(f)
+        assert isinstance(d, Fraction)
+        assert d == resultant(f, f.derivative()) / f.lc
+    assert all(discriminant(f) == 0 for f in cases[3::4])
 
 
 def test_discriminant_repeated_root_is_zero():
@@ -91,6 +114,14 @@ def test_factor_integer_roundtrip_random():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_factor_integer_budget_names_the_cofactor():
+    # 2^61 - 1 and 2^89 - 1 are prime; rho would need about 2^30 steps
+    n = (2**61 - 1) * (2**89 - 1)
+    assert issubclass(FactorizationBudgetError, ValueError)
+    with pytest.raises(FactorizationBudgetError, match="46-digit cofactor"):
+        factor_integer(-(3**5) * n)
 
 
 def test_is_prime_edges():

@@ -1,13 +1,18 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from picard.curves import normalize
+from picard.curves import PicardCurve, disc_quartic_monic, equivalent, normalize
+from picard.exact import poly_from_ints
 from picard.search import (
     CheckpointCorruptError,
     SearchConfig,
     SearchRecord,
+    class_key,
     enumerate_search,
+    normalized_slice,
     rank,
     run_search,
     scan_slice,
@@ -37,6 +42,8 @@ def test_config_validation():
         SearchConfig(primes=(), height=3)
     with pytest.raises(ValueError):
         SearchConfig(primes=(3,), height=0)
+    with pytest.raises(ValueError):
+        SearchConfig(primes=(3,), height=3, workers=0)
 
 
 def test_small_search_contents_and_invariants():
@@ -56,16 +63,54 @@ def test_small_search_contents_and_invariants():
 
 
 def test_search_deduplicates_translates():
-    cfg = SearchConfig(primes=(2, 3), height=2)
-    records = collect(cfg)
-    # x^4-1 and its translate (x+1)^4-1 = x^4+4x^3+6x^2+4x must collapse;
-    # at height 2 the translate's coefficients exceed the box, so instead
-    # check that no two records are equivalent
-    from picard.curves import equivalent
+    # the class of x^4 - 1 holds (x - 1)^4 - 1 = x^4 - 4x^3 + 6x^2 - 4x and
+    # (x + 1)^4 - 1; exactly one record stands for it, the member met first
+    h = 6
+    x4_minus_1 = PicardCurve(poly_from_ints([1, 0, 0, 0, -1]))
+    box = range(-h, h + 1)
+    first = next(
+        (1, a3, a2, a1, a0)
+        for a3 in box for a2 in box for a1 in box for a0 in box
+        if disc_quartic_monic(a3, a2, a1, a0) == x4_minus_1.disc
+        and equivalent(x4_minus_1, PicardCurve(poly_from_ints([1, a3, a2, a1, a0])))
+    )
+    assert first == (1, -4, 6, -4, 0)
+    records = collect(SearchConfig(primes=(2, 3), height=h))
+    same = [r for r in records if class_key(r.curve) == class_key(x4_minus_1)]
+    assert [r.source for r in same] == [first]
+    assert same[0].dedup_class == "[1,-4,6,-4,0]"
 
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            assert equivalent(records[i].curve, records[j].curve) is None
+
+def test_class_key_equal_iff_equivalent():
+    # every normalized hit at S = {2,3}, H = 3 against every other, plus
+    # translates g = f(+-x + b) with b in (1/4)Z and g integral
+    curves = [
+        curve for a3 in range(-3, 4) for _, curve, _ in normalized_slice((a3, 3, (2, 3)))
+    ]
+    rng = random.Random(43)
+    moved = fractional = 0
+    for f in rng.sample(curves, 20):
+        for sign in (1, -1):
+            for b in (Fraction(k, 4) for k in range(-8, 9)):
+                g = f.f.compose_linear(sign, b)
+                if g.is_integral():
+                    curves.append(normalize(g)[0])
+                    moved += b != 0
+                    fractional += b.denominator > 1
+    # only b in Z keeps a monic integral quartic integral: for b = k/4, k odd,
+    # the x^2 coefficient gains 3k(2a3 + k)/8; for b = 1/2 it needs a3 odd
+    # and the x coefficient then needs a3 = 2 mod 4
+    assert moved > 0 and fractional == 0
+    keys = [class_key(c) for c in curves]
+    pairs = equal = 0
+    for i, ci in enumerate(curves):
+        for j in range(i):
+            cj = curves[j]
+            same = ci.disc == cj.disc and equivalent(ci, cj) is not None
+            assert (keys[i] == keys[j]) == same
+            pairs += 1
+            equal += same
+    assert 0 < equal < pairs
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -78,11 +123,13 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_workers_match_serial(tmp_path):
-    out1 = tmp_path / "serial.jsonl"
-    out2 = tmp_path / "par.jsonl"
-    run_search(SearchConfig(primes=(3,), height=4, workers=1), str(out1))
-    run_search(SearchConfig(primes=(3,), height=4, workers=3), str(out2))
-    assert out1.read_bytes() == out2.read_bytes()
+    # S = {2,3} reaches p = 2 and dedup; every worker count writes the same bytes
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}.jsonl"
+        run_search(SearchConfig(primes=(2, 3), height=5, workers=workers), str(out))
+        outputs.append(out.read_bytes())
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_resume_emits_exact_suffix(tmp_path):
@@ -97,6 +144,21 @@ def test_resume_emits_exact_suffix(tmp_path):
     part.write_text("".join(line + "\n" for line in kept))
     run_search(SearchConfig(primes=(3,), height=4, resume_from=0), str(part))
     assert part.read_text().splitlines() == full_lines
+
+
+def test_resume_with_workers_emits_exact_suffix(tmp_path):
+    full = tmp_path / "full.jsonl"
+    run_search(SearchConfig(primes=(2, 3), height=5), str(full))
+    full_lines = full.read_text().splitlines()
+    part = tmp_path / "part.jsonl"
+    kept = [l for l in full_lines if json.loads(l)["source"][1] <= -1]
+    assert 0 < len(kept) < len(full_lines)
+    part.write_text("".join(line + "\n" for line in kept))
+    written, token = run_search(
+        SearchConfig(primes=(2, 3), height=5, workers=2, resume_from=-1), str(part)
+    )
+    assert part.read_text().splitlines() == full_lines
+    assert (written, token) == (len(full_lines) - len(kept), 5)
 
 
 def test_resume_missing_file_errors(tmp_path):
