@@ -261,6 +261,11 @@ _MR_THRESHOLDS = [
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# factor_integer trial-divides by the primes below 2^10; Brent rho finds any
+# larger factor.  An odd composite below 2^10 has a prime factor <= 31.
+_TRIAL_PRIMES = _SMALL_PRIMES + tuple(
+    n for n in range(49, 1 << 10, 2) if all(n % q for q in _SMALL_PRIMES[1:11])
+)
 
 
 def is_prime(n):
@@ -383,7 +388,7 @@ def factor_integer(n):
     sign = -1 if n < 0 else 1
     n = abs(n)
     factors = {}
-    for p in range(2, 100_000):
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:

@@ -26,6 +26,13 @@ Costs are kept to one pass of each kind of work:
   along t -> theta, theta the Hensel lift of the first root of h_k in
   F_{p^k'}.
 - UnramifiedRing.zeta(e) is computed once per ring.
+- Residue polynomials with every coefficient in F_p (nearly all of them)
+  are factored once over F_p, p odd, on int lists: distinct-degree
+  factorization, then Cantor-Zassenhaus per degree.  Linear factors give
+  their roots directly and quadratics at k = 2 by the quadratic formula
+  with a Tonelli-Shanks root in F_p; only other factors of degree D | k
+  are split over F_{p^k}.  p = 2 and polys with a coefficient outside F_p
+  take the tuple route over F_{p^k}.
 """
 
 import os
@@ -87,50 +94,7 @@ class InsufficientExtensionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _fp_poly_is_irreducible(coeffs, p):
-    """Irreducibility of a monic poly over F_p via x^(p^d) = x tests."""
-    k = len(coeffs) - 1
-    if k == 1:
-        return True
-
-    def polymulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % p
-        # reduce by monic coeffs
-        for i in range(len(out) - 1, k - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(k):
-                    out[i - k + j] = (out[i - k + j] - c * coeffs[j]) % p
-        return out[:k] + [0] * (k - len(out[:k]))
-
-    def frob_pow(base, n):
-        result = [0] * k
-        result[0] = 1
-        acc = base[:]
-        while n:
-            if n & 1:
-                result = polymulmod(result, acc)
-            acc = polymulmod(acc, acc)
-            n >>= 1
-        return result
-
-    x = [0] * k
-    if k > 1:
-        x[1] = 1
-    xq = frob_pow(x, p**k)
-    if xq != x:
-        return False
-    for q in {d for d in range(2, k + 1) if k % d == 0 and _is_small_prime(d)}:
-        xqd = frob_pow(x, p ** (k // q))
-        diff = [(a - b) % p for a, b in zip(xqd, x)]
-        if _fp_gcd_with(coeffs, diff, p) != [1]:
-            return False
-    return True
+# polynomials over F_p: int lists, index = degree, trimmed, entries in [0, p)
 
 
 def _fp_trim(u, p):
@@ -140,8 +104,11 @@ def _fp_trim(u, p):
     return u
 
 
-def _is_small_prime(d):
-    return d > 1 and all(d % i for i in range(2, d))
+def _fp_sub(a, b, p):
+    n = max(len(a), len(b))
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
+    return _fp_trim([(x - y) % p for x, y in zip(a, b)], p)
 
 
 def _fp_divmod(a, b, p):
@@ -159,14 +126,147 @@ def _fp_divmod(a, b, p):
     return q, a
 
 
-def _fp_gcd_with(mod_coeffs, a, p):
-    """gcd of the monic modulus poly and a, both over F_p, monic output."""
-    f = _fp_trim(mod_coeffs[:], p)
-    g = _fp_trim(a[:], p)
-    while g:
-        f, g = g, _fp_divmod(f, g, p)[1]
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+def _fp_mulmod(a, b, m, p):
+    """a * b modulo the monic m of degree >= 1."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    n = len(m) - 1
+    for i in range(len(out) - 1, n - 1, -1):
+        c = out[i] % p
+        if c:
+            off = i - n
+            for j in range(n):
+                out[off + j] -= c * m[j]
+    return _fp_trim([c % p for c in out[:n]], p)
+
+
+def _fp_powmod(a, n, m, p):
+    """a^n modulo the monic m of degree >= 1."""
+    result = [1]
+    acc = _fp_divmod(a, m, p)[1]
+    while n:
+        if n & 1:
+            result = _fp_mulmod(result, acc, m, p)
+        n >>= 1
+        if n:
+            acc = _fp_mulmod(acc, acc, m, p)
+    return result
+
+
+def _fp_gcd(a, b, p):
+    """Monic gcd of F_p polynomials ([] when both are zero)."""
+    a, b = _fp_trim(a[:], p), _fp_trim(b[:], p)
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_poly_is_irreducible(coeffs, p):
+    """Irreducibility of a monic poly over F_p via x^(p^d) = x tests."""
+    k = len(coeffs) - 1
+    if k == 1:
+        return True
+    m, x = list(coeffs), [0, 1]
+    if _fp_powmod(x, p**k, m, p) != x:
+        return False
+    for q in {d for d in range(2, k + 1) if k % d == 0 and _is_small_prime(d)}:
+        diff = _fp_sub(_fp_powmod(x, p ** (k // q), m, p), x, p)
+        if _fp_gcd(m, diff, p) != [1]:
+            return False
+    return True
+
+
+def _is_small_prime(d):
+    return d > 1 and all(d % i for i in range(2, d))
+
+
+def _fp_sqrt(a, p):
+    """A square root of a in F_p, p odd, by Tonelli-Shanks.
+
+    Raises ValueError when a is not a square.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    if s == 1:
+        return pow(a, (p + 1) // 4, p)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _fp_equal_degree(g, D, p, rng):
+    """Irreducible factors of g, a squarefree product of monic degree-D ones.
+
+    Cantor-Zassenhaus for odd p: gcd(a^((p^D - 1)/2) - 1, g) for random a.
+    """
+    n = len(g) - 1
+    if n == D:
+        return [g]
+    half = (p**D - 1) // 2
+    while True:
+        a = _fp_trim([rng.randrange(p) for _ in range(n)], p)
+        s = _fp_gcd(_fp_sub(_fp_powmod(a, half, g, p), [1], p), g, p)
+        if 0 < len(s) - 1 < n:
+            other = _fp_divmod(g, s, p)[0]
+            return _fp_equal_degree(s, D, p, rng) + _fp_equal_degree(other, D, p, rng)
+
+
+def _fp_factor(f, p, rng):
+    """Monic irreducible factors of the monic f over F_p (p odd), with multiplicities.
+
+    Distinct-degree factorization: g = gcd(x^(p^D) - x, rem) for D = 1, 2, ...
+    is the product of the degree-D factors of rem, and every power of them
+    leaves rem before D grows.  Once deg rem < 2(D + 1), rem is 1 or irreducible.
+    """
+    x = [0, 1]
+    rem, xpd, D = f, x, 0
+    irreducible = []
+    while len(rem) - 1 >= 2 * (D + 1):
+        D += 1
+        xpd = _fp_powmod(xpd, p, rem, p)
+        g = _fp_gcd(_fp_sub(xpd, x, p), rem, p)
+        if len(g) > 1:
+            irreducible.extend(_fp_equal_degree(g, D, p, rng))
+            while len(g) > 1:
+                rem = _fp_divmod(rem, g, p)[0]
+                g = _fp_gcd(rem, g, p)
+            xpd = _fp_divmod(xpd, rem, p)[1]
+    if len(rem) > 1:
+        irreducible.append(rem)
+    out = []
+    for g in irreducible:
+        m, q = 0, f
+        while True:
+            quot, r = _fp_divmod(q, g, p)
+            if r:
+                break
+            q, m = quot, m + 1
+        out.append((g, m))
+    return out
 
 
 _IRR_CACHE = {}
@@ -412,6 +512,53 @@ def residue_roots(F, poly):
     poly = gtrim(F, poly[:])
     if not poly:
         raise ValueError("zero polynomial")
+    if F.p == 2 or any(any(c[1:]) for c in poly):
+        return _residue_roots_tuple(F, poly)
+    return _residue_roots_fp(F, [c[0] for c in poly])
+
+
+def _residue_roots_fp(F, f):
+    """residue_roots for odd p and a poly with coefficients in F_p (int list).
+
+    f is factored once over F_p; an irreducible factor of degree D has its
+    D roots in F = F_{p^k} when D | k, each with the factor's multiplicity,
+    and otherwise needs relative degree D / gcd(D, k).
+    """
+    p, k = F.p, F.k
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    rng = random.Random(repr((p, k, tuple(f))))
+    roots, missing = [], 0
+    pad = (0,) * (k - 1)
+    for g, m in _fp_factor(f, p, rng):
+        D = len(g) - 1
+        if k % D:
+            d = D // gcd(D, k)
+            missing = min(missing, d) if missing else d
+        elif D == 1:
+            roots.append(((-g[0] % p,) + pad, m))
+        elif k == 2:
+            # x^2 + bx + c with h = t^2 + h1 t + h0: (2t + h1)^2 = h1^2 - 4 h0,
+            # so the roots are (-b +- (2t + h1) s) / 2 with s^2 the quotient of
+            # the two discriminants, both non-squares in F_p
+            c, b = g[0], g[1]
+            h0, h1 = F.h[0], F.h[1]
+            s = _fp_sqrt((b * b - 4 * c) * pow(h1 * h1 - 4 * h0, -1, p), p)
+            half = (p + 1) // 2
+            roots.append((((h1 * s - b) * half % p, s), m))
+            roots.append((((-h1 * s - b) * half % p, -s % p), m))
+        else:
+            for r in _find_roots_linear_part(F, [F.from_int(c) for c in g], rng):
+                roots.append((r, m))
+    roots.sort()
+    return roots, missing
+
+
+def _residue_roots_tuple(F, poly):
+    """residue_roots over F_{p^k} itself (Cantor-Zassenhaus on GF tuples).
+
+    Taken for p = 2 and for polys with a coefficient outside F_p.
+    """
     q = F.p**F.k
     # squarefree part via gcd with derivative is unnecessary: gcd with x^q - x
     # picks up each F-rational root exactly once (all of poly, made monic,
@@ -1087,15 +1234,12 @@ def split_over_minimal_tame(f_ints, p, c=1):
     works (possible only for p = 2, 3, where the splitting field can be
     wildly ramified).
     """
-    last_k = 1
     for e in TAME_E_CANDIDATES:
         if gcd(e, p) != 1:
             continue
         try:
-            sr = lift_over_ring(f_ints, p, e, c=c, k=last_k)
-            return e, sr
+            return e, lift_over_ring(f_ints, p, e, c=c)
         except NeedsLargerE:
-            last_k = 1
             continue
     raise WildSplittingError(f"no tame extension of index | 24 splits f at {p}")
 

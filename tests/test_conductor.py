@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from picard.conductor import (
     global_conductor,
     sqrt_disc_unramified_at_2,
 )
-from picard.curves import InseparableCurveError, normalize
+from picard.curves import InseparableCurveError, PicardCurve, normalize
 from picard.exact import poly_from_ints
 from picard.localfield import WildSplittingError, split_over_minimal_tame
 from picard.wild3 import WildWitness, WitnessInvalidError
@@ -190,6 +191,27 @@ def test_global_conductor_covers_bad_primes_plus_three():
     g = global_conductor(c)
     assert g.n_lo <= g.n_hi
     assert {r.p for r in g.reports} == {2, 3, 5}
+
+
+def test_global_conductor_invariant_under_integer_translation():
+    # f(x) and f(x + b) are the same curve, but their roots, and so the
+    # residue polynomials met while lifting them, differ at every prime
+    rng = random.Random(43)
+    checked = 0
+    while checked < 8:
+        coeffs = [1] + [rng.randint(-6, 6) for _ in range(4)]
+        try:
+            c, _ = normalize(poly_from_ints(coeffs))
+        except InseparableCurveError:
+            continue
+        b = rng.choice([b for b in range(-5, 6) if b])
+        moved = PicardCurve(c.f.shift(b))
+        g, h = global_conductor(c), global_conductor(moved)
+        assert (g.n_lo, g.n_hi) == (h.n_lo, h.n_hi), (coeffs, b)
+        assert [(r.p, r.status, r.f_lo, r.f_hi, r.reduction_type) for r in g.reports] == [
+            (r.p, r.status, r.f_lo, r.f_hi, r.reduction_type) for r in h.reports
+        ], (coeffs, b)
+        checked += 1
 
 
 def test_report_invariant_guards():

@@ -4,6 +4,7 @@ from math import inf
 
 import pytest
 
+import picard.exact as exact
 from picard.exact import (
     FactorizationBudgetError,
     Poly,
@@ -114,6 +115,44 @@ def test_factor_integer_roundtrip_random():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def _trial_division(n):
+    """Reference factorization of 0 < n by every divisor up to sqrt(n)."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def test_factor_integer_matches_trial_division():
+    assert exact._TRIAL_PRIMES == tuple(n for n in range(2, 1 << 10) if _trial_division(n) == [(n, 1)])
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(2, 10**12)
+        assert factor_integer(n) == (1, _trial_division(n)), n
+    # a prime factor above the trial-division primes (2^10) is rho's job,
+    # alone, squared, cubed or next to a larger cofactor
+    mid_primes = [q for q in (1031, 4099, 65521, 99991) if is_prime(q)]
+    assert len(mid_primes) == 4
+    for q in mid_primes:
+        for r in [1, 2, 3 * 1021, q, q * q, 1009 * 99989] + [rng.randint(2, 10**7) for _ in range(4)]:
+            n = q * r
+            assert factor_integer(-n) == (-1, _trial_division(n)), n
+    # a 13-digit prime cofactor: the reference would need 10^6 divisions
+    big = 1000000000039
+    assert is_prime(big)
+    for q in mid_primes:
+        assert factor_integer(q * big) == (1, [(q, 1), (big, 1)])
+        assert factor_integer(q * q * 1021 * big) == (1, [(1021, 1), (q, 2), (big, 1)])
 
 
 def test_factor_integer_budget_names_the_cofactor():

@@ -371,3 +371,120 @@ def test_precision_env_rejects_non_positive_integers(monkeypatch):
         with pytest.raises(lf.PrecisionSettingError):
             lf.max_pi_digits()
     assert issubclass(lf.PrecisionSettingError, ValueError)
+
+
+def test_minimal_irreducible_pinned():
+    # values of the lexicographic search before its F_p kernels were shared
+    assert lf.minimal_irreducible(2, 6) == (1, 1, 0, 0, 0, 0, 1)
+    assert lf.minimal_irreducible(3, 2) == (1, 0, 1)
+    assert lf.minimal_irreducible(5, 2) == (2, 0, 1)
+    assert lf.minimal_irreducible(7, 3) == (2, 0, 0, 1)
+    assert lf.minimal_irreducible(999983, 2) == (1, 0, 1)
+
+
+def _fp_product(F, rng, degree):
+    """Random poly over F with coefficients in F_p: a product of random monic
+    factors of degree <= 6, some squared, times a random F_p scalar."""
+    p = F.p
+    poly, deg = [F.one], 0
+    while deg < degree:
+        d = rng.randint(1, min(6, degree - deg))
+        fac = [F.from_int(rng.randrange(p)) for _ in range(d)] + [F.one]
+        for _ in range(rng.choice((1, 1, 2))):
+            poly = lf.gmul(F, poly, fac)
+            deg += d
+    lead = F.from_int(rng.randrange(1, p))
+    return [F.mul(lead, c) for c in poly]
+
+
+def _fp_fields():
+    for p in (3, 5, 7, 11, 13, 101, 1009, 999983):
+        for k in (1, 2, 3, 4, 6):
+            if p**k <= 10**13:
+                yield p, k
+
+
+def test_residue_roots_fp_route_matches_tuple_route():
+    rng = random.Random(29)
+    for p, k in _fp_fields():
+        F = lf.GF(p, k)
+        for _ in range(6):
+            poly = _fp_product(F, rng, rng.randint(1, 8))
+            assert lf.residue_roots(F, poly) == lf._residue_roots_tuple(F, poly), (p, k, poly)
+
+
+def test_residue_roots_fp_route_brute_force():
+    rng = random.Random(31)
+    for p, k in [(3, 1), (3, 2), (3, 3), (3, 4), (3, 6), (5, 2), (5, 4), (7, 3), (11, 2), (13, 2)]:
+        assert p**k <= 729
+        F = lf.GF(p, k)
+        for _ in range(8):
+            poly = _fp_product(F, rng, rng.randint(1, 8))
+            roots, missing = lf.residue_roots(F, poly)
+            expect = []
+            for x in F.elements():
+                if F.is_zero(lf.geval(F, poly, x)):
+                    m, rest = 0, poly
+                    while True:
+                        quot, rem = lf.gdivmod(F, rest, [F.neg(x), F.one])
+                        if rem:
+                            break
+                        rest, m = quot, m + 1
+                    expect.append((x, m))
+            assert roots == sorted(expect), (p, k, poly)
+            assert (missing == 0) == (sum(m for _, m in roots) == len(poly) - 1)
+            assert missing == lf._residue_roots_tuple(F, poly)[1]
+
+
+def test_residue_roots_k2_quadratic_formula():
+    # p = 3 mod 4, 5 mod 8 and 1 mod 8 reach every branch of Tonelli-Shanks
+    for p in (3, 7, 11, 13, 29, 101, 17, 41, 1009):
+        F = lf.GF(p, 2)
+        irreducible = [
+            [c, b] for b in range(min(p, 5)) for c in range(min(p, 5))
+            if lf._fp_poly_is_irreducible([c, b, 1], p)
+        ]
+        assert irreducible
+        for c, b in irreducible[:6]:
+            g = [F.from_int(c), F.from_int(b), F.one]
+            for power in (1, 2):
+                poly = g if power == 1 else lf.gmul(F, g, g)
+                roots, missing = lf.residue_roots(F, poly)
+                assert missing == 0 and len(roots) == 2
+                assert all(m == power for _, m in roots)
+                for r, _ in roots:
+                    assert F.is_zero(lf.geval(F, g, r))
+                assert (roots, missing) == lf._residue_roots_tuple(F, poly)
+
+
+def test_fp_sqrt_exhaustive_small_primes():
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            if a in squares:
+                assert lf._fp_sqrt(a, p) ** 2 % p == a
+            else:
+                with pytest.raises(ValueError):
+                    lf._fp_sqrt(a, p)
+
+
+def test_residue_roots_route_choice(monkeypatch):
+    calls = []
+    tuple_route = lf._residue_roots_tuple
+
+    def spy(F, poly):
+        calls.append((F.p, F.k))
+        return tuple_route(F, poly)
+
+    monkeypatch.setattr(lf, "_residue_roots_tuple", spy)
+    F2 = lf.GF(2, 3)
+    assert lf.residue_roots(F2, [F2.one, F2.one, F2.one])[1] == 2  # x^2 + x + 1
+    F5 = lf.GF(5, 2)
+    t = (0, 1)
+    roots, missing = lf.residue_roots(F5, [F5.neg(t), F5.one])  # x - t
+    assert roots == [(t, 1)] and missing == 0
+    assert calls == [(2, 3), (5, 2)]
+    # coefficients in F_5: factored over F_5, the tuple route is not called
+    assert lf.residue_roots(F5, [F5.from_int(3), F5.zero, F5.one]) == ([((0, 2), 1), ((0, 3), 1)], 0)
+    assert lf.residue_roots(lf.GF(5, 1), [(3,), (0,), (1,)]) == ([], 2)
+    assert calls == [(2, 3), (5, 2)]
