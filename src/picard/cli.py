@@ -11,7 +11,7 @@ from .conductor import analyze_prime, global_conductor
 from .curves import InseparableCurveError, normalize, parse_curve_text
 from .exact import FactorizationBudgetError, is_prime
 from .fixtures import run_fixtures
-from .localfield import PrecisionSettingError, max_pi_digits
+from .localfield import PrecisionSettingError, PrecisionStallError, max_pi_digits
 from .search import CheckpointCorruptError, SearchConfig, run_search
 from .wild3 import WildWitness, WitnessInvalidError
 
@@ -88,6 +88,13 @@ def cmd_analyze(args):
             result.update(g.to_dict())
     except WitnessInvalidError as ex:
         print(f"witness invalid: {ex}", file=sys.stderr)
+        return 1
+    except PrecisionStallError as ex:
+        print(
+            f"error: {ex} below the precision ceiling of {max_pi_digits()} pi-digits"
+            " (PICARD_MAX_PRECISION)",
+            file=sys.stderr,
+        )
         return 1
     if args.as_json:
         print(json.dumps(result, separators=(",", ":")))

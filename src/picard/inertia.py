@@ -126,25 +126,20 @@ def _cluster_permutation(tree, perm):
     return mapping
 
 
-def _gf_pow(gf, a, n):
-    if n < 0:
-        return gf.pow(gf.inv(a), -n)
-    return gf.pow(a, n)
-
-
-def _mu(gf, zbar, j, chart, mult):
+def _mu(gf, zbar, e, j, chart, mult):
     """Kummer multiplier zeta^(j*(n - m*mult)/3) above a fixed base point.
 
     mult is the vanishing order of the reduced quartic there; the chart's
     point at infinity uses mult = chart.size (the degree of the reduction).
+    zbar has order e, so the exponent is taken mod e.
     """
     expo = chart.n - chart.m * mult
     if expo % 3:
         raise UnsupportedActionError("non-integral Kummer multiplier exponent")
-    return _gf_pow(gf, zbar, j * (expo // 3))
+    return gf.pow(zbar, j * (expo // 3) % e)
 
 
-def _fix_count(gf, zbar, j, chart, sig):
+def _fix_count(gf, zbar, e, j, chart, sig):
     """Fixed points of the signature's automorphism on the cover component."""
     lam, gam, nu = sig
     if lam == gf.one and gf.is_zero(gam):
@@ -156,14 +151,67 @@ def _fix_count(gf, zbar, j, chart, sig):
         mult = chart.mult_at.get(u_star, 0)
         if mult % 3:
             fix += 1
-        elif _mu(gf, zbar, j, chart, mult) == gf.one:
+        elif _mu(gf, zbar, e, j, chart, mult) == gf.one:
             fix += 3
     # the point at infinity of the chart is fixed by every affine map
     if chart.size % 3:
         fix += 1
-    elif _mu(gf, zbar, j, chart, chart.size) == gf.one:
+    elif _mu(gf, zbar, e, j, chart, chart.size) == gf.one:
         fix += 3
     return fix
+
+
+def quotient_genera(items, perm, order, genus, signature, fixed_points, error):
+    """Orbits of a cyclic group on components and the genus of each quotient.
+
+    perm maps each item (a component) to its image under the generator tau
+    of the group, of the given order.  For an orbit of length ell the
+    stabilizer of its first item is generated by tau^ell; signature(item, j)
+    names the automorphism tau^j induces on that component (None for the
+    identity) and fixed_points(item, j, sig) counts its fixed points, asked
+    once per distinct signature.  The quotient genus comes from
+    Riemann-Hurwitz over the effective stabilizer (the stabilizer modulo the
+    kernel of the action); an inconsistent count raises error.
+    Returns (orbits, genera), one genus per orbit.
+    """
+    orbits, seen = [], set()
+    for item in items:
+        if item in seen:
+            continue
+        orbit = [item]
+        cur = perm[item]
+        while cur != item:
+            orbit.append(cur)
+            cur = perm[cur]
+        seen.update(orbit)
+        orbits.append(orbit)
+    genera = []
+    for orbit in orbits:
+        item, ell = orbit[0], len(orbit)
+        reps, kernel = {}, 1
+        for j in range(ell, order, ell):
+            sig = signature(item, j)
+            if sig is None:
+                kernel += 1
+            else:
+                reps.setdefault(sig, j)
+        m_eff, rest = divmod(order // ell, kernel)
+        if rest:
+            raise error("kernel size does not divide the stabilizer")
+        if m_eff == 1:
+            genera.append(genus(item))
+            continue
+        if len(reps) != m_eff - 1:
+            raise error("effective stabilizer miscounted")
+        fix = sum(fixed_points(item, j, sig) for sig, j in reps.items())
+        num = 2 * genus(item) - 2 - fix
+        if num % (2 * m_eff):
+            raise error("Riemann-Hurwitz count not integral")
+        g0 = 1 + num // (2 * m_eff)
+        if g0 < 0:
+            raise error("negative quotient genus")
+        genera.append(g0)
+    return orbits, genera
 
 
 def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
@@ -194,67 +242,30 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
     zbar = ring.U.to_gf(ring.zeta(e))
     cl_perm = _cluster_permutation(tree, perm1)
 
-    orbits = []
-    seen = set()
-    for key in charts:
-        if key in seen:
-            continue
-        orbit = [key]
-        cur = cl_perm[key]
-        while cur != key:
-            orbit.append(cur)
-            cur = cl_perm[cur]
-        seen.update(orbit)
-        orbits.append(orbit)
-
     perms = {0: tuple(range(4))}
     for j in range(1, e):
         perms[j] = tuple(perm1[perms[j - 1][i]] for i in range(4))
 
-    def signature(chart, j):
-        lam = _gf_pow(gf, zbar, (j * chart.m) % e)
-        nu = _gf_pow(gf, zbar, (j * (chart.n // 3)) % e)
+    def signature(key, j):
+        """(lambda, gamma, nu) of tau^j on the chart, None for the identity."""
+        chart = charts[key]
+        lam = gf.pow(zbar, (j * chart.m) % e)
+        nu = gf.pow(zbar, (j * (chart.n // 3)) % e)
         z = sr.roots[chart.center]
         image_center = perms[j % e][chart.center]
         gam = ring.residue(ring.div_pi(ring.sub(sr.roots[image_center], z), chart.m))
-        return (lam, gam, nu)
+        sig = (lam, gam, nu)
+        return None if sig == (gf.one, gf.zero, gf.one) else sig
 
-    genera = []
-    for orbit in orbits:
-        chart = charts[orbit[0]]
-        ell = len(orbit)
-        stab = list(range(ell, e, ell))
-        if not stab:
-            genera.append(chart.genus)
-            continue
-        identity_sig = (gf.one, gf.zero, gf.one)
-        sig_rep = {}
-        kernel = 1
-        for j in stab:
-            sig = signature(chart, j)
-            if sig == identity_sig:
-                kernel += 1
-            else:
-                sig_rep.setdefault(sig, j)
-        stab_order = e // ell
-        if stab_order % kernel:
-            raise UnsupportedActionError("kernel size does not divide the stabilizer")
-        m_eff = stab_order // kernel
-        if m_eff == 1:
-            genera.append(chart.genus)
-            continue
-        if len(sig_rep) != m_eff - 1:
-            raise UnsupportedActionError("effective stabilizer miscounted")
-        eff_fix = sum(
-            _fix_count(gf, zbar, j, chart, sig) for sig, j in sig_rep.items()
-        )
-        num = 2 * chart.genus - 2 - eff_fix
-        if num % (2 * m_eff):
-            raise UnsupportedActionError("Riemann-Hurwitz count not integral")
-        g0 = 1 + num // (2 * m_eff)
-        if g0 < 0:
-            raise UnsupportedActionError("negative quotient genus")
-        genera.append(g0)
+    orbits, genera = quotient_genera(
+        charts,
+        cl_perm,
+        e,
+        lambda key: charts[key].genus,
+        signature,
+        lambda key, j, sig: _fix_count(gf, zbar, e, j, charts[key], sig),
+        UnsupportedActionError,
+    )
 
     # quotient dual graph: one vertex per component orbit; each orbit of
     # base nodes contributes 1 edge (branch node), else 3 or 1 depending on
@@ -282,7 +293,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
         else:
             ell = len(orbits[idx])
             rotated = any(
-                _mu(gf, zbar, j, chart, chart.size) != gf.one
+                _mu(gf, zbar, e, j, chart, chart.size) != gf.one
                 for j in range(ell, e, ell)
             )
             edges += 1 if rotated else 3

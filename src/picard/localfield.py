@@ -8,9 +8,12 @@ c in {1, -1}.  All arithmetic is exact modulo p^N; root certification uses
 Newton/Krasner ball bounds against the original integer polynomial, so
 intermediate digit erosion can never produce a falsely certified root.
 
-Residue fields F_{p^k} never need k > 12 here: every root of a quartic over
-Q_p^nr lives in residue degree <= 4 and the roots of unity zeta_e for
-e | 72 live in degree <= 6.
+The residue field F_{p^k} is the same ring at N = 1: GF(p, k) is an
+UnramifiedRing whose add/sub/mul/pow are the ring's, and only its inverse
+(Euclid), zero test and element enumeration are its own.  Residue fields
+never need k > 12 here: every root of a quartic over Q_p^nr lives in
+residue degree <= 4 and the roots of unity zeta_e for e | 72 live in
+degree <= 6.
 
 Costs are kept to one pass of each kind of work:
 
@@ -25,7 +28,9 @@ Costs are kept to one pass of each kind of work:
   zeta_{3e} is missing, the residue field grows to k' = lcm(k, ord_{3e}(p))
   along t -> theta, theta the Hensel lift of the first root of h_k in
   F_{p^k'}.
-- UnramifiedRing.zeta(e) is computed once per ring.
+- UnramifiedRing.zeta(e) is Hensel-lifted once per (p, k, N, e) and cached
+  at module level, so the rings lift_over_ring builds for each try of e, k
+  and N share it.
 - Residue polynomials with every coefficient in F_p (nearly all of them)
   are factored once over F_p, p odd, on int lists: distinct-degree
   factorization, then Cantor-Zassenhaus per degree.  Linear factors give
@@ -90,7 +95,7 @@ class InsufficientExtensionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# finite field F_{p^k}
+# polynomials over F_p and F_{p^k}
 # ---------------------------------------------------------------------------
 
 
@@ -296,105 +301,6 @@ def minimal_irreducible(p, k):
     raise RuntimeError("no irreducible found")  # unreachable
 
 
-class GF:
-    """F_{p^k} = F_p[t]/(h), elements are int tuples of length k."""
-
-    def __init__(self, p, k):
-        self.p = p
-        self.k = k
-        self.h = minimal_irreducible(p, k)
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-        # reduction rows: t^(k+i) mod h for i in [0, k-2]
-        rows = []
-        cur = [(-c) % p for c in self.h[:k]]  # t^k
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                cur = [(a - top * c) % p for a, c in zip(cur, self.h[:k])]
-            rows.append(tuple(cur))
-        self._red = rows
-
-    def from_int(self, n):
-        return (n % self.p,) + (0,) * (self.k - 1)
-
-    def is_zero(self, a):
-        return all(c == 0 for c in a)
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return (a[0] * b[0] % p,)
-        out = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        res = [c % p for c in out[:k]]
-        for i in range(k, 2 * k - 1):
-            c = out[i] % p
-            if c:
-                row = self._red[i - k]
-                for j in range(k):
-                    res[j] = (res[j] + c * row[j]) % p
-        return tuple(res)
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of 0 in GF")
-        p, k = self.p, self.k
-        if k == 1:
-            return (pow(a[0], -1, p),)
-        # extended Euclid in F_p[t]: s1 * a = r1 (mod h) throughout, and the
-        # remainders end in a nonzero constant because h is irreducible
-        r0, r1 = list(self.h), _fp_trim(list(a), p)
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _fp_divmod(r0, r1, p)
-            s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        s[i + j] = (s[i + j] - x * y) % p
-            r0, r1, s0, s1 = r1, r, s1, _fp_trim(s, p)
-        c = pow(r1[0], -1, p)
-        return tuple(x * c % p for x in s1) + (0,) * (k - len(s1))
-
-    def pow(self, a, n):
-        result = self.one
-        acc = a
-        while n:
-            if n & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            n >>= 1
-        return result
-
-    def elements(self):
-        p, k = self.p, self.k
-        for code in range(p**k):
-            coeffs = []
-            c = code
-            for _ in range(k):
-                coeffs.append(c % p)
-                c //= p
-            yield tuple(coeffs)
-
-
 # polynomials over GF: lists of elements, index = degree
 
 
@@ -594,7 +500,7 @@ def _residue_roots_tuple(F, poly):
 
 
 # ---------------------------------------------------------------------------
-# O_{Q_{p^k}^nr} / p^N
+# O_{Q_{p^k}^nr} / p^N, and its residue field F_{p^k} at N = 1
 # ---------------------------------------------------------------------------
 
 
@@ -605,22 +511,22 @@ class UnramifiedRing:
         self.p = p
         self.k = k
         self.N = N
-        self.mod = p**N
-        self.gf = GF(p, k)
+        self.mod = m = p**N
+        self.h = h = minimal_irreducible(p, k)
+        self.gf = self if isinstance(self, GF) else GF(p, k)
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
+        # reduction rows: t^(k+i) mod h for i in [0, k-2]
         rows = []
-        h = self.gf.h
-        cur = [(-c) % self.mod for c in h[:k]]
+        cur = [(-c) % m for c in h[:k]]
         rows.append(tuple(cur))
         for _ in range(k - 2):
             cur = [0] + cur
             top = cur.pop()
             if top:
-                cur = [(a - top * c) % self.mod for a, c in zip(cur, h[:k])]
+                cur = [(a - top * c) % m for a, c in zip(cur, h[:k])]
             rows.append(tuple(cur))
         self._red = rows
-        self._zeta = {}
 
     def from_int(self, n):
         return (n % self.mod,) + (0,) * (self.k - 1)
@@ -662,6 +568,17 @@ class UnramifiedRing:
                     res[j] = (res[j] + c * row[j]) % m
         return tuple(res)
 
+    def pow(self, a, n):
+        """a^n for n >= 0."""
+        result = self.one
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return result
+
     def val(self, a):
         """min p-valuation over coordinates, capped at N."""
         p, best = self.p, self.N
@@ -698,12 +615,13 @@ class UnramifiedRing:
     def zeta(self, e):
         """Primitive e-th root of unity (requires e | p^k - 1), Hensel lifted.
 
-        Computed once per ring and order.
+        Computed once per (p, k, N, e) and shared by every ring with that key.
         """
         if e == 1:
             return self.one
-        if e in self._zeta:
-            return self._zeta[e]
+        key = (self.p, self.k, self.N, e)
+        if key in _ZETA_CACHE:
+            return _ZETA_CACHE[key]
         q = self.p**self.k - 1
         if q % e:
             raise ValueError(f"no zeta_{e} in F_{self.p}^{self.k}")
@@ -716,23 +634,61 @@ class UnramifiedRing:
         e_inv_needed = self.from_int(e)
         steps = max(1, (self.N - 1).bit_length())
         for _ in range(steps + 1):
-            ze1 = _upow(self, z, e - 1)
+            ze1 = self.pow(z, e - 1)
             fz = self.sub(self.mul(ze1, z), self.one)
             dz = self.mul(e_inv_needed, ze1)
             z = self.sub(z, self.mul(fz, self.inv_unit(dz)))
-        self._zeta[e] = z
+        _ZETA_CACHE[key] = z
         return z
 
 
-def _upow(U, a, n):
-    result = U.one
-    acc = a
-    while n:
-        if n & 1:
-            result = U.mul(result, acc)
-        acc = U.mul(acc, acc)
-        n >>= 1
-    return result
+_ZETA_CACHE = {}
+
+
+class GF(UnramifiedRing):
+    """F_{p^k} = F_p[t]/(h): the ring at N = 1, elements are int tuples of length k."""
+
+    # bench/tracing.py counts residue-field kernels by patching GF.__dict__;
+    # binding them here keeps the p^N ring's own calls out of those counts
+    mul = UnramifiedRing.mul
+    pow = UnramifiedRing.pow
+
+    def __init__(self, p, k):
+        super().__init__(p, k, 1)
+
+    def is_zero(self, a):
+        return all(c == 0 for c in a)
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of 0 in GF")
+        p, k = self.p, self.k
+        if k == 1:
+            return (pow(a[0], -1, p),)
+        # extended Euclid in F_p[t]: s1 * a = r1 (mod h) throughout, and the
+        # remainders end in a nonzero constant because h is irreducible
+        r0, r1 = list(self.h), _fp_trim(list(a), p)
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            q, r = _fp_divmod(r0, r1, p)
+            s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+            for i, x in enumerate(q):
+                if x:
+                    for j, y in enumerate(s1):
+                        s[i + j] = (s[i + j] - x * y) % p
+            r0, r1, s0, s1 = r1, r, s1, _fp_trim(s, p)
+        c = pow(r1[0], -1, p)
+        return tuple(x * c % p for x in s1) + (0,) * (k - len(s1))
+
+    def elements(self):
+        p, k = self.p, self.k
+        for code in range(p**k):
+            coeffs = []
+            c = code
+            for _ in range(k):
+                coeffs.append(c % p)
+                c //= p
+            yield tuple(coeffs)
 
 
 def _cyclotomic_mod(e, F):
@@ -792,7 +748,7 @@ class TameRing:
     def pi_power(self, m):
         """pi^m as a ring element, 0 <= m."""
         q, r = divmod(m, self.e)
-        u = _upow(self.U, self._cp, q)
+        u = self.U.pow(self._cp, q)
         out = [self.U.zero] * self.e
         out[r] = u
         return tuple(out)
@@ -890,7 +846,7 @@ class TameRing:
         U = self.U
         e = self.e
         return tuple(
-            U.mul(u, _upow(U, zeta, (i * j) % e)) for i, u in enumerate(a)
+            U.mul(u, U.pow(zeta, (i * j) % e)) for i, u in enumerate(a)
         )
 
 

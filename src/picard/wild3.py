@@ -10,13 +10,14 @@ z^3 - z = h(x); the genus comes from the pole orders of h after the usual
 AS reduction (jumps h_P prime to 3, 2g - 2 = -6 + sum 2(h_P + 1)), and the
 action of Gamma = Gal(L_m/Q_3^nr) on each component is an affine map on x
 together with z -> eps z + w, from which quotient genera follow by
-Riemann-Hurwitz exactly as in the tame case.
+Riemann-Hurwitz exactly as in the tame case (inertia.quotient_genera).
 """
 
 import json
 from dataclasses import dataclass, field
 from math import gcd
 
+from .inertia import quotient_genera
 from .localfield import (
     HARD_K_CAP,
     NeedsLargerK,
@@ -148,17 +149,12 @@ def _rconst(gf, c):
     return ([c] if not gf.is_zero(c) else [], [gf.one])
 
 
-def _gcompose_affine(gf, poly, lam, gam):
-    """poly(lam*x + gam)."""
-    acc = []
-    lin = [gam, lam]
-    for c in reversed(poly):
-        acc = gadd(gf, gmul(gf, acc, lin), [c])
-    return acc
-
-
 def _rcompose_affine(gf, x, lam, gam):
-    return _rf(gf, _gcompose_affine(gf, x[0], lam, gam), _gcompose_affine(gf, x[1], lam, gam))
+    return _rf(
+        gf,
+        _ringpoly_compose_linear(gf, x[0], lam, gam),
+        _ringpoly_compose_linear(gf, x[1], lam, gam),
+    )
 
 
 def _ord_at(gf, poly, xi):
@@ -383,8 +379,8 @@ def _ringpoly_add(ring, a, b):
 
 
 def _ringpoly_compose_linear(ring, poly, lam, gam):
-    """poly(lam*x + gam) over the ring."""
-    acc = [ring.zero]
+    """poly(lam*x + gam) over the ring (or over GF), not trimmed."""
+    acc = []
     lin = [gam, lam]
     for c in reversed(poly):
         acc = _ringpoly_add(ring, _ringpoly_mul(ring, acc, lin), [c])
@@ -398,10 +394,8 @@ def _chart_reduction(ring, f_ints, chart):
     after dividing out the content pi^N0.
     """
     c_elt = _pi_poly_elt(ring, chart.x_center)
-    X = [c_elt, ring.pi_power(chart.x_scale)]
-    fX = [ring.zero]
-    for coef in reversed(f_ints):
-        fX = _ringpoly_add(ring, _ringpoly_mul(ring, fX, X), [ring.from_int(coef)])
+    f = [ring.from_int(coef) for coef in f_ints]
+    fX = _ringpoly_compose_linear(ring, f, ring.pi_power(chart.x_scale), c_elt)
     G = [_pi_poly_elt(ring, tup) for tup in chart.y_poly]
     pb3 = ring.pi_power(3 * chart.y_scale)
     pd = ring.pi_power(chart.y_codim)
@@ -484,12 +478,6 @@ def _analyze_chart(ring, f_ints, idx, chart):
 # ---- the Galois action on chart components ---------------------------------
 
 
-def _upow_ring(ring, u_elt, n):
-    from .localfield import _upow
-
-    return _upow(ring.U, u_elt, n)
-
-
 def _chart_xy_action(ring, comp, j, zeta):
     """(lambda, gamma, F): x-affine map and the y1 correction of tau^j.
 
@@ -506,10 +494,10 @@ def _chart_xy_action(ring, comp, j, zeta):
     lam = gf.pow(ring.U.to_gf(zeta), (j * a) % m)
     G = [_pi_poly_elt(ring, tup) for tup in ch.y_poly]
     Gtau = [ring.galois_map(cf, zeta, j) for cf in G]
-    zinv = ring.from_unram(_upow_ring(ring, zeta, (m - (j * a) % m) % m))
+    zinv = ring.from_unram(ring.U.pow(zeta, (m - (j * a) % m) % m))
     inner_gam = ring.mul(zinv, ring.sub(ring.zero, gam_elt))
     composed = _ringpoly_compose_linear(ring, Gtau, zinv, inner_gam)
-    zb = ring.from_unram(_upow_ring(ring, zeta, (j * b) % m))
+    zb = ring.from_unram(ring.U.pow(zeta, (j * b) % m))
     H = _ringpoly_add(
         ring,
         _ringpoly_scale(ring, composed, zb),
@@ -530,7 +518,7 @@ def _as_automorphism(ring, comp, j, zeta):
     lam, gam, F = _chart_xy_action(ring, comp, j, zeta)
     zbd = gf.pow(ring.U.to_gf(zeta), (j * (ch.y_scale + ch.y_codim)) % m)
     tbar = comp.tbar
-    tA = _gcompose_affine(gf, tbar, lam, gam)
+    tA = gtrim(gf, _ringpoly_compose_linear(gf, tbar, lam, gam))
     if len(tA) != len(tbar):
         raise WitnessInvalidError("translation function not projectively invariant")
     kappa = gf.mul(tA[-1], gf.inv(tbar[-1]))
@@ -539,7 +527,7 @@ def _as_automorphism(ring, comp, j, zeta):
     eps = gf.mul(zbd, gf.inv(kappa))
     if eps != gf.one and eps != gf.neg(gf.one):
         raise WitnessInvalidError("deck conjugation is not +/-1 on the AS generator")
-    w = _rf(gf, _gcompose_affine(gf, F, lam, gam), tA)
+    w = _rf(gf, _ringpoly_compose_linear(gf, F, lam, gam), tA)
     cover = comp.cover
     shift_a = _rcompose_affine(gf, cover.shift, lam, gam)
     w_red = _rsub(gf, _radd(gf, _rmul(gf, _rconst(gf, eps), cover.shift), w), shift_a)
@@ -701,60 +689,30 @@ def _verify_with_ring(ring, f_ints, witness):
 
     zeta = ring.zeta(m)
     perm1 = _chart_permutation(ring, comps, 1, zeta)
-    etale_idx = [i for i, c in enumerate(comps) if not c.inseparable]
-    orbits = []
-    seen = set()
-    for i in etale_idx:
-        if i in seen:
-            continue
-        orbit = [i]
-        cur = perm1[i]
-        while cur != i:
-            orbit.append(cur)
-            cur = perm1[cur]
-        seen.update(orbit)
-        orbits.append(orbit)
-
     gf = ring.U.gf
-    quotient_genera = []
-    for orbit in orbits:
-        comp = comps[orbit[0]]
-        ell = len(orbit)
-        stab = list(range(ell, m, ell))
-        if not stab:
-            quotient_genera.append(comp.genus)
-            continue
-        sig_rep = {}
-        kernel = 1
-        for j in stab:
-            lam, gam, eps, w_red = _as_automorphism(ring, comp, j, zeta)
-            key = (lam, gam, eps, tuple(map(tuple, w_red[0])), tuple(map(tuple, w_red[1])))
-            fix = _as_fix_count(gf, comp.cover, lam, gam, eps, w_red)
-            if fix is None:
-                kernel += 1
-            else:
-                sig_rep.setdefault(key, fix)
-        stab_order = m // ell
-        if stab_order % kernel:
-            raise WitnessInvalidError("kernel size does not divide the stabilizer")
-        m_eff = stab_order // kernel
-        if m_eff == 1:
-            quotient_genera.append(comp.genus)
-            continue
-        if len(sig_rep) != m_eff - 1:
-            raise WitnessInvalidError("effective stabilizer miscounted on a chart")
-        total_fix = sum(sig_rep.values())
-        num = 2 * comp.genus - 2 - total_fix
-        if num % (2 * m_eff):
-            raise WitnessInvalidError("Riemann-Hurwitz count not integral on a chart")
-        g0 = 1 + num // (2 * m_eff)
-        if g0 < 0:
-            raise WitnessInvalidError("negative quotient genus on a chart")
-        quotient_genera.append(g0)
+
+    def signature(i, j):
+        """The AS automorphism of tau^j with its fixed-point count, None for the identity."""
+        comp = comps[i]
+        lam, gam, eps, w_red = _as_automorphism(ring, comp, j, zeta)
+        fix = _as_fix_count(gf, comp.cover, lam, gam, eps, w_red)
+        if fix is None:
+            return None
+        return (lam, gam, eps, tuple(map(tuple, w_red[0])), tuple(map(tuple, w_red[1]))), fix
+
+    _, genera = quotient_genera(
+        [i for i, c in enumerate(comps) if not c.inseparable],
+        perm1,
+        m,
+        lambda i: comps[i].genus,
+        signature,
+        lambda i, j, sig: sig[1],
+        WitnessInvalidError,
+    )
 
     # the component trees of types (a), (b), (c) are stars: gamma0 = 0
     gamma0 = 0
-    f3 = 6 - (2 * sum(quotient_genera) + gamma0)
+    f3 = 6 - (2 * sum(genera) + gamma0)
     allowed = {"a": (6,), "b": (4, 6), "c": (4, 6)}[rtype]
     if f3 not in allowed:
         raise WitnessInvalidError(
@@ -765,7 +723,7 @@ def _verify_with_ring(ring, f_ints, witness):
         reduction_type=rtype,
         etale_genera=etale,
         inseparable_count=insep,
-        quotient_genera=quotient_genera,
+        quotient_genera=genera,
         gamma0=gamma0,
         f3=f3,
         f3_range=(f3, f3),

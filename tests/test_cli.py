@@ -93,3 +93,14 @@ def test_analyze_unfactorable_discriminant_exit_1(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "digit cofactor" in err[0]
+
+
+def test_analyze_precision_stall_exit_1(monkeypatch, capsys):
+    # x (x - 5^21)(x^2 - 1): the roots 0 and 5^21 agree to 21 digits, which a
+    # 30 pi-digit ceiling cannot certify apart
+    monkeypatch.setenv("PICARD_MAX_PRECISION", "30")
+    code = main(["analyze", "--curve", "[1,-476837158203125,-1,476837158203125,0]", "--prime", "5"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "PICARD_MAX_PRECISION" in err[0]

@@ -57,9 +57,9 @@ def test_unramified_ring_inverse_and_zeta():
     for e in (2, 3, 4, 6, 8, 12):
         if (7**2 - 1) % e == 0:
             z = U.zeta(e)
-            assert lf._upow(U, z, e) == U.one
+            assert U.pow(z, e) == U.one
             for d in range(1, e):
-                assert lf._upow(U, z, d) != U.one
+                assert U.pow(z, d) != U.one
 
 
 def test_tame_ring_uniformizer_laws():
@@ -357,12 +357,45 @@ def test_gpowmod_non_monic_modulus():
     assert lf.gpowmod(F, base, 1000, mod) == acc
 
 
-def test_zeta_is_computed_once_per_ring():
+def test_zeta_is_computed_once_per_ring(monkeypatch):
     U = lf.UnramifiedRing(7, 2, 12)
     assert U.zeta(8) is U.zeta(8)
-    assert lf._upow(U, U.zeta(8), 4) != U.one
+    assert U.pow(U.zeta(8), 4) != U.one
     R = lf.TameRing(lf.TameExtension(7, 8, 1), 2, 12)
     assert R.zeta(8) is R.zeta(8)
+    # one more digit lifts the same root again: N is part of the key
+    other = lf.UnramifiedRing(7, 2, 13)
+    z13 = other.zeta(8)
+    assert other.pow(z13, 8) == other.one
+    assert tuple(c % 7**12 for c in z13) == U.zeta(8)
+
+    # a new ring with the same (p, k, N) reuses the lift instead of redoing it
+    def no_lift(*args):
+        raise AssertionError("zeta lifted again")
+
+    monkeypatch.setattr(lf, "_cyclotomic_mod", no_lift)
+    assert lf.UnramifiedRing(7, 2, 12).zeta(8) is U.zeta(8)
+    assert lf.TameRing(lf.TameExtension(7, 4, -1), 2, 13).zeta(8) is z13
+
+
+def test_gf_is_the_ring_at_n_equal_1():
+    # reduction mod p is a ring map O/p^N -> F_{p^k}, and GF shares the ring's kernels
+    rng = random.Random(11)
+    for p, k in ((2, 3), (3, 2), (5, 1), (7, 4), (101, 2)):
+        F, U = lf.GF(p, k), lf.UnramifiedRing(p, k, 6)
+        assert isinstance(F, lf.UnramifiedRing) and F.gf is F and F.mod == p
+        assert F.h == U.h
+        for _ in range(30):
+            a = tuple(rng.randrange(U.mod) for _ in range(k))
+            b = tuple(rng.randrange(U.mod) for _ in range(k))
+            abar, bbar = U.to_gf(a), U.to_gf(b)
+            assert U.to_gf(U.mul(a, b)) == F.mul(abar, bbar)
+            assert U.to_gf(U.sub(a, b)) == F.sub(abar, bbar)
+            n = rng.randrange(40)
+            acc = F.one
+            for _ in range(n):
+                acc = F.mul(acc, abar)
+            assert F.pow(abar, n) == acc == U.to_gf(U.pow(a, n))
 
 
 def test_precision_env_rejects_non_positive_integers(monkeypatch):
