@@ -274,6 +274,11 @@ def is_prime(n):
     Above that bound the first 25 primes are used as witnesses, which is far
     beyond anything the bounded searches here produce.
     """
+    return _is_prime(n, None)
+
+
+def _is_prime(n, budget):
+    """is_prime, charging each Miller-Rabin round to budget (a _Budget or None)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -292,6 +297,8 @@ def is_prime(n):
         bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
     for a in bases:
+        if budget is not None:
+            budget.spend(n.bit_length() ** 2, n)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -304,18 +311,36 @@ def is_prime(n):
     return True
 
 
-# Work factor_integer may spend on one composite cofactor n before it gives
-# up: Brent rho takes RHO_BUDGET // n.bit_length() steps (evaluations of
-# y -> y^2 + c, over all increments c).  A prime factor q takes about
-# sqrt(q) steps, so below 2^64 (a factor under 2^32, 2^20 steps allowed)
-# rho has a wide margin; fewer steps for longer cofactors keep the time to
-# give up near a second (0.3 s at 46 digits, 1.3 s at 830 on a 2-core host).
-RHO_BUDGET = 1 << 26
+# Work one factor_integer call may spend after trial division, in bit-steps:
+# a rho step (y -> y^2 + c mod n) costs n.bit_length() and a Miller-Rabin
+# round on n, about n.bit_length() modular squarings, costs its square.  A
+# prime factor q takes rho about sqrt(q) steps, so below 2^64 (a factor
+# under 2^32, 2^20 steps allowed) rho has a wide margin.  Rho gives up on a
+# 46-digit cofactor after about 0.2 s, and a cofactor above about 490
+# digits cannot pay for the 25 rounds that would prove it prime, so a huge
+# input fails at once instead of after minutes of primality tests.
+FACTOR_BUDGET = 1 << 26
 RHO_BATCH = 128  # steps whose differences share one gcd
 
 
 class FactorizationBudgetError(ValueError):
-    """Brent rho used up its RHO_BUDGET work on a cofactor without splitting it."""
+    """factor_integer used up its FACTOR_BUDGET work before finishing."""
+
+
+class _Budget:
+    """The FACTOR_BUDGET work left to one factor_integer call."""
+
+    def __init__(self):
+        self.left = FACTOR_BUDGET
+
+    def spend(self, cost, n):
+        """Charge cost bit-steps of work on the cofactor n."""
+        self.left -= cost
+        if self.left < 0:
+            raise FactorizationBudgetError(
+                f"cannot factor a {_digits(n)}-digit cofactor within the budget"
+                f" of {FACTOR_BUDGET} bit-steps"
+            )
 
 
 def _digits(n):
@@ -326,25 +351,19 @@ def _digits(n):
     return d
 
 
-def _pollard_rho(n):
+def _pollard_rho(n, budget):
     """Find a nontrivial factor of odd composite n (Brent's cycle variant).
 
     Fixed seed/increment schedule keeps the whole factorization deterministic.
-    Raises FactorizationBudgetError once RHO_BUDGET // n.bit_length() steps
-    are spent.
+    Each step is charged to budget, which raises FactorizationBudgetError
+    once the call's FACTOR_BUDGET is spent.
     """
     if n % 2 == 0:
         return 2
-    budget = RHO_BUDGET // n.bit_length()
-    steps = 0
+    bits = n.bit_length()
 
     def spend(k):
-        nonlocal steps
-        steps += k
-        if steps > budget:
-            raise FactorizationBudgetError(
-                f"cannot factor a {_digits(n)}-digit cofactor within {budget} rho steps"
-            )
+        budget.spend(k * bits, n)
 
     for c in range(1, 64):
         y, r, q, d = 2, 1, 1, 1
@@ -380,8 +399,9 @@ def factor_integer(n):
 
     Returns (sign, [(p, e), ...]) with primes ascending.  Trial division by
     small primes first, then Brent rho on any remaining composite cofactor;
-    every reported prime passes is_prime.  Raises FactorizationBudgetError
-    when rho cannot split a cofactor within its budget (see RHO_BUDGET).
+    every reported prime passes is_prime.  The primality tests and rho steps
+    of one call share one FACTOR_BUDGET; FactorizationBudgetError, naming the
+    digit count of the cofactor at hand, is raised when it runs out.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -394,15 +414,16 @@ def factor_integer(n):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
+    budget = _Budget()
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if _is_prime(m, budget):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d = _pollard_rho(m, budget)
         stack.append(d)
         stack.append(m // d)
     return sign, sorted(factors.items())

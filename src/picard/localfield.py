@@ -31,6 +31,9 @@ Costs are kept to one pass of each kind of work:
 - UnramifiedRing.zeta(e) is Hensel-lifted once per (p, k, N, e) and cached
   at module level, so the rings lift_over_ring builds for each try of e, k
   and N share it.
+- Newton lifting of a simple root carries w ~ 1/f'(z) along with z
+  (coupled Newton), so a lift pays for one inverse in F_{p^k} and none in
+  the ring.
 - Residue polynomials with every coefficient in F_p (nearly all of them)
   are factored once over F_p, p odd, on int lists: distinct-degree
   factorization, then Cantor-Zassenhaus per degree.  Linear factors give
@@ -959,16 +962,30 @@ def _content_val(ring, poly):
     return min(ring.val(c) for c in poly)
 
 
+def _newton_budget(ring):
+    """Steps _newton_lift may take: the pi-adic error squares at each one."""
+    return max(2, ring.cap.bit_length() + 2)
+
+
 def _newton_lift(ring, poly, dpoly, z):
-    """Lift a simple residue root to ring precision (f'(z) stays a unit)."""
-    steps = max(2, ring.cap.bit_length() + 2)
-    for _ in range(steps):
+    """Lift a simple residue root to ring precision (f'(z) stays a unit).
+
+    Coupled Newton: w ~ 1/f'(z) starts from the residue-field inverse and
+    is refined by w <- w(2 - f'(z) w) alongside z <- z - f(z) w, so no step
+    inverts in the ring.  The errors of z and w start at pi^1 and square at
+    each step.  Raises PrecisionStallError when f(z) still does not vanish
+    at working precision after _newton_budget steps (lift_over_ring then
+    doubles N).
+    """
+    w = ring.lift_residue(ring.U.gf.inv(ring.residue(rpoly_eval(ring, dpoly, z))))
+    two = ring.from_int(2)
+    for _ in range(_newton_budget(ring)):
         fz = rpoly_eval(ring, poly, z)
         if ring.is_zero(fz):
-            break
-        dz = rpoly_eval(ring, dpoly, z)
-        z = ring.sub(z, ring.mul(fz, ring.inv_unit(dz)))
-    return z
+            return z
+        z = ring.sub(z, ring.mul(fz, w))
+        w = ring.mul(w, ring.sub(two, ring.mul(rpoly_eval(ring, dpoly, z), w)))
+    raise PrecisionStallError("Newton lift did not converge within its step budget")
 
 
 def _integral_roots(ring, poly, depth=0):

@@ -81,20 +81,28 @@ class SearchRecord:
         return json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=False)
 
 
-def _s_supported(n, primes):
-    v = -n if n < 0 else n
+def _s_units(primes, bound):
+    """Every positive integer <= bound whose prime factors all lie in primes."""
+    units = {1}
     for p in primes:
-        while v % p == 0:
-            v //= p
-    return v == 1
+        for u in list(units):
+            u *= p
+            while u <= bound:
+                units.add(u)
+                u *= p
+    return units
 
 
 def scan_slice(args):
-    """All S-supported separable quartics in one a3 slice, lex order."""
+    """All S-supported separable quartics in one a3 slice, lex order.
+
+    A discriminant is S-supported iff its absolute value lies in the set of
+    S-units up to a bound on |disc| over the slice, built once per call.
+    """
     a3, height, primes = args
-    out = []
     rng = range(-height, height + 1)
     a3_2 = a3 * a3
+    rows = []
     for a2 in rng:
         a2_2 = a2 * a2
         for a1 in rng:
@@ -116,10 +124,18 @@ def scan_slice(args):
                 - 4 * a1_2 * a2 * a2_2
                 + a1_2 * a2_2 * a3_2
             )
-            for a0 in rng:
-                d = ((256 * a0 + c2) * a0 + c1) * a0 + c0
-                if d and _s_supported(d, primes):
-                    out.append((a3, a2, a1, a0))
+            rows.append((a2, a1, c2, c1, c0))
+    # |a0| <= height bounds every |disc| of the slice termwise
+    bound = max(
+        ((256 * height + abs(c2)) * height + abs(c1)) * height + abs(c0)
+        for _, _, c2, c1, c0 in rows
+    )
+    units = _s_units(primes, bound)  # 0 is not in it: inseparable quartics drop out
+    out = []
+    for a2, a1, c2, c1, c0 in rows:
+        for a0 in rng:
+            if abs(((256 * a0 + c2) * a0 + c1) * a0 + c0) in units:
+                out.append((a3, a2, a1, a0))
     return out
 
 

@@ -357,10 +357,14 @@ def _pi_poly_elt(ring, tup):
 
 
 def _ringpoly_mul(ring, a, b):
-    out = [ring.zero] * (len(a) + len(b) - 1)
+    zero = ring.zero
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
+        if x == zero:
+            continue
         for j, y in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+            if y != zero:
+                out[i + j] = ring.add(out[i + j], ring.mul(x, y))
     return out
 
 

@@ -95,6 +95,16 @@ def test_analyze_unfactorable_discriminant_exit_1(capsys):
     assert "digit cofactor" in err[0]
 
 
+def test_analyze_huge_discriminant_exit_1(capsys):
+    # a0 = 10^1000 + 1: primality tests on the 2997-digit cofactor of Delta
+    # would take minutes, so the factorization budget ends the run at once
+    code = main(["analyze", "--curve", f"[1,0,0,0,{10**1000 + 1}]"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "2997-digit cofactor" in err[0]
+
+
 def test_analyze_precision_stall_exit_1(monkeypatch, capsys):
     # x (x - 5^21)(x^2 - 1): the roots 0 and 5^21 agree to 21 digits, which a
     # 30 pi-digit ceiling cannot certify apart

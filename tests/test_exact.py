@@ -163,6 +163,15 @@ def test_factor_integer_budget_names_the_cofactor():
         factor_integer(-(3**5) * n)
 
 
+def test_factor_integer_budget_covers_primality_tests():
+    # Delta(x^4 + a0) = 256 a0^3: with a0 = 10^1000 + 1 trial division leaves a
+    # 2997-digit cofactor, and one Miller-Rabin round on it costs more than the
+    # budget of the whole call (unbounded, this input took about 29 s)
+    disc = discriminant(poly_from_ints([1, 0, 0, 0, 10**1000 + 1]))
+    with pytest.raises(FactorizationBudgetError, match="2997-digit cofactor"):
+        factor_integer(disc)
+
+
 def test_is_prime_edges():
     assert not is_prime(1)
     assert is_prime(2)

@@ -293,3 +293,59 @@ def test_embedded_split_matches_relift_oracle():
         ), (c.label, p)
     assert done == 30
     assert {1, 2, 3} <= grown
+
+
+def _relabel_cases():
+    """(curve ints, p, ram) at tame primes: the fixtures, then 20 seeded pool-style curves."""
+    from picard.fixtures import load_fixtures
+
+    for fix in load_fixtures():
+        c, _ = normalize(poly_from_ints(fix["curve"]))
+        for p, _ in c.disc_factors:
+            if p >= 5:
+                ram = splitting_ramification(c.f, p)
+                if ram.tame:
+                    yield [int(x) for x in c.f.coeffs], p, ram
+    rng = random.Random(1701)
+    found = 0
+    while found < 20:
+        coeffs = [1] + [rng.randint(-12, 12) for _ in range(4)]
+        if discriminant(poly_from_ints(coeffs)) == 0:
+            continue
+        c, _ = normalize(poly_from_ints(coeffs))
+        primes = [p for p, _ in c.disc_factors if 5 <= p <= 13]
+        if not primes:
+            continue
+        p = rng.choice(primes)
+        ram = splitting_ramification(c.f, p)
+        if ram.tame:
+            found += 1
+            yield [int(x) for x in c.f.coeffs], p, ram
+
+
+def test_tame_analysis_invariant_under_root_relabelling():
+    """Cluster tree, epsilon, quotient genera and gamma0 ignore the order of the roots."""
+    from dataclasses import replace
+
+    from picard.localfield import SplitRoots
+
+    rng = random.Random(7)
+    cases = 0
+    for ints, p, ram in _relabel_cases():
+        sr = ram.split
+        perm = list(range(len(sr.roots)))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        moved = SplitRoots(sr.ring, [sr.roots[i] for i in perm], [sr.cert[i] for i in perm])
+        got = analyze_tame(ints, p, replace(ram, split=moved))
+        want = analyze_tame(ints, p, ram)
+        # root j of the relabelled split is root perm[j] of the original
+        relabelled = sorted(
+            (tuple(sorted(perm[j] for j in idx)), depth) for idx, depth in got.tree.signature()
+        )
+        assert relabelled == sorted(want.tree.signature()), (ints, p, perm)
+        assert (got.epsilon, got.quotient.quotient_genera, got.quotient.gamma0) == (
+            want.epsilon, want.quotient.quotient_genera, want.quotient.gamma0,
+        ), (ints, p, perm)
+        cases += 1
+    assert cases >= 25

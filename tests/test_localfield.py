@@ -521,3 +521,72 @@ def test_residue_roots_route_choice(monkeypatch):
     assert lf.residue_roots(F5, [F5.from_int(3), F5.zero, F5.one]) == ([((0, 2), 1), ((0, 3), 1)], 0)
     assert lf.residue_roots(lf.GF(5, 1), [(3,), (0,), (1,)]) == ([], 2)
     assert calls == [(2, 3), (5, 2)]
+
+
+def _exact_inverse_newton(ring, poly, dpoly, z):
+    """The lift before coupled Newton: f'(z) inverted in the ring at every step."""
+    steps = max(2, ring.cap.bit_length() + 2)
+    for _ in range(steps):
+        fz = lf.rpoly_eval(ring, poly, z)
+        if ring.is_zero(fz):
+            break
+        dz = lf.rpoly_eval(ring, dpoly, z)
+        z = ring.sub(z, ring.mul(fz, ring.inv_unit(dz)))
+    return z
+
+
+def _simple_residue_roots(rng, ring):
+    """A seeded quartic over ring (a unit leading coefficient) with its simple residue roots.
+
+    Every coordinate is random, except that residues lie in F_p, which keeps
+    the residue factorization on its fast route; the roots may still leave F_p.
+    """
+    U, p = ring.U, ring.p
+
+    def coeff():
+        u0 = (rng.randrange(U.mod),) + tuple(p * rng.randrange(U.mod // p) for _ in range(ring.k - 1))
+        rest = (tuple(rng.randrange(U.mod) for _ in range(ring.k)) for _ in range(ring.e - 1))
+        return (u0, *rest)
+
+    while True:
+        poly = [coeff() for _ in range(5)]
+        if ring.val(poly[4]):
+            continue
+        pbar = lf._residue_poly(ring, poly)
+        simple = [r for r, mult in lf.residue_roots(U.gf, pbar)[0] if mult == 1]
+        if simple:
+            return poly, simple
+
+
+def test_coupled_newton_matches_exact_inverse_oracle():
+    rng = random.Random(2017)
+    lifts = 0
+    for p in (5, 7, 11, 13, 1009):
+        for e in (1, 2, 3, 4, 6):
+            for k in (1, 2, 3):
+                ring = lf.TameRing(lf.TameExtension(p, e, rng.choice((1, -1))), k, 5)
+                poly, simple = _simple_residue_roots(rng, ring)
+                dpoly = lf.rpoly_deriv(ring, poly)
+                for rbar in simple:
+                    r = ring.lift_residue(rbar)
+                    want = _exact_inverse_newton(ring, poly, dpoly, r)
+                    assert ring.is_zero(lf.rpoly_eval(ring, poly, want))
+                    assert lf._newton_lift(ring, poly, dpoly, r) == want, (p, e, k)
+                    lifts += 1
+    assert lifts >= 150
+
+
+def test_newton_lift_stalls_when_its_step_budget_runs_out(monkeypatch):
+    ring = lf.TameRing(lf.TameExtension(5, 2), 1, 10)
+    poly = lf.rpoly_from_ints(ring, [-6, 0, 1])  # x^2 - 6: simple roots 1 and 4 mod 5
+    dpoly = lf.rpoly_deriv(ring, poly)
+    r = ring.lift_residue((1,))
+    root = lf._newton_lift(ring, poly, dpoly, r)
+    assert ring.is_zero(lf.rpoly_eval(ring, poly, root))
+    monkeypatch.setattr(lf, "_newton_budget", lambda ring: 1)
+    with pytest.raises(lf.PrecisionStallError):
+        lf._newton_lift(ring, poly, dpoly, r)
+    # lift_over_ring doubles N on the stall until the ceiling, then gives up
+    monkeypatch.setenv("PICARD_MAX_PRECISION", "80")
+    with pytest.raises(lf.PrecisionStallError):
+        lf.lift_over_ring([-6, 0, 1], 5, 1)

@@ -37,6 +37,32 @@ def test_scan_slice_filters_s_support():
         assert v == 1
 
 
+def _s_supported(n, primes):
+    """The division route scan_slice used before its S-unit set."""
+    if n == 0:
+        return False
+    v = abs(n)
+    for p in primes:
+        while v % p == 0:
+            v //= p
+    return v == 1
+
+
+def test_scan_slice_unit_set_matches_division_route():
+    height = 4
+    rng = range(-height, height + 1)
+    for primes in ((2,), (3,), (2, 3), (2, 3, 5), (3, 7, 11)):
+        for a3 in rng:
+            want = [
+                (a3, a2, a1, a0)
+                for a2 in rng
+                for a1 in rng
+                for a0 in rng
+                if _s_supported(disc_quartic_monic(a3, a2, a1, a0), primes)
+            ]
+            assert scan_slice((a3, height, primes)) == want, (primes, a3)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(primes=(), height=3)
