@@ -31,6 +31,10 @@ Costs are kept to one pass of each kind of work:
 - UnramifiedRing.zeta(e) is Hensel-lifted once per (p, k, N, e) and cached
   at module level, so the rings lift_over_ring builds for each try of e, k
   and N share it.
+- TameRing elements are flat tuples of e*k canonical ints mod p^N, so
+  add, sub, val and is_zero are one pass over a tuple, and mul is one pass
+  over the nonzero entries of both operands into an unreduced array, folded
+  once by pi^e = c*p and once by h(t), with one reduction mod p^N per entry.
 - Newton lifting of a simple root carries w ~ 1/f'(z) along with z
   (coupled Newton), so a lift pays for one inverse in F_{p^k} and none in
   the ring.
@@ -46,7 +50,7 @@ Costs are kept to one pass of each kind of work:
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 import random
 
 from .exact import valuation as q_valuation
@@ -727,130 +731,130 @@ class TameExtension:
 class TameRing:
     """O_L / pi^(e*N) for a tame extension, with residue field F_{p^k}.
 
-    Elements are tuples of e UnramifiedRing elements, the coefficients of
-    1, pi, ..., pi^(e-1); pi^e wraps to c*p.
+    An element is one flat tuple of e*k ints, each canonical in [0, p^N):
+    entry i*k + j is the coefficient of pi^i t^j, where t generates the
+    unramified part (UnramifiedRing's basis) and pi^e wraps to c*p.  Since
+    the form is canonical, an element is zero exactly when no entry is.
     """
 
     def __init__(self, ext, k, N):
         self.ext = ext
-        self.p, self.e, self.c = ext.p, ext.e, ext.c
+        self.p, self.e, self.c = p, e, c = ext.p, ext.e, ext.c
         self.k = k
         self.N = N
-        self.U = UnramifiedRing(self.p, k, N)
-        self.cap = self.e * N  # pi-digits of working precision
-        self.zero = (self.U.zero,) * self.e
-        self.one = (self.U.one,) + (self.U.zero,) * (self.e - 1)
-        self._cp = self.U.from_int(self.c * self.p)
+        self.U = U = UnramifiedRing(p, k, N)
+        self.mod = U.mod
+        self.cap = e * N  # pi-digits of working precision
+        self.zero = (0,) * (e * k)
+        self.one = (1,) + (0,) * (e * k - 1)
+        self._pad = (0,) * ((e - 1) * k)
+        # mul accumulates coefficient (i, j) of the unreduced product, i < 2e - 1
+        # and j < 2k - 1, at i*w + j; _pos[i*k + j] = i*w + j for i < e, j < k
+        self._w = w = 2 * k - 1
+        self._pos = [i * w + j for i in range(e) for j in range(k)]
+        self._tred = [
+            (i * w + j, i * w, U._red[j - k]) for i in range(e) for j in range(k, w)
+        ]
 
     def from_int(self, n):
-        return (self.U.from_int(n),) + (self.U.zero,) * (self.e - 1)
+        return (n % self.mod,) + (0,) * (self.e * self.k - 1)
 
     def from_unram(self, u):
-        return (u,) + (self.U.zero,) * (self.e - 1)
+        return tuple(u) + self._pad
 
     def pi_power(self, m):
         """pi^m as a ring element, 0 <= m."""
         q, r = divmod(m, self.e)
-        u = self.U.pow(self._cp, q)
-        out = [self.U.zero] * self.e
-        out[r] = u
+        out = [0] * (self.e * self.k)
+        out[r * self.k] = pow(self.c * self.p, q, self.mod)
         return tuple(out)
 
     def add(self, a, b):
-        U = self.U
-        return tuple(U.add(x, y) for x, y in zip(a, b))
+        m = self.mod
+        return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def sub(self, a, b):
-        U = self.U
-        return tuple(U.sub(x, y) for x, y in zip(a, b))
+        m = self.mod
+        return tuple([(x - y) % m for x, y in zip(a, b)])
 
     def neg(self, a):
-        U = self.U
-        return tuple(U.neg(x) for x in a)
+        m = self.mod
+        return tuple([-x % m for x in a])
 
     def mul(self, a, b):
-        U, e = self.U, self.e
-        if e == 1:
-            return (U.mul(a[0], b[0]),)
-        out = [U.zero] * e
-        for i, x in enumerate(a):
-            if x == U.zero:
-                continue
-            for j, y in enumerate(b):
-                if y == U.zero:
-                    continue
-                t = U.mul(x, y)
-                idx = i + j
-                if idx >= e:
-                    idx -= e
-                    t = U.mul(t, self._cp)
-                out[idx] = U.add(out[idx], t)
-        return tuple(out)
+        """One pass over the nonzero entries, then pi^e -> c*p, t^k -> h, mod p^N."""
+        m, pos = self.mod, self._pos
+        if len(pos) == 1:
+            return (a[0] * b[0] % m,)
+        bs = [(pos[t], y) for t, y in enumerate(b) if y]
+        out = [0] * ((2 * self.e - 1) * self._w)
+        for s, x in enumerate(a):
+            if x:
+                ps = pos[s]
+                for pt, y in bs:
+                    out[ps + pt] += x * y
+        cp, wrap = self.c * self.p, self.e * self._w
+        for s in range(wrap, len(out)):
+            if out[s]:
+                out[s - wrap] += cp * out[s]
+        for s, base, row in self._tred:
+            x = out[s] % m
+            if x:
+                for j, r in enumerate(row):
+                    out[base + j] += x * r
+        return tuple([out[s] % m for s in pos])
 
     def val(self, a):
         """pi-adic valuation, capped at self.cap (= "zero at this precision")."""
+        p, e, k = self.p, self.e, self.k
         best = self.cap
-        for i, u in enumerate(a):
-            vu = self.U.val(u)
-            if vu < self.N:
-                v = self.e * vu + i
+        for s, x in enumerate(a):
+            if x:
+                v = s // k
+                if v >= best:
+                    break
+                while x % p == 0 and v < best:
+                    v += e
+                    x //= p
                 if v < best:
                     best = v
         return best
 
     def is_zero(self, a):
-        return self.val(a) >= self.cap
+        return not any(a)
 
     def div_pi(self, a, m):
-        """Exact division by pi^m; raises if val(a) < m on the representative."""
-        q, r = divmod(m, self.e)
-        U = self.U
-        out = list(a)
-        for _ in range(q):
-            try:
-                out = [U.div_p(u) for u in out]
-            except ArithmeticError:
-                raise PrecisionStallError("division by pi under-determined")
-            if self.c == -1:
-                out = [U.neg(u) for u in out]
-        for _ in range(r):
-            head = out[0]
-            try:
-                head = U.div_p(head)
-            except ArithmeticError:
-                raise PrecisionStallError("division by pi under-determined")
-            if self.c == -1:
-                head = U.neg(head)
-            out = out[1:] + [head]
-        return tuple(out)
+        """Exact division by pi^m; raises if val(a) < m on the representative.
 
-    def inv_unit(self, a):
-        if self.val(a) != 0:
-            raise ZeroDivisionError("not a unit")
-        z = self.from_unram(self.U.inv_unit(a[0]))
-        two = self.from_int(2)
-        steps = max(1, (self.cap - 1).bit_length())
-        for _ in range(steps + 1):
-            z = self.mul(z, self.sub(two, self.mul(a, z)))
-        return z
+        pi^e = c*p, so each whole pi^e divides every entry by p and multiplies
+        by c; each further pi moves the pi^0 block, divided by c*p, to pi^(e-1).
+        """
+        q, r = divmod(m, self.e)
+        p, c, mod = self.p, self.c, self.mod
+        for n in [len(a)] * q + [r * self.k]:
+            if any(x % p for x in a[:n]):
+                raise PrecisionStallError("division by pi under-determined")
+            a = a[n:] + tuple([c * (x // p) % mod for x in a[:n]])
+        return a
 
     def residue(self, a):
-        """Image in F_{p^k} (the pi^0 coordinate mod p)."""
-        return self.U.to_gf(a[0])
+        """Image in F_{p^k} (the pi^0 coordinates mod p)."""
+        p = self.p
+        return tuple([x % p for x in a[: self.k]])
 
     def lift_residue(self, r):
-        return self.from_unram(self.U.lift_gf(r))
+        return self.from_unram(r)
 
     def zeta(self, order):
         return self.U.zeta(order)
 
     def galois_map(self, a, zeta, j):
         """Apply tau^j with tau(pi) = zeta*pi: pi^i coefficient gets zeta^(ij)."""
-        U = self.U
-        e = self.e
-        return tuple(
-            U.mul(u, U.pow(zeta, (i * j) % e)) for i, u in enumerate(a)
-        )
+        U, e, k = self.U, self.e, self.k
+        out = a[:k]
+        for i in range(1, e):
+            out += U.mul(a[i * k:(i + 1) * k], U.pow(zeta, (i * j) % e))
+        return out
 
 
 # polynomials over a TameRing: list of elements, index = degree
@@ -1121,7 +1125,7 @@ def lift_over_ring(f_ints, p, e, c=1, k=1, n_digits=DEFAULT_PI_DIGITS):
     """
     if f_ints[-1] % p == 0:
         raise ValueError("leading coefficient must be a p-adic unit")
-    k = k * multiplicative_order(p, e) // gcd(k, multiplicative_order(p, e))
+    k = lcm(k, multiplicative_order(p, e))
     N = n_digits
     ceiling = max_pi_digits()
     while True:
@@ -1134,8 +1138,7 @@ def lift_over_ring(f_ints, p, e, c=1, k=1, n_digits=DEFAULT_PI_DIGITS):
         except NeedsLargerK as ex:
             if ex.k > HARD_K_CAP:
                 raise RuntimeError(f"residue degree {ex.k} out of range for quartics")
-            ord_e = multiplicative_order(p, e)
-            k = ex.k * ord_e // gcd(ex.k, ord_e)
+            k = lcm(ex.k, multiplicative_order(p, e))
         except PrecisionStallError:
             if N * 2 * e > ceiling:
                 raise
@@ -1176,19 +1179,18 @@ def extend_split(sr):
     ring = sr.ring
     r = 3
     e = r * ring.e
-    ord_e = multiplicative_order(ring.p, e)
-    k = ring.k * ord_e // gcd(ring.k, ord_e)
+    k = lcm(ring.k, multiplicative_order(ring.p, e))
     big = TameRing(TameExtension(ring.p, e, ring.c), k, ring.N)
-    U2 = big.U
-    images = _unramified_images(ring.U, U2)
-    mod = U2.mod
+    images = _unramified_images(ring.U, big.U)
+    mod = big.mod
     roots = []
     for root in sr.roots:
-        out = [U2.zero] * e
-        for i, u in enumerate(root):
-            out[r * i] = tuple(
+        out = [0] * (e * k)
+        for i in range(ring.e):
+            u = root[i * ring.k:(i + 1) * ring.k]
+            out[r * i * k:(r * i + 1) * k] = [
                 sum(c * img[j] for c, img in zip(u, images)) % mod for j in range(k)
-            )
+            ]
         roots.append(tuple(out))
     return SplitRoots(big, roots, [(r * a, r * ball) for a, ball in sr.cert])
 

@@ -71,10 +71,21 @@ def test_tame_ring_uniformizer_laws():
         assert R.val(pi) == 1
         assert R.val(R.from_int(5)) == 4
         x = R.add(R.from_int(2), R.mul(pi, pi))
-        assert R.mul(x, R.inv_unit(x)) == R.one
+        assert R.mul(x, _inv_unit(R, x)) == R.one
         # dividing by pi^3 recovers x up to the 3 pi-digits the division loses
         back = R.div_pi(R.mul(x, R.pi_power(3)), 3)
         assert R.val(R.sub(back, x)) >= R.cap - 3
+
+
+def _inv_unit(ring, a):
+    """Inverse of a unit of a TameRing: Newton z <- z(2 - a z) from the F_{p^k} inverse."""
+    if ring.val(a) != 0:
+        raise ZeroDivisionError("not a unit")
+    z = ring.lift_residue(ring.U.gf.inv(ring.residue(a)))
+    two = ring.from_int(2)
+    for _ in range(max(1, (ring.cap - 1).bit_length()) + 1):
+        z = ring.mul(z, ring.sub(two, ring.mul(a, z)))
+    return z
 
 
 def test_galois_map_is_ring_automorphism():
@@ -82,8 +93,8 @@ def test_galois_map_is_ring_automorphism():
     zeta = R.zeta(4)
     rng = random.Random(11)
     for _ in range(20):
-        a = tuple((rng.randrange(R.U.mod),) for _ in range(4))
-        b = tuple((rng.randrange(R.U.mod),) for _ in range(4))
+        a = tuple(rng.randrange(R.mod) for _ in range(4))
+        b = tuple(rng.randrange(R.mod) for _ in range(4))
         lhs = R.galois_map(R.mul(a, b), zeta, 1)
         rhs = R.mul(R.galois_map(a, zeta, 1), R.galois_map(b, zeta, 1))
         assert lhs == rhs
@@ -531,7 +542,7 @@ def _exact_inverse_newton(ring, poly, dpoly, z):
         if ring.is_zero(fz):
             break
         dz = lf.rpoly_eval(ring, dpoly, z)
-        z = ring.sub(z, ring.mul(fz, ring.inv_unit(dz)))
+        z = ring.sub(z, ring.mul(fz, _inv_unit(ring, dz)))
     return z
 
 
@@ -545,8 +556,7 @@ def _simple_residue_roots(rng, ring):
 
     def coeff():
         u0 = (rng.randrange(U.mod),) + tuple(p * rng.randrange(U.mod // p) for _ in range(ring.k - 1))
-        rest = (tuple(rng.randrange(U.mod) for _ in range(ring.k)) for _ in range(ring.e - 1))
-        return (u0, *rest)
+        return u0 + tuple(rng.randrange(U.mod) for _ in range((ring.e - 1) * ring.k))
 
     while True:
         poly = [coeff() for _ in range(5)]
@@ -590,3 +600,176 @@ def test_newton_lift_stalls_when_its_step_budget_runs_out(monkeypatch):
     monkeypatch.setenv("PICARD_MAX_PRECISION", "80")
     with pytest.raises(lf.PrecisionStallError):
         lf.lift_over_ring([-6, 0, 1], 5, 1)
+
+
+class _NestedTameRing:
+    """TameRing before its flat layout: e UnramifiedRing k-tuples, one per power of pi."""
+
+    def __init__(self, ext, k, N):
+        self.p, self.e, self.c = ext.p, ext.e, ext.c
+        self.N = N
+        self.U = lf.UnramifiedRing(self.p, k, N)
+        self.cap = self.e * N
+        self._cp = self.U.from_int(self.c * self.p)
+
+    def pi_power(self, m):
+        q, r = divmod(m, self.e)
+        out = [self.U.zero] * self.e
+        out[r] = self.U.pow(self._cp, q)
+        return tuple(out)
+
+    def add(self, a, b):
+        return tuple(self.U.add(x, y) for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(self.U.sub(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self.U.neg(x) for x in a)
+
+    def mul(self, a, b):
+        U, e = self.U, self.e
+        if e == 1:
+            return (U.mul(a[0], b[0]),)
+        out = [U.zero] * e
+        for i, x in enumerate(a):
+            if x == U.zero:
+                continue
+            for j, y in enumerate(b):
+                if y == U.zero:
+                    continue
+                t = U.mul(x, y)
+                idx = i + j
+                if idx >= e:
+                    idx -= e
+                    t = U.mul(t, self._cp)
+                out[idx] = U.add(out[idx], t)
+        return tuple(out)
+
+    def val(self, a):
+        best = self.cap
+        for i, u in enumerate(a):
+            vu = self.U.val(u)
+            if vu < self.N:
+                best = min(best, self.e * vu + i)
+        return best
+
+    def is_zero(self, a):
+        return self.val(a) >= self.cap
+
+    def div_pi(self, a, m):
+        q, r = divmod(m, self.e)
+        U = self.U
+        out = list(a)
+        for _ in range(q):
+            try:
+                out = [U.div_p(u) for u in out]
+            except ArithmeticError:
+                raise lf.PrecisionStallError("division by pi under-determined")
+            if self.c == -1:
+                out = [U.neg(u) for u in out]
+        for _ in range(r):
+            try:
+                head = U.div_p(out[0])
+            except ArithmeticError:
+                raise lf.PrecisionStallError("division by pi under-determined")
+            if self.c == -1:
+                head = U.neg(head)
+            out = out[1:] + [head]
+        return tuple(out)
+
+    def galois_map(self, a, zeta, j):
+        U = self.U
+        return tuple(U.mul(u, U.pow(zeta, (i * j) % self.e)) for i, u in enumerate(a))
+
+
+def _flatten(a):
+    return tuple(x for u in a for x in u)
+
+
+def _unflatten(ring, a):
+    return tuple(a[i * ring.k:(i + 1) * ring.k] for i in range(ring.e))
+
+
+def _tame_rings():
+    for p in (2, 3, 5, 7, 1009):
+        for e in (1, 2, 3, 4, 6, 8):
+            for k in (1, 2, 3):
+                for c in (1, -1):
+                    if e % p:
+                        yield p, e, k, c
+
+
+def _oracle_elements(rng, ring):
+    """Dense and sparse elements of ring, some with positive valuation."""
+    p, mod, n = ring.p, ring.mod, ring.e * ring.k
+    out = [ring.zero, ring.one]
+    for _ in range(2):
+        out.append(tuple(rng.randrange(mod) for _ in range(n)))
+        out.append(tuple(p * rng.randrange(mod // p) for _ in range(n)))
+        out.append(ring.from_int(rng.randrange(-mod, mod)))
+        out.append(ring.from_int(p ** rng.randrange(ring.N) * rng.randrange(1, p)))
+        out.append(ring.pi_power(rng.randrange(ring.cap + ring.e)))
+        out.append(ring.from_unram(tuple(rng.randrange(mod) for _ in range(ring.k))))
+        sparse = [0] * n
+        sparse[rng.randrange(n)] = rng.randrange(mod)
+        out.append(tuple(sparse))
+    return out
+
+
+def test_tame_ring_matches_nested_oracle(monkeypatch):
+    rng = random.Random(1707)
+    flat_route = []
+    for p, e, k, c in _tame_rings():
+        N = 3 if p == 1009 else 5
+        ext = lf.TameExtension(p, e, c)
+        ring, old = lf.TameRing(ext, k, N), _NestedTameRing(ext, k, N)
+        U, pad = old.U, (old.U.zero,) * (e - 1)
+        n, u = rng.randrange(-ring.mod, ring.mod), tuple(rng.randrange(ring.mod) for _ in range(k))
+        assert ring.from_int(n) == _flatten((U.from_int(n),) + pad)
+        assert ring.from_unram(u) == _flatten((u,) + pad)
+        elts = _oracle_elements(rng, ring)
+        results = []
+        for m in range(ring.cap + ring.e):
+            assert ring.pi_power(m) == _flatten(old.pi_power(m))
+            results.append(ring.pi_power(m))
+        zeta = ring.zeta(e) if (p**k - 1) % e == 0 else elts[2][:k]
+        for a in elts:
+            na = _unflatten(ring, a)
+            assert ring.val(a) == old.val(na), (p, e, k, c, a)
+            assert ring.is_zero(a) == old.is_zero(na)
+            assert ring.neg(a) == _flatten(old.neg(na))
+            j = rng.randrange(e)
+            assert ring.galois_map(a, zeta, j) == _flatten(old.galois_map(na, zeta, j))
+            for m in (rng.randrange(ring.cap), ring.val(a), rng.randrange(ring.e + 1)):
+                try:
+                    want = old.div_pi(na, m)
+                except lf.PrecisionStallError:
+                    with pytest.raises(lf.PrecisionStallError):
+                        ring.div_pi(a, m)
+                else:
+                    assert ring.div_pi(a, m) == _flatten(want), (p, e, k, c, a, m)
+                    results.append(ring.div_pi(a, m))
+            for b in elts:
+                nb = _unflatten(ring, b)
+                for name in ("add", "sub", "mul"):
+                    got = getattr(ring, name)(a, b)
+                    assert got == _flatten(getattr(old, name)(na, nb)), (name, p, e, k, c, a, b)
+                    results.append(got)
+        # is_zero is `not any(a)`: it needs every result in canonical form
+        for r in results:
+            assert len(r) == e * k and all(0 <= x < ring.mod for x in r)
+        a, b = elts[2], elts[3]
+        want = [ring.add(a, b), ring.sub(a, b), ring.mul(a, b), ring.val(b)]
+        flat_route.append((ring, a, b, want))
+
+    # add, sub, mul, val and is_zero act on the flat tuple without the
+    # unramified ring's kernels
+    def forbidden(*args):
+        raise AssertionError("TameRing called an UnramifiedRing kernel")
+
+    for name in ("add", "sub", "mul", "neg", "pow", "val"):
+        monkeypatch.setattr(lf.UnramifiedRing, name, forbidden)
+    for ring, a, b, want in flat_route:
+        assert [ring.add(a, b), ring.sub(a, b), ring.mul(a, b), ring.val(b)] == want
+        assert ring.is_zero(ring.sub(a, a)) and not ring.is_zero(a)
