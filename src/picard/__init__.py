@@ -34,19 +34,15 @@ from .exact import (
 )
 from .inertia import TameAnalysis, analyze_tame, inertia_quotient
 from .localfield import (
-    ApproxRoot,
-    InsufficientExtensionError,
     NewtonPolygon,
     PrecisionStallError,
     TameExtension,
-    lift_roots,
     newton_polygon,
 )
 from .search import SearchConfig, SearchRecord, enumerate_search, rank, run_search
 from .wild3 import WildWitness, WitnessInvalidError, verify_witness
 
 __all__ = [
-    "ApproxRoot",
     "ClusterTree",
     "ConductorReport",
     "EquivalenceWitness",
@@ -54,7 +50,6 @@ __all__ = [
     "GlobalConductor",
     "InertiaAction",
     "InseparableCurveError",
-    "InsufficientExtensionError",
     "NewtonPolygon",
     "PicardCurve",
     "Poly",
@@ -85,7 +80,6 @@ __all__ = [
     "good_reduction_at",
     "inertia_quotient",
     "is_prime",
-    "lift_roots",
     "newton_polygon",
     "normalize",
     "parse_curve_text",

@@ -205,21 +205,6 @@ def splitting_ramification(f, p):
     )
 
 
-def cluster_tree(roots):
-    """Stable 5-marked tree from lifted roots.
-
-    Accepts either the SplitRoots bundle or a list of four ApproxRoot
-    values over a common ring.
-    """
-    if isinstance(roots, SplitRoots):
-        return ClusterTree.from_split_roots(roots)
-    if len(roots) != 4:
-        raise ValueError("need exactly four roots")
-    ring = roots[0].ring
-    m = [[Fraction(0)] * 4 for _ in range(4)]
-    for i, j in itertools.combinations(range(4), 2):
-        d = Fraction(ring.val(ring.sub(roots[i].value, roots[j].value)), ring.e)
-        if d >= min(roots[i].precision, roots[j].precision):
-            raise ValueError("roots not separated at their certified precision")
-        m[i][j] = m[j][i] = d
-    return ClusterTree(m)
+def cluster_tree(sr: SplitRoots):
+    """Stable 5-marked tree from the roots lifted by lift_over_ring."""
+    return ClusterTree.from_split_roots(sr)

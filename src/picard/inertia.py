@@ -66,7 +66,7 @@ def needs_cube_twist(tree: ClusterTree, e0: int):
 
 def _build_charts(tree, fiber, sr, e):
     ring = sr.ring
-    gf = ring.U.gf
+    gf = ring.gf
     genus_of = {key: g for key, g, _ in fiber.components}
     charts = {}
     for node in tree.nodes:
@@ -223,7 +223,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
     """
     ring = sr.ring
     assert ring.e == e
-    gf = ring.U.gf
+    gf = ring.gf
     charts = _build_charts(tree, fiber, sr, e)
 
     if e == 1:
@@ -239,7 +239,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
         )
 
     perm1 = inertia_permutation(sr, 1)
-    zbar = ring.U.to_gf(ring.zeta(e))
+    zbar = ring.U.residue(ring.zeta(e))
     cl_perm = _cluster_permutation(tree, perm1)
 
     perms = {0: tuple(range(4))}

@@ -9,10 +9,10 @@ Newton/Krasner ball bounds against the original integer polynomial, so
 intermediate digit erosion can never produce a falsely certified root.
 
 The residue field F_{p^k} is the same ring at N = 1: GF(p, k) is an
-UnramifiedRing whose add/sub/mul/pow are the ring's, and only its inverse
-(Euclid), zero test and element enumeration are its own.  Residue fields
-never need k > 12 here: every root of a quartic over Q_p^nr lives in
-residue degree <= 4 and the roots of unity zeta_e for e | 72 live in
+UnramifiedRing whose add/sub/mul/pow and zero test are the ring's, and
+only its inverse (Euclid) and element enumeration are its own.  Residue
+fields never need k > 12 here: every root of a quartic over Q_p^nr lives
+in residue degree <= 4 and the roots of unity zeta_e for e | 72 live in
 degree <= 6.
 
 Costs are kept to one pass of each kind of work:
@@ -28,16 +28,17 @@ Costs are kept to one pass of each kind of work:
   zeta_{3e} is missing, the residue field grows to k' = lcm(k, ord_{3e}(p))
   along t -> theta, theta the Hensel lift of the first root of h_k in
   F_{p^k'}.
-- UnramifiedRing.zeta(e) is Hensel-lifted once per (p, k, N, e) and cached
-  at module level, so the rings lift_over_ring builds for each try of e, k
+- UnramifiedRing.zeta(e) is lifted once per (p, k, N, e) and cached at
+  module level, so the rings lift_over_ring builds for each try of e, k
   and N share it.
 - TameRing elements are flat tuples of e*k canonical ints mod p^N, so
   add, sub, val and is_zero are one pass over a tuple, and mul is one pass
   over the nonzero entries of both operands into an unreduced array, folded
   once by pi^e = c*p and once by h(t), with one reduction mod p^N per entry.
-- Newton lifting of a simple root carries w ~ 1/f'(z) along with z
+- One Newton routine, _newton_lift, lifts every simple residue root: the
+  roots of f, zeta_e and theta.  It carries w ~ 1/f'(z) along with z
   (coupled Newton), so a lift pays for one inverse in F_{p^k} and none in
-  the ring.
+  the ring; no ring inverts its elements.
 - Residue polynomials with every coefficient in F_p (nearly all of them)
   are factored once over F_p, p odd, on int lists: distinct-degree
   factorization, then Cantor-Zassenhaus per degree.  Linear factors give
@@ -95,10 +96,6 @@ class NeedsLargerK(Exception):
 
 class PrecisionStallError(RuntimeError):
     """Roots could not be separated/certified below the precision ceiling."""
-
-
-class InsufficientExtensionError(ValueError):
-    """A root requires ramification the given tame extension lacks."""
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +325,26 @@ def gadd(F, a, b):
 
 
 def gmul(F, a, b):
+    """a * b, skipping the zero coefficients of both."""
     if not a or not b:
         return []
+    is_zero = F.is_zero
+    bs = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
     out = [F.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not F.is_zero(x):
-            for j, y in enumerate(b):
+        if not is_zero(x):
+            for j, y in bs:
                 out[i + j] = F.add(out[i + j], F.mul(x, y))
     return gtrim(F, out)
+
+
+def gcompose_linear(F, poly, lam, gam):
+    """poly(lam*x + gam), by Horner."""
+    acc = []
+    lin = [gam, lam]
+    for c in reversed(poly):
+        acc = gadd(F, gmul(F, acc, lin), [c])
+    return acc
 
 
 def gdivmod(F, a, b):
@@ -517,7 +526,7 @@ class UnramifiedRing:
     def __init__(self, p, k, N):
         self.p = p
         self.k = k
-        self.N = N
+        self.N = self.cap = N
         self.mod = m = p**N
         self.h = h = minimal_irreducible(p, k)
         self.gf = self if isinstance(self, GF) else GF(p, k)
@@ -538,12 +547,16 @@ class UnramifiedRing:
     def from_int(self, n):
         return (n % self.mod,) + (0,) * (self.k - 1)
 
-    def lift_gf(self, a):
-        return tuple(a[i] if i < len(a) else 0 for i in range(self.k))
+    def lift_residue(self, r):
+        # an F_{p^k} element, entries in [0, p), is already canonical mod p^N
+        return r
 
-    def to_gf(self, u):
+    def residue(self, u):
         p = self.p
         return tuple(c % p for c in u)
+
+    def is_zero(self, a):
+        return not any(a)
 
     def add(self, a, b):
         m = self.mod
@@ -608,19 +621,8 @@ class UnramifiedRing:
             raise ArithmeticError("not divisible by p")
         return tuple(c // p for c in a)
 
-    def inv_unit(self, a):
-        g = self.gf
-        z0 = g.inv(self.to_gf(a))
-        z = self.lift_gf(z0)
-        two = self.from_int(2)
-        # Newton: z <- z(2 - a z), doubles correct p-digits each round
-        steps = max(1, (self.N - 1).bit_length())
-        for _ in range(steps + 1):
-            z = self.mul(z, self.sub(two, self.mul(a, z)))
-        return z
-
     def zeta(self, e):
-        """Primitive e-th root of unity (requires e | p^k - 1), Hensel lifted.
+        """Primitive e-th root of unity (needs e | p^k - 1), lifted as a root of x^e - 1.
 
         Computed once per (p, k, N, e) and shared by every ring with that key.
         """
@@ -632,19 +634,11 @@ class UnramifiedRing:
         q = self.p**self.k - 1
         if q % e:
             raise ValueError(f"no zeta_{e} in F_{self.p}^{self.k}")
-        g = self.gf
-        # root of the e-th cyclotomic polynomial over GF
-        cyc = _cyclotomic_mod(e, g)
-        roots, missing = residue_roots(g, cyc)
+        # a root of the e-th cyclotomic polynomial over GF is a simple root of x^e - 1
+        roots, missing = residue_roots(self.gf, _cyclotomic_mod(e, self.gf))
         assert roots and not missing
-        z = self.lift_gf(roots[0][0])
-        e_inv_needed = self.from_int(e)
-        steps = max(1, (self.N - 1).bit_length())
-        for _ in range(steps + 1):
-            ze1 = self.pow(z, e - 1)
-            fz = self.sub(self.mul(ze1, z), self.one)
-            dz = self.mul(e_inv_needed, ze1)
-            z = self.sub(z, self.mul(fz, self.inv_unit(dz)))
+        poly = [self.from_int(-1)] + [self.zero] * (e - 1) + [self.one]
+        z = _newton_lift(self, poly, rpoly_deriv(self, poly), self.lift_residue(roots[0][0]))
         _ZETA_CACHE[key] = z
         return z
 
@@ -662,9 +656,6 @@ class GF(UnramifiedRing):
 
     def __init__(self, p, k):
         super().__init__(p, k, 1)
-
-    def is_zero(self, a):
-        return all(c == 0 for c in a)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -743,6 +734,7 @@ class TameRing:
         self.k = k
         self.N = N
         self.U = U = UnramifiedRing(p, k, N)
+        self.gf = U.gf
         self.mod = U.mod
         self.cap = e * N  # pi-digits of working precision
         self.zero = (0,) * (e * k)
@@ -957,9 +949,7 @@ def newton_polygon(f, p):
 
 
 def _residue_poly(ring, poly):
-    g = ring.U.gf
-    out = [ring.residue(c) for c in poly]
-    return gtrim(g, out)
+    return gtrim(ring.gf, [ring.residue(c) for c in poly])
 
 
 def _content_val(ring, poly):
@@ -974,14 +964,19 @@ def _newton_budget(ring):
 def _newton_lift(ring, poly, dpoly, z):
     """Lift a simple residue root to ring precision (f'(z) stays a unit).
 
+    The one Hensel loop of the package, over a TameRing or an
+    UnramifiedRing: _integral_roots lifts the simple roots of f with it,
+    UnramifiedRing.zeta the root of x^e - 1, and _unramified_images the
+    root theta of h_k.
+
     Coupled Newton: w ~ 1/f'(z) starts from the residue-field inverse and
     is refined by w <- w(2 - f'(z) w) alongside z <- z - f(z) w, so no step
-    inverts in the ring.  The errors of z and w start at pi^1 and square at
-    each step.  Raises PrecisionStallError when f(z) still does not vanish
-    at working precision after _newton_budget steps (lift_over_ring then
-    doubles N).
+    inverts in the ring.  The errors of z and w start at one digit (pi or
+    p) and square at each step.  Raises PrecisionStallError when f(z) still
+    does not vanish at working precision after _newton_budget steps
+    (lift_over_ring then doubles N).
     """
-    w = ring.lift_residue(ring.U.gf.inv(ring.residue(rpoly_eval(ring, dpoly, z))))
+    w = ring.lift_residue(ring.gf.inv(ring.residue(rpoly_eval(ring, dpoly, z))))
     two = ring.from_int(2)
     for _ in range(_newton_budget(ring)):
         fz = rpoly_eval(ring, poly, z)
@@ -1006,7 +1001,7 @@ def _integral_roots(ring, poly, depth=0):
         raise PrecisionStallError("polynomial vanishes at working precision")
     if c:
         poly = [ring.div_pi(a, c) for a in poly]
-    g = ring.U.gf
+    g = ring.gf
     pbar = _residue_poly(ring, poly)
     roots_bar, missing = residue_roots(g, pbar)
     if missing:
@@ -1155,13 +1150,9 @@ def _unramified_images(U, U2):
     k = U.k
     if U2.k == k:
         return [tuple(int(i == j) for i in range(k)) for j in range(k)]
-    h = [U2.from_int(c) for c in U.gf.h]
-    dh = rpoly_deriv(U2, h)
-    roots, _ = residue_roots(U2.gf, [U2.to_gf(c) for c in h])
-    theta = U2.lift_gf(roots[0][0])
-    for _ in range(max(1, (U2.N - 1).bit_length()) + 1):
-        step = U2.mul(rpoly_eval(U2, h, theta), U2.inv_unit(rpoly_eval(U2, dh, theta)))
-        theta = U2.sub(theta, step)
+    h = [U2.from_int(c) for c in U.h]
+    roots, _ = residue_roots(U2.gf, [U2.residue(c) for c in h])
+    theta = _newton_lift(U2, h, rpoly_deriv(U2, h), U2.lift_residue(roots[0][0]))
     images = [U2.one]
     for _ in range(1, k):
         images.append(U2.mul(images[-1], theta))
@@ -1217,69 +1208,3 @@ def split_over_minimal_tame(f_ints, p, c=1):
         except NeedsLargerE:
             continue
     raise WildSplittingError(f"no tame extension of index | 24 splits f at {p}")
-
-
-@dataclass
-class ApproxRoot:
-    """A root as a truncated pi-adic expansion with a certified ball.
-
-    valuation and precision are rationals in p units; the true root agrees
-    with value to pi-valuation at least e*precision.  expansion lists
-    (exponent, residue-field digit) pairs up to the precision cutoff.
-    """
-
-    ring: object
-    value: tuple
-    valuation: Fraction
-    precision: Fraction
-
-    def expansion(self, max_digits=12):
-        ring = self.ring
-        out = []
-        x = self.value
-        cutoff = self.precision * ring.e
-        for _ in range(max_digits):
-            v = ring.val(x)
-            if v >= cutoff or v >= ring.cap:
-                break
-            digit = ring.residue(ring.div_pi(x, v))
-            out.append((Fraction(v, ring.e), digit))
-            lifted = ring.mul(ring.lift_residue(digit), ring.pi_power(v))
-            x = ring.sub(x, lifted)
-        return out
-
-
-def lift_roots(f, ext: TameExtension, target_precision):
-    """All roots of a separable integral polynomial over the tame extension.
-
-    target_precision is the demanded certification radius in p units.
-    Raises InsufficientExtensionError when a root needs ramification beyond
-    ext.e, and PrecisionStallError when separation/certification cannot be
-    reached under the precision ceiling.
-    """
-    ints = [int(c) for c in f.coeffs]
-    target = Fraction(target_precision)
-    n_digits = max(DEFAULT_PI_DIGITS, int(target) + 4)
-    while True:
-        try:
-            sr = lift_over_ring(ints, ext.p, ext.e, c=ext.c, n_digits=n_digits)
-        except NeedsLargerE as ex:
-            raise InsufficientExtensionError(
-                f"roots need ramification index {ext.e * ex.factor}"
-            )
-        balls = [Fraction(ball, sr.ring.e) for _, ball in sr.cert]
-        if min(balls) >= target:
-            return [
-                ApproxRoot(
-                    ring=sr.ring,
-                    value=sr.roots[i],
-                    valuation=sr.root_val(i),
-                    precision=balls[i],
-                )
-                for i in range(len(sr.roots))
-            ]
-        if n_digits * 2 * ext.e > max_pi_digits():
-            raise PrecisionStallError(
-                "target precision exceeds the working-precision ceiling"
-            )
-        n_digits *= 2

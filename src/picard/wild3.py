@@ -24,6 +24,7 @@ from .localfield import (
     TameExtension,
     TameRing,
     gadd,
+    gcompose_linear,
     gdivmod,
     geval,
     ggcd,
@@ -152,8 +153,8 @@ def _rconst(gf, c):
 def _rcompose_affine(gf, x, lam, gam):
     return _rf(
         gf,
-        _ringpoly_compose_linear(gf, x[0], lam, gam),
-        _ringpoly_compose_linear(gf, x[1], lam, gam),
+        gcompose_linear(gf, x[0], lam, gam),
+        gcompose_linear(gf, x[1], lam, gam),
     )
 
 
@@ -356,39 +357,8 @@ def _pi_poly_elt(ring, tup):
     return acc
 
 
-def _ringpoly_mul(ring, a, b):
-    zero = ring.zero
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == zero:
-            continue
-        for j, y in enumerate(b):
-            if y != zero:
-                out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-    return out
-
-
 def _ringpoly_scale(ring, a, c):
     return [ring.mul(x, c) for x in a]
-
-
-def _ringpoly_add(ring, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ring.zero
-        y = b[i] if i < len(b) else ring.zero
-        out.append(ring.add(x, y))
-    return out
-
-
-def _ringpoly_compose_linear(ring, poly, lam, gam):
-    """poly(lam*x + gam) over the ring (or over GF), not trimmed."""
-    acc = []
-    lin = [gam, lam]
-    for c in reversed(poly):
-        acc = _ringpoly_add(ring, _ringpoly_mul(ring, acc, lin), [c])
-    return acc
 
 
 def _chart_reduction(ring, f_ints, chart):
@@ -399,18 +369,17 @@ def _chart_reduction(ring, f_ints, chart):
     """
     c_elt = _pi_poly_elt(ring, chart.x_center)
     f = [ring.from_int(coef) for coef in f_ints]
-    fX = _ringpoly_compose_linear(ring, f, ring.pi_power(chart.x_scale), c_elt)
+    fX = gcompose_linear(ring, f, ring.pi_power(chart.x_scale), c_elt)
     G = [_pi_poly_elt(ring, tup) for tup in chart.y_poly]
     pb3 = ring.pi_power(3 * chart.y_scale)
     pd = ring.pi_power(chart.y_codim)
     pd2 = ring.mul(pd, pd)
     pd3 = ring.mul(pd2, pd)
     three = ring.from_int(3)
-    G2 = _ringpoly_mul(ring, G, G)
-    G3 = _ringpoly_mul(ring, G2, G)
+    G2 = gmul(ring, G, G)
+    G3 = gmul(ring, G2, G)
     rows = [
-        _ringpoly_add(ring, _ringpoly_scale(ring, G3, pb3),
-                      _ringpoly_scale(ring, fX, ring.from_int(-1))),
+        gadd(ring, _ringpoly_scale(ring, G3, pb3), _ringpoly_scale(ring, fX, ring.from_int(-1))),
         _ringpoly_scale(ring, G2, ring.mul(pb3, ring.mul(three, pd))),
         _ringpoly_scale(ring, G, ring.mul(pb3, ring.mul(three, pd2))),
         [ring.mul(pb3, pd3)],
@@ -437,7 +406,7 @@ class ChartComponent:
 
 
 def _analyze_chart(ring, f_ints, idx, chart):
-    gf = ring.U.gf
+    gf = ring.gf
     rows, _ = _chart_reduction(ring, f_ints, chart)
     rbar = [gtrim(gf, [ring.residue(c) for c in row]) for row in rows]
     if not rbar[3] or len(rbar[3]) != 1:
@@ -491,18 +460,18 @@ def _chart_xy_action(ring, comp, j, zeta):
     ch = comp.chart
     a, b, d = ch.x_scale, ch.y_scale, ch.y_codim
     m = ring.e
-    gf = ring.U.gf
+    gf = ring.gf
     tau_c = ring.galois_map(comp.c_elt, zeta, j)
     gam_elt = ring.div_pi(ring.sub(tau_c, comp.c_elt), a)
     gam = ring.residue(gam_elt)
-    lam = gf.pow(ring.U.to_gf(zeta), (j * a) % m)
+    lam = gf.pow(ring.U.residue(zeta), (j * a) % m)
     G = [_pi_poly_elt(ring, tup) for tup in ch.y_poly]
     Gtau = [ring.galois_map(cf, zeta, j) for cf in G]
     zinv = ring.from_unram(ring.U.pow(zeta, (m - (j * a) % m) % m))
     inner_gam = ring.mul(zinv, ring.sub(ring.zero, gam_elt))
-    composed = _ringpoly_compose_linear(ring, Gtau, zinv, inner_gam)
+    composed = gcompose_linear(ring, Gtau, zinv, inner_gam)
     zb = ring.from_unram(ring.U.pow(zeta, (j * b) % m))
-    H = _ringpoly_add(
+    H = gadd(
         ring,
         _ringpoly_scale(ring, composed, zb),
         _ringpoly_scale(ring, G, ring.from_int(-1)),
@@ -516,13 +485,13 @@ def _chart_xy_action(ring, comp, j, zeta):
 
 def _as_automorphism(ring, comp, j, zeta):
     """(lam, gam, eps, w_red): the induced automorphism in AS coordinates."""
-    gf = ring.U.gf
+    gf = ring.gf
     m = ring.e
     ch = comp.chart
     lam, gam, F = _chart_xy_action(ring, comp, j, zeta)
-    zbd = gf.pow(ring.U.to_gf(zeta), (j * (ch.y_scale + ch.y_codim)) % m)
+    zbd = gf.pow(ring.U.residue(zeta), (j * (ch.y_scale + ch.y_codim)) % m)
     tbar = comp.tbar
-    tA = gtrim(gf, _ringpoly_compose_linear(gf, tbar, lam, gam))
+    tA = gcompose_linear(gf, tbar, lam, gam)
     if len(tA) != len(tbar):
         raise WitnessInvalidError("translation function not projectively invariant")
     kappa = gf.mul(tA[-1], gf.inv(tbar[-1]))
@@ -531,7 +500,7 @@ def _as_automorphism(ring, comp, j, zeta):
     eps = gf.mul(zbd, gf.inv(kappa))
     if eps != gf.one and eps != gf.neg(gf.one):
         raise WitnessInvalidError("deck conjugation is not +/-1 on the AS generator")
-    w = _rf(gf, _ringpoly_compose_linear(gf, F, lam, gam), tA)
+    w = _rf(gf, gcompose_linear(gf, F, lam, gam), tA)
     cover = comp.cover
     shift_a = _rcompose_affine(gf, cover.shift, lam, gam)
     w_red = _rsub(gf, _radd(gf, _rmul(gf, _rconst(gf, eps), cover.shift), w), shift_a)
@@ -693,7 +662,7 @@ def _verify_with_ring(ring, f_ints, witness):
 
     zeta = ring.zeta(m)
     perm1 = _chart_permutation(ring, comps, 1, zeta)
-    gf = ring.U.gf
+    gf = ring.gf
 
     def signature(i, j):
         """The AS automorphism of tau^j with its fixed-point count, None for the identity."""

@@ -154,7 +154,7 @@ def _materialize_gbar(sr, curve_ints, m, n, center):
         poly = new
     assert min(ring.val(c) for c in poly) == n
     shifted = [ring.div_pi(c, n) for c in poly]
-    gf = ring.U.gf
+    gf = ring.gf
     return lf.gtrim(gf, [ring.residue(c) for c in shifted])
 
 
@@ -193,7 +193,7 @@ def test_chart_data_against_substitution_oracle():
         sr = ram.split if e == ram.e else lift_over_ring(ints, p, e, k=ram.split.ring.k)
         charts = _build_charts(tree, fiber, sr, e)
         ring = sr.ring
-        gf = ring.U.gf
+        gf = ring.gf
         for key, chart in charts.items():
             gbar = _materialize_gbar(sr, ints, chart.m, chart.n, chart.center)
             assert len(gbar) - 1 == chart.size
@@ -203,7 +203,7 @@ def test_chart_data_against_substitution_oracle():
             if e == 1:
                 continue
             perm = inertia_permutation(sr, 1)
-            zbar = ring.U.to_gf(ring.zeta(e))
+            zbar = ring.U.residue(ring.zeta(e))
             cl_image = tuple(sorted(perm[i] for i in key))
             if cl_image != key:
                 continue

@@ -53,7 +53,7 @@ def test_unramified_ring_inverse_and_zeta():
     for _ in range(20):
         a = tuple(rng.randrange(U.mod) for _ in range(2))
         if U.val(a) == 0:
-            assert U.mul(a, U.inv_unit(a)) == U.one
+            assert U.mul(a, _inv_unit(U, a)) == U.one
     for e in (2, 3, 4, 6, 8, 12):
         if (7**2 - 1) % e == 0:
             z = U.zeta(e)
@@ -78,10 +78,10 @@ def test_tame_ring_uniformizer_laws():
 
 
 def _inv_unit(ring, a):
-    """Inverse of a unit of a TameRing: Newton z <- z(2 - a z) from the F_{p^k} inverse."""
+    """Inverse of a unit of a TameRing or UnramifiedRing: Newton z <- z(2 - a z) from the F_{p^k} inverse."""
     if ring.val(a) != 0:
         raise ZeroDivisionError("not a unit")
-    z = ring.lift_residue(ring.U.gf.inv(ring.residue(a)))
+    z = ring.lift_residue(ring.gf.inv(ring.residue(a)))
     two = ring.from_int(2)
     for _ in range(max(1, (ring.cap - 1).bit_length()) + 1):
         z = ring.mul(z, ring.sub(two, ring.mul(a, z)))
@@ -208,63 +208,60 @@ def test_precision_env_override(monkeypatch):
     assert lf.max_pi_digits() == 640
 
 
-def test_lift_roots_public_api_hensel_units():
-    from picard.localfield import TameExtension, lift_roots
+def _first_digit(ring, z):
+    """The residue-field digit of z's leading pi-adic term."""
+    return ring.residue(ring.div_pi(z, ring.val(z)))
 
-    f = poly_from_ints([1, 0, 14, 72, -41])
-    roots = lift_roots(f, TameExtension(5, 1), 10)
-    assert len(roots) == 4
-    ring = roots[0].ring
-    gf = ring.U.gf
-    hensel = [r for r in roots if ring.val(ring.sub(r.value, ring.from_int(-58))) < 3]
-    deep = [r for r in roots if ring.val(ring.sub(r.value, ring.from_int(-58))) >= 3]
+
+def _precisions(sr):
+    """Certified radius of each root, in p units."""
+    return [Fraction(ball, sr.ring.e) for _, ball in sr.cert]
+
+
+def test_lift_roots_public_api_hensel_units():
+    sr = lf.lift_over_ring([-41, 72, 14, 0, 1], 5, 1)
+    assert len(sr.roots) == 4
+    ring = sr.ring
+    gf = ring.gf
+    hensel = [z for z in sr.roots if ring.val(ring.sub(z, ring.from_int(-58))) < 3]
+    deep = [z for z in sr.roots if ring.val(ring.sub(z, ring.from_int(-58))) >= 3]
     assert len(hensel) == 2 and len(deep) == 2
     # the Hensel pair satisfies a^2 + 4a + 1 = 0 in the residue field
     four, one = gf.from_int(4), gf.one
-    for r in hensel:
-        a = r.expansion()[0][1]
+    for z in hensel:
+        a = _first_digit(ring, z)
         val = gf.add(gf.add(gf.mul(a, a), gf.mul(four, a)), one)
         assert gf.is_zero(val)
-    for r in roots:
-        assert r.precision >= 10
+    assert min(_precisions(sr)) >= 10
 
 
 def test_lift_roots_public_api_roots_of_unity():
-    from picard.localfield import TameExtension, lift_roots
-
-    roots = lift_roots(poly_from_ints([1, 0, 0, 0, -1]), TameExtension(5, 1), 5)
-    first_digits = sorted(r.expansion()[0][1][0] for r in roots)
+    sr = lf.lift_over_ring([-1, 0, 0, 0, 1], 5, 1)
+    assert min(_precisions(sr)) >= 5
+    first_digits = sorted(_first_digit(sr.ring, z)[0] for z in sr.roots)
     assert first_digits == [1, 2, 3, 4]  # 1, -1 and the square roots of -1 mod 5
 
 
 def test_lift_roots_public_api_half_valuation():
-    from picard.localfield import TameExtension, lift_roots
-
     p = 5
-    f = poly_from_ints([1, 0, -3 * p, 0, 2 * p * p])
-    roots = lift_roots(f, TameExtension(p, 2), 6)
-    assert all(r.valuation == Fraction(1, 2) for r in roots)
-    digits = [r.expansion()[0] for r in roots]
-    assert all(expo == Fraction(1, 2) for expo, _ in digits)
+    sr = lf.lift_over_ring([2 * p * p, 0, -3 * p, 0, 1], p, 2)
+    assert min(_precisions(sr)) >= 6
+    assert all(sr.root_val(i) == Fraction(1, 2) for i in range(len(sr.roots)))
 
 
 def test_lift_roots_insufficient_extension():
-    from picard.localfield import (
-        InsufficientExtensionError,
-        TameExtension,
-        lift_roots,
-    )
-
-    with pytest.raises(InsufficientExtensionError):
-        lift_roots(poly_from_ints([1, 0, 0, 0, -5]), TameExtension(5, 2), 4)
+    # x^4 - 5 is Eisenstein: its roots have valuation 1/4, so e = 2 is short by 2
+    with pytest.raises(lf.NeedsLargerE) as ex:
+        lf.lift_over_ring([-5, 0, 0, 0, 1], 5, 2)
+    assert ex.value.factor == 2
 
 
 def test_cluster_tree_from_approx_roots():
     from picard.clusters import cluster_tree
-    from picard.localfield import TameExtension, lift_roots
 
-    roots = lift_roots(poly_from_ints([1, 0, 14, 72, -41]), TameExtension(5, 1), 8)
-    t = cluster_tree(roots)
+    sr = lf.lift_over_ring([-41, 72, 14, 0, 1], 5, 1)
+    assert min(_precisions(sr)) >= 8
+    t = cluster_tree(sr)
     assert t.component_count() == 2
     proper = [nd for nd in t.nodes if not nd.is_root]
     assert proper[0].depth == 3
@@ -399,14 +396,14 @@ def test_gf_is_the_ring_at_n_equal_1():
         for _ in range(30):
             a = tuple(rng.randrange(U.mod) for _ in range(k))
             b = tuple(rng.randrange(U.mod) for _ in range(k))
-            abar, bbar = U.to_gf(a), U.to_gf(b)
-            assert U.to_gf(U.mul(a, b)) == F.mul(abar, bbar)
-            assert U.to_gf(U.sub(a, b)) == F.sub(abar, bbar)
+            abar, bbar = U.residue(a), U.residue(b)
+            assert U.residue(U.mul(a, b)) == F.mul(abar, bbar)
+            assert U.residue(U.sub(a, b)) == F.sub(abar, bbar)
             n = rng.randrange(40)
             acc = F.one
             for _ in range(n):
                 acc = F.mul(acc, abar)
-            assert F.pow(abar, n) == acc == U.to_gf(U.pow(a, n))
+            assert F.pow(abar, n) == acc == U.residue(U.pow(a, n))
 
 
 def test_precision_env_rejects_non_positive_integers(monkeypatch):
@@ -584,6 +581,30 @@ def test_coupled_newton_matches_exact_inverse_oracle():
                     assert lf._newton_lift(ring, poly, dpoly, r) == want, (p, e, k)
                     lifts += 1
     assert lifts >= 150
+    # zeta_e: the lift of the first root of the e-th cyclotomic polynomial
+    # as a root of x^e - 1 over the unramified ring
+    zetas = 0
+    for p in (5, 7, 13, 1009, 1000003):
+        for k in (1, 2, 3) if p < 10**6 else (1, 2):
+            for N in (1, 2, 5, 20):
+                U = lf.UnramifiedRing(p, k, N)
+                for e in rng.sample([e for e in (2, 3, 4, 6, 8, 12, 24) if (p**k - 1) % e == 0], 2):
+                    poly = [U.neg(U.one)] + [U.zero] * (e - 1) + [U.one]
+                    rbar = lf.residue_roots(U.gf, lf._cyclotomic_mod(e, U.gf))[0][0][0]
+                    want = _exact_inverse_newton(U, poly, lf.rpoly_deriv(U, poly), U.lift_residue(rbar))
+                    assert U.pow(want, e) == U.one
+                    assert U.zeta(e) == want, (p, k, N, e)
+                    zetas += 1
+    assert zetas >= 100
+    # theta: the lift into degree k' of the first root of h_k there
+    for p in (5, 7, 11):
+        for k, k2 in ((1, 2), (2, 4), (2, 6), (3, 6)):
+            U, U2 = lf.UnramifiedRing(p, k, 5), lf.UnramifiedRing(p, k2, 5)
+            h = [U2.from_int(c) for c in U.h]
+            rbar = lf.residue_roots(U2.gf, [U2.residue(c) for c in h])[0][0][0]
+            theta = _exact_inverse_newton(U2, h, lf.rpoly_deriv(U2, h), U2.lift_residue(rbar))
+            assert U2.is_zero(lf.rpoly_eval(U2, h, theta))
+            assert lf._unramified_images(U, U2) == [U2.pow(theta, i) for i in range(k)], (p, k, k2)
 
 
 def test_newton_lift_stalls_when_its_step_budget_runs_out(monkeypatch):
