@@ -1,6 +1,6 @@
 """Reduction types and conductor exponents of Picard curves y^3 = f(x) over Q."""
 
-from .clusters import ClusterTree, InertiaAction, cluster_tree, splitting_ramification
+from .clusters import ClusterTree, cluster_tree, splitting_ramification
 from .conductor import (
     ConductorReport,
     GlobalConductor,
@@ -48,7 +48,6 @@ __all__ = [
     "EquivalenceWitness",
     "FactorizationBudgetError",
     "GlobalConductor",
-    "InertiaAction",
     "InseparableCurveError",
     "NewtonPolygon",
     "PicardCurve",

@@ -129,20 +129,6 @@ class ClusterTree:
         return f"ClusterTree{self.top!r}"
 
 
-@dataclass(frozen=True)
-class InertiaAction:
-    """Tame inertia of the splitting field: pi -> zeta_e pi on root indices."""
-
-    e: int
-    permutation: tuple  # image of root index i under the generator
-
-    def power(self, j):
-        perm = tuple(range(len(self.permutation)))
-        for _ in range(j % self.e):
-            perm = tuple(self.permutation[i] for i in perm)
-        return perm
-
-
 @dataclass
 class Ramification:
     """Outcome of the splitting-field analysis at one prime."""
@@ -150,12 +136,7 @@ class Ramification:
     p: int
     tame: bool
     e: int | None = None
-    action: InertiaAction | None = None
     split: SplitRoots | None = None
-
-    @property
-    def wild(self):
-        return not self.tame
 
 
 def inertia_permutation(sr: SplitRoots, j=1):
@@ -163,11 +144,10 @@ def inertia_permutation(sr: SplitRoots, j=1):
     ring = sr.ring
     if ring.e == 1:
         return tuple(range(len(sr.roots)))
-    zeta = ring.zeta(ring.e)
     threshold = min(ball for _, ball in sr.cert)
     perm = []
     for i, r in enumerate(sr.roots):
-        image = ring.galois_map(r, zeta, j)
+        image = ring.galois_map(r, j)
         best, best_v, second = None, -1, -1
         for t, cand in enumerate(sr.roots):
             v = ring.val(ring.sub(image, cand))
@@ -186,23 +166,20 @@ def inertia_permutation(sr: SplitRoots, j=1):
 def splitting_ramification(f, p):
     """Minimal tame ramification of the splitting field of f over Q_p^nr.
 
-    Returns a Ramification record: e and the inertia action on roots when a
-    tame extension of index dividing 24 splits f (always the case for
-    p >= 5), and a typed wild outcome otherwise (possible only at p = 2, 3).
+    Returns a Ramification record: e and the split roots when a tame
+    extension of index dividing 24 splits f (always the case for p >= 5),
+    and a typed wild outcome otherwise (possible only at p = 2, 3).
+    Raises ValueError on a non-integral coefficient.
     """
     if f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     if f.degree == 4 and discriminant(f) == 0:
         raise ValueError("polynomial must be separable")
-    ints = [int(c) for c in f.coeffs]
     try:
-        e, sr = split_over_minimal_tame(ints, p)
+        e, sr = split_over_minimal_tame(f.int_coeffs(), p)
     except WildSplittingError:
         return Ramification(p=p, tame=False)
-    perm = inertia_permutation(sr)
-    return Ramification(
-        p=p, tame=True, e=e, action=InertiaAction(e=e, permutation=perm), split=sr
-    )
+    return Ramification(p=p, tame=True, e=e, split=sr)
 
 
 def cluster_tree(sr: SplitRoots):

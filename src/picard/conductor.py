@@ -84,7 +84,7 @@ def conductor_tame(curve: PicardCurve, p: int) -> ConductorReport:
     ram = splitting_ramification(curve.f, p)
     if not ram.tame:
         raise RuntimeError(f"splitting field wildly ramified at {p} >= 5")
-    analysis = analyze_tame([int(c) for c in curve.f.coeffs], p, ram)
+    analysis = analyze_tame(ram)
     eps = analysis.epsilon
     return ConductorReport(
         p=p,
@@ -127,7 +127,7 @@ def analyze_p2(curve: PicardCurve) -> ConductorReport:
         )
     ram = splitting_ramification(curve.f, 2) if sqrt_disc_unramified_at_2(curve) else None
     if ram is not None and ram.tame:
-        analysis = analyze_tame([int(c) for c in curve.f.coeffs], 2, ram)
+        analysis = analyze_tame(ram)
         eps = analysis.epsilon
         if eps % 2:
             raise RuntimeError("epsilon must be even in the tame case")
@@ -165,17 +165,16 @@ def sqrt_disc_unramified_at_2(curve: PicardCurve) -> bool:
     return v % 2 == 0 and (curve.disc >> v) % 4 == 1
 
 
-def analyze_p3(curve: PicardCurve, witness: WildWitness | None = None,
-               bound_hi: int = P3_BOUND_HI_DEFAULT) -> ConductorReport:
+def analyze_p3(curve: PicardCurve, witness: WildWitness | None = None) -> ConductorReport:
     """Conductor data at p = 3 (always a bad prime).
 
-    Without a witness: the bound 4 <= f_3 <= bound_hi.  With a witness the
-    charts are verified exactly; types (a)/(b)/(c) give a computed f_3 with
-    delta = 0, types (d)/(e) give the bound f_3 in [5, 6].
+    Without a witness: the bound 4 <= f_3 <= P3_BOUND_HI_DEFAULT.  With a
+    witness the charts are verified exactly; types (a)/(b)/(c) give a
+    computed f_3 with delta = 0, types (d)/(e) give the bound f_3 in [5, 6].
     """
     if witness is None:
         return ConductorReport(
-            p=3, status="bounded", f_lo=4, f_hi=bound_hi,
+            p=3, status="bounded", f_lo=4, f_hi=P3_BOUND_HI_DEFAULT,
             notes=("no witness supplied; Picard curves always have bad reduction at 3",),
         )
     f_ints = _witness_equation(curve, witness)

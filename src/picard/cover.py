@@ -49,14 +49,12 @@ class CoverBranchPoint:
 
     location is a root index, the string "inf", or ("node", child-cluster
     key); generator_exponent k in {0,1,2} means the canonical inertia
-    generator there is sigma^k.  lower_jump only appears on the wild p = 3
-    path and stays None here.
+    generator there is sigma^k.
     """
 
     component: tuple
     location: object
     generator_exponent: int
-    lower_jump: int | None = None
 
 
 def _cluster_key(node):

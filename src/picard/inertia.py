@@ -126,20 +126,21 @@ def _cluster_permutation(tree, perm):
     return mapping
 
 
-def _mu(gf, zbar, e, j, chart, mult):
+def _mu(zbar, j, chart, mult):
     """Kummer multiplier zeta^(j*(n - m*mult)/3) above a fixed base point.
 
     mult is the vanishing order of the reduced quartic there; the chart's
     point at infinity uses mult = chart.size (the degree of the reduction).
-    zbar has order e, so the exponent is taken mod e.
+    zbar lists the e powers of the residue of zeta_e, so the exponent is
+    taken mod e.
     """
     expo = chart.n - chart.m * mult
     if expo % 3:
         raise UnsupportedActionError("non-integral Kummer multiplier exponent")
-    return gf.pow(zbar, j * (expo // 3) % e)
+    return zbar[j * (expo // 3) % len(zbar)]
 
 
-def _fix_count(gf, zbar, e, j, chart, sig):
+def _fix_count(gf, zbar, j, chart, sig):
     """Fixed points of the signature's automorphism on the cover component."""
     lam, gam, nu = sig
     if lam == gf.one and gf.is_zero(gam):
@@ -151,12 +152,12 @@ def _fix_count(gf, zbar, e, j, chart, sig):
         mult = chart.mult_at.get(u_star, 0)
         if mult % 3:
             fix += 1
-        elif _mu(gf, zbar, e, j, chart, mult) == gf.one:
+        elif _mu(zbar, j, chart, mult) == gf.one:
             fix += 3
     # the point at infinity of the chart is fixed by every affine map
     if chart.size % 3:
         fix += 1
-    elif _mu(gf, zbar, e, j, chart, chart.size) == gf.one:
+    elif _mu(zbar, j, chart, chart.size) == gf.one:
         fix += 3
     return fix
 
@@ -239,7 +240,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
         )
 
     perm1 = inertia_permutation(sr, 1)
-    zbar = ring.U.residue(ring.zeta(e))
+    zbar = [ring.residue(z) for z in ring.zeta_powers]
     cl_perm = _cluster_permutation(tree, perm1)
 
     perms = {0: tuple(range(4))}
@@ -249,8 +250,8 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
     def signature(key, j):
         """(lambda, gamma, nu) of tau^j on the chart, None for the identity."""
         chart = charts[key]
-        lam = gf.pow(zbar, (j * chart.m) % e)
-        nu = gf.pow(zbar, (j * (chart.n // 3)) % e)
+        lam = zbar[j * chart.m % e]
+        nu = zbar[j * (chart.n // 3) % e]
         z = sr.roots[chart.center]
         image_center = perms[j % e][chart.center]
         gam = ring.residue(ring.div_pi(ring.sub(sr.roots[image_center], z), chart.m))
@@ -263,7 +264,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
         e,
         lambda key: charts[key].genus,
         signature,
-        lambda key, j, sig: _fix_count(gf, zbar, e, j, charts[key], sig),
+        lambda key, j, sig: _fix_count(gf, zbar, j, charts[key], sig),
         UnsupportedActionError,
     )
 
@@ -293,7 +294,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
         else:
             ell = len(orbits[idx])
             rotated = any(
-                _mu(gf, zbar, e, j, chart, chart.size) != gf.one
+                _mu(zbar, j, chart, chart.size) != gf.one
                 for j in range(ell, e, ell)
             )
             edges += 1 if rotated else 3
@@ -331,7 +332,7 @@ class TameAnalysis:
         return self.quotient.epsilon
 
 
-def analyze_tame(f_ints, p, ram):
+def analyze_tame(ram):
     """Run cluster tree -> cover -> inertia quotient for a tame prime.
 
     ram is the Ramification record from splitting_ramification (must be
@@ -352,7 +353,7 @@ def analyze_tame(f_ints, p, ram):
     if fiber.reduction_type in ("d", "e") and quotient.gamma0 not in (0, 2):
         raise UnsupportedActionError("gamma0 must be 0 or 2 for types d/e")
     return TameAnalysis(
-        p=p,
+        p=ram.p,
         e_splitting=e0,
         e_semistable=e,
         tree=tree,

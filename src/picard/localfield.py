@@ -8,12 +8,12 @@ c in {1, -1}.  All arithmetic is exact modulo p^N; root certification uses
 Newton/Krasner ball bounds against the original integer polynomial, so
 intermediate digit erosion can never produce a falsely certified root.
 
-The residue field F_{p^k} is the same ring at N = 1: GF(p, k) is an
-UnramifiedRing whose add/sub/mul/pow and zero test are the ring's, and
-only its inverse (Euclid) and element enumeration are its own.  Residue
-fields never need k > 12 here: every root of a quartic over Q_p^nr lives
-in residue degree <= 4 and the roots of unity zeta_e for e | 72 live in
-degree <= 6.
+One class, TameRing, holds the element format and its kernels.  At e = 1
+it is the unramified ring O/p^N of Q_{p^k}^nr, and GF(p, k), the residue
+field F_{p^k}, is that ring at N = 1: only its inverse (Euclid) and element
+enumeration are its own.  Residue fields never need k > 12 here: every
+root of a quartic over Q_p^nr lives in residue degree <= 4 and the roots
+of unity zeta_e for e | 72 live in degree <= 6.
 
 Costs are kept to one pass of each kind of work:
 
@@ -28,13 +28,15 @@ Costs are kept to one pass of each kind of work:
   zeta_{3e} is missing, the residue field grows to k' = lcm(k, ord_{3e}(p))
   along t -> theta, theta the Hensel lift of the first root of h_k in
   F_{p^k'}.
-- UnramifiedRing.zeta(e) is lifted once per (p, k, N, e) and cached at
-  module level, so the rings lift_over_ring builds for each try of e, k
-  and N share it.
-- TameRing elements are flat tuples of e*k canonical ints mod p^N, so
-  add, sub, val and is_zero are one pass over a tuple, and mul is one pass
-  over the nonzero entries of both operands into an unreduced array, folded
-  once by pi^e = c*p and once by h(t), with one reduction mod p^N per entry.
+- TameRing.zeta(order) is lifted over the e = 1 ring once per (p, k, N,
+  order) and cached at module level, so the rings lift_over_ring builds
+  for each try of e, k and N share it.  The Galois action tau: pi ->
+  zeta_e pi reads zeta_e^i from a table of e powers each ring builds once.
+- Elements are flat tuples of e*k canonical ints mod p^N, so add, sub, val
+  and is_zero are one pass over a tuple.  mul is one pass over the nonzero
+  entries of both operands into an unreduced array, folded once by
+  pi^e = c*p and once by h(t), with one reduction mod p^N per entry; at
+  e = 1 it multiplies the k-tuples directly, with nothing to fold.
 - One Newton routine, _newton_lift, lifts every simple residue root: the
   roots of f, zeta_e and theta.  It carries w ~ 1/f'(z) along with z
   (coupled Newton), so a lift pays for one inverse in F_{p^k} and none in
@@ -50,6 +52,7 @@ Costs are kept to one pass of each kind of work:
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, inf, lcm
 import random
@@ -516,77 +519,139 @@ def _residue_roots_tuple(F, poly):
 
 
 # ---------------------------------------------------------------------------
-# O_{Q_{p^k}^nr} / p^N, and its residue field F_{p^k} at N = 1
+# the tame ring O_L / pi^(eN), its unramified ring at e = 1, F_{p^k} at N = 1
 # ---------------------------------------------------------------------------
 
 
-class UnramifiedRing:
-    """(Z/p^N)[t]/(h(t)) with h irreducible mod p: O_K/p^N, K = Q_{p^k}^nr."""
+@dataclass(frozen=True)
+class TameExtension:
+    """L = Q_p^nr(pi), pi^e = c*p with gcd(e, p) = 1 and c in {1, -1}."""
 
-    def __init__(self, p, k, N):
-        self.p = p
+    p: int
+    e: int
+    c: int = 1
+
+    def __post_init__(self):
+        if gcd(self.e, self.p) != 1:
+            raise ValueError("ramification index must be prime to p")
+        if self.c not in (1, -1):
+            raise ValueError("uniformizer convention wants c = 1 or -1")
+
+
+class TameRing:
+    """O_L / pi^(e*N) for L = Q_{p^k}^nr(pi), pi^e = c*p, residue field F_{p^k}.
+
+    An element is one flat tuple of e*k ints, each canonical in [0, p^N):
+    entry i*k + j is the coefficient of pi^i t^j, where t generates the
+    unramified part (t^k reduces by h) and pi^e wraps to c*p.  Since the
+    form is canonical, an element is zero exactly when no entry is.
+
+    At e = 1 this is O/p^N of Q_{p^k}^nr, and at e = 1, N = 1 the residue
+    field GF.  U is the e = 1 ring with the same (p, k, N), the ring itself
+    when e = 1: its elements are the pi^i blocks, and zeta lives there.
+    """
+
+    def __init__(self, ext, k, N):
+        self.ext = ext
+        self.p, self.e, self.c = p, e, c = ext.p, ext.e, ext.c
         self.k = k
-        self.N = self.cap = N
+        self.N = N
         self.mod = m = p**N
         self.h = h = minimal_irreducible(p, k)
-        self.gf = self if isinstance(self, GF) else GF(p, k)
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-        # reduction rows: t^(k+i) mod h for i in [0, k-2]
-        rows = []
-        cur = [(-c) % m for c in h[:k]]
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                cur = [(a - top * c) % m for a, c in zip(cur, h[:k])]
-            rows.append(tuple(cur))
-        self._red = rows
+        self.cap = e * N  # pi-digits of working precision
+        self.zero = (0,) * (e * k)
+        self.one = (1,) + (0,) * (e * k - 1)
+        self._pad = (0,) * ((e - 1) * k)
+        if e == 1:
+            self.U = self
+            self.gf = self if isinstance(self, GF) else GF(p, k)
+            # reduction rows: t^(k+i) mod h for i in [0, k-2]
+            rows, cur = [], [-x % m for x in h[:k]]
+            for _ in range(k - 1):
+                rows.append(tuple(cur))
+                top = cur.pop()
+                cur = [0] + cur
+                if top:
+                    cur = [(a - top * x) % m for a, x in zip(cur, h)]
+            self._red = rows
+        else:
+            self.U = U = TameRing(TameExtension(p, 1), k, N)
+            self.gf = U.gf
+            self._red = U._red
+            # mul accumulates coefficient (i, j) of the unreduced product, i < 2e - 1
+            # and j < 2k - 1, at i*w + j; _pos[i*k + j] = i*w + j for i < e, j < k
+            self._w = w = 2 * k - 1
+            self._pos = [i * w + j for i in range(e) for j in range(k)]
+            self._tred = [
+                (i * w + j, i * w, U._red[j - k]) for i in range(e) for j in range(k, w)
+            ]
 
     def from_int(self, n):
-        return (n % self.mod,) + (0,) * (self.k - 1)
+        return (n % self.mod,) + (0,) * (self.e * self.k - 1)
 
-    def lift_residue(self, r):
-        # an F_{p^k} element, entries in [0, p), is already canonical mod p^N
-        return r
+    def from_unram(self, u):
+        return tuple(u) + self._pad
 
-    def residue(self, u):
-        p = self.p
-        return tuple(c % p for c in u)
-
-    def is_zero(self, a):
-        return not any(a)
+    def pi_power(self, m):
+        """pi^m as a ring element, 0 <= m."""
+        q, r = divmod(m, self.e)
+        out = [0] * (self.e * self.k)
+        out[r * self.k] = pow(self.c * self.p, q, self.mod)
+        return tuple(out)
 
     def add(self, a, b):
         m = self.mod
-        return tuple((x + y) % m for x, y in zip(a, b))
+        return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def sub(self, a, b):
         m = self.mod
-        return tuple((x - y) % m for x, y in zip(a, b))
+        return tuple([(x - y) % m for x, y in zip(a, b)])
 
     def neg(self, a):
         m = self.mod
-        return tuple((-x) % m for x in a)
+        return tuple([-x % m for x in a])
 
     def mul(self, a, b):
-        m, k = self.mod, self.k
-        if k == 1:
-            return (a[0] * b[0] % m,)
-        out = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
+        """a*b, reduced by t^k -> h with one mod p^N per entry.
+
+        At e = 1 the k-tuples are multiplied directly.  Otherwise one pass
+        over the nonzero entries fills the unreduced array, and pi^e -> c*p
+        folds it before the t-reduction.
+        """
+        if len(a) == 1:
+            return (a[0] * b[0] % self.mod,)
+        m = self.mod
+        if self.e == 1:
+            k, red = len(a), self._red
+            out = [0] * (2 * k - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            for i in range(k, 2 * k - 1):
+                x = out[i] % m
+                if x:
+                    for j, r in enumerate(red[i - k]):
+                        out[j] += x * r
+            return tuple([x % m for x in out[:k]])
+        pos = self._pos
+        bs = [(pos[t], y) for t, y in enumerate(b) if y]
+        out = [0] * ((2 * self.e - 1) * self._w)
+        for s, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        res = [c % m for c in out[:k]]
-        for i in range(k, 2 * k - 1):
-            c = out[i] % m
-            if c:
-                row = self._red[i - k]
-                for j in range(k):
-                    res[j] = (res[j] + c * row[j]) % m
-        return tuple(res)
+                ps = pos[s]
+                for pt, y in bs:
+                    out[ps + pt] += x * y
+        cp, wrap = self.c * self.p, self.e * self._w
+        for s in range(wrap, len(out)):
+            if out[s]:
+                out[s - wrap] += cp * out[s]
+        for s, base, row in self._tred:
+            x = out[s] % m
+            if x:
+                for j, r in enumerate(row):
+                    out[base + j] += x * r
+        return tuple([out[s] % m for s in pos])
 
     def pow(self, a, n):
         """a^n for n >= 0."""
@@ -600,62 +665,100 @@ class UnramifiedRing:
         return result
 
     def val(self, a):
-        """min p-valuation over coordinates, capped at N."""
-        p, best = self.p, self.N
-        for c in a:
-            if c == 0:
-                continue
-            v = 0
-            while c % p == 0 and v < best:
-                v += 1
-                c //= p
-            if v < best:
-                best = v
-            if best == 0:
-                return 0
+        """pi-adic valuation, capped at self.cap (= "zero at this precision")."""
+        p, e, k = self.p, self.e, self.k
+        best = self.cap
+        for s, x in enumerate(a):
+            if x:
+                v = s // k
+                if v >= best:
+                    break
+                while x % p == 0 and v < best:
+                    v += e
+                    x //= p
+                if v < best:
+                    best = v
         return best
 
-    def div_p(self, a):
-        p = self.p
-        if any(c % p for c in a):
-            raise ArithmeticError("not divisible by p")
-        return tuple(c // p for c in a)
+    def is_zero(self, a):
+        return not any(a)
 
-    def zeta(self, e):
-        """Primitive e-th root of unity (needs e | p^k - 1), lifted as a root of x^e - 1.
+    def div_pi(self, a, m):
+        """Exact division by pi^m; raises if val(a) < m on the representative.
 
-        Computed once per (p, k, N, e) and shared by every ring with that key.
+        pi^e = c*p, so each whole pi^e divides every entry by p and multiplies
+        by c; each further pi moves the pi^0 block, divided by c*p, to pi^(e-1).
         """
-        if e == 1:
-            return self.one
-        key = (self.p, self.k, self.N, e)
+        q, r = divmod(m, self.e)
+        p, c, mod = self.p, self.c, self.mod
+        for n in [len(a)] * q + [r * self.k]:
+            if any(x % p for x in a[:n]):
+                raise PrecisionStallError("division by pi under-determined")
+            a = a[n:] + tuple([c * (x // p) % mod for x in a[:n]])
+        return a
+
+    def residue(self, a):
+        """Image in F_{p^k} (the pi^0 coordinates mod p); also of an element of U."""
+        p = self.p
+        return tuple([x % p for x in a[: self.k]])
+
+    def lift_residue(self, r):
+        # an F_{p^k} element, entries in [0, p), is already canonical mod p^N
+        return self.from_unram(r)
+
+    def zeta(self, order):
+        """Primitive order-th root of unity in U (needs order | p^k - 1), lifted as a root of x^order - 1.
+
+        Computed once per (p, k, N, order) and shared by every ring with that key.
+        """
+        U = self.U
+        if order == 1:
+            return U.one
+        key = (self.p, self.k, self.N, order)
         if key in _ZETA_CACHE:
             return _ZETA_CACHE[key]
-        q = self.p**self.k - 1
-        if q % e:
-            raise ValueError(f"no zeta_{e} in F_{self.p}^{self.k}")
-        # a root of the e-th cyclotomic polynomial over GF is a simple root of x^e - 1
-        roots, missing = residue_roots(self.gf, _cyclotomic_mod(e, self.gf))
+        if (self.p**self.k - 1) % order:
+            raise ValueError(f"no zeta_{order} in F_{self.p}^{self.k}")
+        # a root of the cyclotomic polynomial over GF is a simple root of x^order - 1
+        roots, missing = residue_roots(U.gf, _cyclotomic_mod(order, U.gf))
         assert roots and not missing
-        poly = [self.from_int(-1)] + [self.zero] * (e - 1) + [self.one]
-        z = _newton_lift(self, poly, rpoly_deriv(self, poly), self.lift_residue(roots[0][0]))
+        poly = [U.from_int(-1)] + [U.zero] * (order - 1) + [U.one]
+        z = _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(roots[0][0]))
         _ZETA_CACHE[key] = z
         return z
+
+    @cached_property
+    def zeta_powers(self):
+        """zeta_e^0, ..., zeta_e^(e-1) in U, built on first use (needs e | p^k - 1)."""
+        U, z = self.U, self.zeta(self.e)
+        pows = [U.one]
+        for _ in range(1, self.e):
+            pows.append(U.mul(pows[-1], z))
+        return pows
+
+    def galois_map(self, a, j):
+        """Apply tau^j with tau(pi) = zeta_e*pi: the pi^i block times zeta_e^(ij mod e)."""
+        U, e, k = self.U, self.e, self.k
+        zp = self.zeta_powers
+        out = a[:k]
+        for i in range(1, e):
+            out += U.mul(a[i * k:(i + 1) * k], zp[i * j % e])
+        return out
 
 
 _ZETA_CACHE = {}
 
 
-class GF(UnramifiedRing):
-    """F_{p^k} = F_p[t]/(h): the ring at N = 1, elements are int tuples of length k."""
+class GF(TameRing):
+    """F_{p^k} = F_p[t]/(h): the ring at e = 1, N = 1, elements are int tuples of length k."""
 
     # bench/tracing.py counts residue-field kernels by patching GF.__dict__;
-    # binding them here keeps the p^N ring's own calls out of those counts
-    mul = UnramifiedRing.mul
-    pow = UnramifiedRing.pow
+    # binding them here keeps the p^N rings' own calls out of those counts
+    mul = TameRing.mul
+    pow = TameRing.pow
 
     def __init__(self, p, k):
-        super().__init__(p, k, 1)
+        super().__init__(TameExtension(p, 1), k, 1)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -699,168 +802,11 @@ def _cyclotomic_mod(e, F):
     return num
 
 
-# ---------------------------------------------------------------------------
-# tame totally ramified tower
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TameExtension:
-    """L = Q_p^nr(pi), pi^e = c*p with gcd(e, p) = 1 and c in {1, -1}."""
-
-    p: int
-    e: int
-    c: int = 1
-
-    def __post_init__(self):
-        if gcd(self.e, self.p) != 1:
-            raise ValueError("ramification index must be prime to p")
-        if self.c not in (1, -1):
-            raise ValueError("uniformizer convention wants c = 1 or -1")
-
-
-class TameRing:
-    """O_L / pi^(e*N) for a tame extension, with residue field F_{p^k}.
-
-    An element is one flat tuple of e*k ints, each canonical in [0, p^N):
-    entry i*k + j is the coefficient of pi^i t^j, where t generates the
-    unramified part (UnramifiedRing's basis) and pi^e wraps to c*p.  Since
-    the form is canonical, an element is zero exactly when no entry is.
-    """
-
-    def __init__(self, ext, k, N):
-        self.ext = ext
-        self.p, self.e, self.c = p, e, c = ext.p, ext.e, ext.c
-        self.k = k
-        self.N = N
-        self.U = U = UnramifiedRing(p, k, N)
-        self.gf = U.gf
-        self.mod = U.mod
-        self.cap = e * N  # pi-digits of working precision
-        self.zero = (0,) * (e * k)
-        self.one = (1,) + (0,) * (e * k - 1)
-        self._pad = (0,) * ((e - 1) * k)
-        # mul accumulates coefficient (i, j) of the unreduced product, i < 2e - 1
-        # and j < 2k - 1, at i*w + j; _pos[i*k + j] = i*w + j for i < e, j < k
-        self._w = w = 2 * k - 1
-        self._pos = [i * w + j for i in range(e) for j in range(k)]
-        self._tred = [
-            (i * w + j, i * w, U._red[j - k]) for i in range(e) for j in range(k, w)
-        ]
-
-    def from_int(self, n):
-        return (n % self.mod,) + (0,) * (self.e * self.k - 1)
-
-    def from_unram(self, u):
-        return tuple(u) + self._pad
-
-    def pi_power(self, m):
-        """pi^m as a ring element, 0 <= m."""
-        q, r = divmod(m, self.e)
-        out = [0] * (self.e * self.k)
-        out[r * self.k] = pow(self.c * self.p, q, self.mod)
-        return tuple(out)
-
-    def add(self, a, b):
-        m = self.mod
-        return tuple([(x + y) % m for x, y in zip(a, b)])
-
-    def sub(self, a, b):
-        m = self.mod
-        return tuple([(x - y) % m for x, y in zip(a, b)])
-
-    def neg(self, a):
-        m = self.mod
-        return tuple([-x % m for x in a])
-
-    def mul(self, a, b):
-        """One pass over the nonzero entries, then pi^e -> c*p, t^k -> h, mod p^N."""
-        m, pos = self.mod, self._pos
-        if len(pos) == 1:
-            return (a[0] * b[0] % m,)
-        bs = [(pos[t], y) for t, y in enumerate(b) if y]
-        out = [0] * ((2 * self.e - 1) * self._w)
-        for s, x in enumerate(a):
-            if x:
-                ps = pos[s]
-                for pt, y in bs:
-                    out[ps + pt] += x * y
-        cp, wrap = self.c * self.p, self.e * self._w
-        for s in range(wrap, len(out)):
-            if out[s]:
-                out[s - wrap] += cp * out[s]
-        for s, base, row in self._tred:
-            x = out[s] % m
-            if x:
-                for j, r in enumerate(row):
-                    out[base + j] += x * r
-        return tuple([out[s] % m for s in pos])
-
-    def val(self, a):
-        """pi-adic valuation, capped at self.cap (= "zero at this precision")."""
-        p, e, k = self.p, self.e, self.k
-        best = self.cap
-        for s, x in enumerate(a):
-            if x:
-                v = s // k
-                if v >= best:
-                    break
-                while x % p == 0 and v < best:
-                    v += e
-                    x //= p
-                if v < best:
-                    best = v
-        return best
-
-    def is_zero(self, a):
-        return not any(a)
-
-    def div_pi(self, a, m):
-        """Exact division by pi^m; raises if val(a) < m on the representative.
-
-        pi^e = c*p, so each whole pi^e divides every entry by p and multiplies
-        by c; each further pi moves the pi^0 block, divided by c*p, to pi^(e-1).
-        """
-        q, r = divmod(m, self.e)
-        p, c, mod = self.p, self.c, self.mod
-        for n in [len(a)] * q + [r * self.k]:
-            if any(x % p for x in a[:n]):
-                raise PrecisionStallError("division by pi under-determined")
-            a = a[n:] + tuple([c * (x // p) % mod for x in a[:n]])
-        return a
-
-    def residue(self, a):
-        """Image in F_{p^k} (the pi^0 coordinates mod p)."""
-        p = self.p
-        return tuple([x % p for x in a[: self.k]])
-
-    def lift_residue(self, r):
-        return self.from_unram(r)
-
-    def zeta(self, order):
-        return self.U.zeta(order)
-
-    def galois_map(self, a, zeta, j):
-        """Apply tau^j with tau(pi) = zeta*pi: pi^i coefficient gets zeta^(ij)."""
-        U, e, k = self.U, self.e, self.k
-        out = a[:k]
-        for i in range(1, e):
-            out += U.mul(a[i * k:(i + 1) * k], U.pow(zeta, (i * j) % e))
-        return out
-
-
 # polynomials over a TameRing: list of elements, index = degree
 
 
 def rpoly_from_ints(ring, ints):
     return [ring.from_int(c) for c in ints]
-
-
-def rpoly_eval(ring, poly, x):
-    acc = ring.zero
-    for c in reversed(poly):
-        acc = ring.add(ring.mul(acc, x), c)
-    return acc
 
 
 def rpoly_deriv(ring, poly):
@@ -964,10 +910,10 @@ def _newton_budget(ring):
 def _newton_lift(ring, poly, dpoly, z):
     """Lift a simple residue root to ring precision (f'(z) stays a unit).
 
-    The one Hensel loop of the package, over a TameRing or an
-    UnramifiedRing: _integral_roots lifts the simple roots of f with it,
-    UnramifiedRing.zeta the root of x^e - 1, and _unramified_images the
-    root theta of h_k.
+    The one Hensel loop of the package, over a TameRing of any e:
+    _integral_roots lifts the simple roots of f with it, TameRing.zeta the
+    root of x^e - 1 over the e = 1 ring, and _unramified_images the root
+    theta of h_k.
 
     Coupled Newton: w ~ 1/f'(z) starts from the residue-field inverse and
     is refined by w <- w(2 - f'(z) w) alongside z <- z - f(z) w, so no step
@@ -976,14 +922,14 @@ def _newton_lift(ring, poly, dpoly, z):
     does not vanish at working precision after _newton_budget steps
     (lift_over_ring then doubles N).
     """
-    w = ring.lift_residue(ring.gf.inv(ring.residue(rpoly_eval(ring, dpoly, z))))
+    w = ring.lift_residue(ring.gf.inv(ring.residue(geval(ring, dpoly, z))))
     two = ring.from_int(2)
     for _ in range(_newton_budget(ring)):
-        fz = rpoly_eval(ring, poly, z)
+        fz = geval(ring, poly, z)
         if ring.is_zero(fz):
             return z
         z = ring.sub(z, ring.mul(fz, w))
-        w = ring.mul(w, ring.sub(two, ring.mul(rpoly_eval(ring, dpoly, z), w)))
+        w = ring.mul(w, ring.sub(two, ring.mul(geval(ring, dpoly, z), w)))
     raise PrecisionStallError("Newton lift did not converge within its step budget")
 
 
@@ -1069,8 +1015,8 @@ def _certify(ring, fpoly, dfpoly, roots):
     """
     data = []
     for z in roots:
-        a = ring.val(rpoly_eval(ring, fpoly, z))
-        b = ring.val(rpoly_eval(ring, dfpoly, z))
+        a = ring.val(geval(ring, fpoly, z))
+        b = ring.val(geval(ring, dfpoly, z))
         if b >= ring.cap or a - 2 * b < 1:
             raise PrecisionStallError("root fails Newton certification")
         data.append((a, a - b))
@@ -1111,8 +1057,8 @@ class SplitRoots:
         return Fraction(self.ring.val(self.roots[i]), self.ring.e)
 
 
-def lift_over_ring(f_ints, p, e, c=1, k=1, n_digits=DEFAULT_PI_DIGITS):
-    """Lift all roots of an integer polynomial over L = Q_p^nr(pi), pi^e = c p.
+def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
+    """Lift all roots of an integer polynomial over L = Q_p^nr(pi), pi^e = p.
 
     Grows the residue field and the working precision as needed; propagates
     NeedsLargerE (insufficient ramification) to the caller.  Requires the
@@ -1124,7 +1070,7 @@ def lift_over_ring(f_ints, p, e, c=1, k=1, n_digits=DEFAULT_PI_DIGITS):
     N = n_digits
     ceiling = max_pi_digits()
     while True:
-        ring = TameRing(TameExtension(p, e, c), k, N)
+        ring = TameRing(TameExtension(p, e), k, N)
         fpoly = rpoly_from_ints(ring, f_ints)
         try:
             roots = _integral_roots(ring, fpoly)
@@ -1193,7 +1139,7 @@ class WildSplittingError(Exception):
     """No tame extension in the candidate list splits f at this prime."""
 
 
-def split_over_minimal_tame(f_ints, p, c=1):
+def split_over_minimal_tame(f_ints, p):
     """Find the minimal tame e with f split over Q_p^nr(p^(1/e)).
 
     Returns (e, SplitRoots); raises WildSplittingError if no tame candidate
@@ -1204,7 +1150,7 @@ def split_over_minimal_tame(f_ints, p, c=1):
         if gcd(e, p) != 1:
             continue
         try:
-            return e, lift_over_ring(f_ints, p, e, c=c)
+            return e, lift_over_ring(f_ints, p, e)
         except NeedsLargerE:
             continue
     raise WildSplittingError(f"no tame extension of index | 24 splits f at {p}")

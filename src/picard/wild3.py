@@ -15,7 +15,7 @@ Riemann-Hurwitz exactly as in the tame case (inertia.quotient_genera).
 
 import json
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from .inertia import quotient_genera
 from .localfield import (
@@ -402,7 +402,6 @@ class ChartComponent:
     tbar: list | None = None
     c_elt: object = None
     chart: WitnessChart = None
-    reduced_rows: tuple = None
 
 
 def _analyze_chart(ring, f_ints, idx, chart):
@@ -426,10 +425,7 @@ def _analyze_chart(ring, f_ints, idx, chart):
             raise WitnessInvalidError(
                 f"chart {idx}: reduction y1^3 = cube is not a reduced curve"
             )
-        return ChartComponent(
-            index=idx, inseparable=True, genus=0, c_elt=c_elt, chart=chart,
-            reduced_rows=tuple(map(tuple, rbar)),
-        )
+        return ChartComponent(index=idx, inseparable=True, genus=0, c_elt=c_elt, chart=chart)
     if a2:
         raise WitnessInvalidError(
             f"chart {idx}: reduction is not invariant under the deck translation"
@@ -444,14 +440,14 @@ def _analyze_chart(ring, f_ints, idx, chart):
     cover = as_cover(gf, h)
     return ChartComponent(
         index=idx, inseparable=False, genus=cover.genus, cover=cover,
-        tbar=tbar, c_elt=c_elt, chart=chart, reduced_rows=tuple(map(tuple, rbar)),
+        tbar=tbar, c_elt=c_elt, chart=chart,
     )
 
 
 # ---- the Galois action on chart components ---------------------------------
 
 
-def _chart_xy_action(ring, comp, j, zeta):
+def _chart_xy_action(ring, comp, j):
     """(lambda, gamma, F): x-affine map and the y1 correction of tau^j.
 
     Valid only when tau^j stabilizes the chart's disk.  The point map is
@@ -461,16 +457,17 @@ def _chart_xy_action(ring, comp, j, zeta):
     a, b, d = ch.x_scale, ch.y_scale, ch.y_codim
     m = ring.e
     gf = ring.gf
-    tau_c = ring.galois_map(comp.c_elt, zeta, j)
+    zp = ring.zeta_powers
+    tau_c = ring.galois_map(comp.c_elt, j)
     gam_elt = ring.div_pi(ring.sub(tau_c, comp.c_elt), a)
     gam = ring.residue(gam_elt)
-    lam = gf.pow(ring.U.residue(zeta), (j * a) % m)
+    lam = ring.residue(zp[j * a % m])
     G = [_pi_poly_elt(ring, tup) for tup in ch.y_poly]
-    Gtau = [ring.galois_map(cf, zeta, j) for cf in G]
-    zinv = ring.from_unram(ring.U.pow(zeta, (m - (j * a) % m) % m))
+    Gtau = [ring.galois_map(cf, j) for cf in G]
+    zinv = ring.from_unram(zp[-j * a % m])
     inner_gam = ring.mul(zinv, ring.sub(ring.zero, gam_elt))
     composed = gcompose_linear(ring, Gtau, zinv, inner_gam)
-    zb = ring.from_unram(ring.U.pow(zeta, (j * b) % m))
+    zb = ring.from_unram(zp[j * b % m])
     H = gadd(
         ring,
         _ringpoly_scale(ring, composed, zb),
@@ -483,13 +480,13 @@ def _chart_xy_action(ring, comp, j, zeta):
     return lam, gam, F
 
 
-def _as_automorphism(ring, comp, j, zeta):
+def _as_automorphism(ring, comp, j):
     """(lam, gam, eps, w_red): the induced automorphism in AS coordinates."""
     gf = ring.gf
     m = ring.e
     ch = comp.chart
-    lam, gam, F = _chart_xy_action(ring, comp, j, zeta)
-    zbd = gf.pow(ring.U.residue(zeta), (j * (ch.y_scale + ch.y_codim)) % m)
+    lam, gam, F = _chart_xy_action(ring, comp, j)
+    zbd = ring.residue(ring.zeta_powers[j * (ch.y_scale + ch.y_codim) % m])
     tbar = comp.tbar
     tA = gcompose_linear(gf, tbar, lam, gam)
     if len(tA) != len(tbar):
@@ -554,10 +551,10 @@ def _as_fix_count(gf, cover, lam, gam, eps, w_red):
     return fix
 
 
-def _chart_permutation(ring, comps, j, zeta):
+def _chart_permutation(ring, comps, j):
     perm = []
     for comp in comps:
-        image_c = ring.galois_map(comp.c_elt, zeta, j)
+        image_c = ring.galois_map(comp.c_elt, j)
         target = None
         for t, other in enumerate(comps):
             if other.chart.x_scale != comp.chart.x_scale:
@@ -618,7 +615,7 @@ def verify_witness(f_ints, witness: WildWitness):
         try:
             return _verify_with_ring(ring, f_ints, witness)
         except NeedsLargerK as ex:
-            newk = ex.k * k // gcd(ex.k, k)
+            newk = lcm(ex.k, k)
             if newk > HARD_K_CAP:
                 raise WitnessInvalidError("witness needs an oversized residue field")
             k = newk
@@ -660,14 +657,13 @@ def _verify_with_ring(ring, f_ints, witness):
             components=comps,
         )
 
-    zeta = ring.zeta(m)
-    perm1 = _chart_permutation(ring, comps, 1, zeta)
+    perm1 = _chart_permutation(ring, comps, 1)
     gf = ring.gf
 
     def signature(i, j):
         """The AS automorphism of tau^j with its fixed-point count, None for the identity."""
         comp = comps[i]
-        lam, gam, eps, w_red = _as_automorphism(ring, comp, j, zeta)
+        lam, gam, eps, w_red = _as_automorphism(ring, comp, j)
         fix = _as_fix_count(gf, comp.cover, lam, gam, eps, w_red)
         if fix is None:
             return None

@@ -2,13 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from picard.clusters import (
     ClusterTree,
     cluster_tree,
     inertia_permutation,
     splitting_ramification,
 )
-from picard.exact import discriminant, poly_from_ints
+from picard.exact import Poly, discriminant, poly_from_ints
 
 
 def tree_from(pairs):
@@ -85,11 +87,11 @@ def test_gauss_valuation_values():
 def test_splitting_ramification_cases():
     ram = splitting_ramification(poly_from_ints([1, 0, 14, 72, -41]), 5)
     assert (ram.e, ram.tame) == (1, True)
-    assert ram.action.permutation == (0, 1, 2, 3)
+    assert inertia_permutation(ram.split) == (0, 1, 2, 3)
 
     kummer = splitting_ramification(poly_from_ints([1, 0, 0, 0, -5]), 5)
     assert (kummer.e, kummer.tame) == (4, True)
-    perm = kummer.action.permutation
+    perm = inertia_permutation(kummer.split)
     # a 4-cycle on the roots
     seen, cur = set(), 0
     for _ in range(4):
@@ -98,7 +100,7 @@ def test_splitting_ramification_cases():
     assert len(seen) == 4 and cur == 0
 
     wild2 = splitting_ramification(poly_from_ints([1, 0, 0, 0, -1]), 2)
-    assert not wild2.tame and wild2.wild
+    assert not wild2.tame and wild2.split is None
 
     wild3 = splitting_ramification(poly_from_ints([1, -3, -24, -1, 0]), 3)
     assert not wild3.tame
@@ -117,11 +119,23 @@ def test_inertia_preserves_cluster_depths_random():
             continue
         done += 1
         sr = ram.split
-        perm = ram.action.permutation
+        perm = inertia_permutation(sr)
         for i, j in itertools.combinations(range(4), 2):
             assert sr.pairwise_val(i, j) == sr.pairwise_val(perm[i], perm[j])
 
 
 def test_inertia_permutation_has_order_dividing_e():
     ram = splitting_ramification(poly_from_ints([1, 0, 0, 0, -5]), 5)
-    assert ram.action.power(ram.e) == (0, 1, 2, 3)
+    perm = inertia_permutation(ram.split)
+    power = tuple(range(4))
+    for j in range(1, ram.e + 1):
+        power = tuple(perm[i] for i in power)
+        assert power == inertia_permutation(ram.split, j)
+        assert (power == (0, 1, 2, 3)) == (j == ram.e)
+
+
+def test_splitting_ramification_rejects_rational_coefficients():
+    # x^4 + x + 7/2 used to be split as x^4 + x + 3
+    with pytest.raises(ValueError):
+        splitting_ramification(Poly([Fraction(7, 2), 1, 0, 0, 1]), 5)
+    assert splitting_ramification(Poly([Fraction(6, 2), 1, 0, 0, 1]), 5).tame
