@@ -32,6 +32,8 @@ Costs are kept to one pass of each kind of work:
   order) and cached at module level, so the rings lift_over_ring builds
   for each try of e, k and N share it.  The Galois action tau: pi ->
   zeta_e pi reads zeta_e^i from a table of e powers each ring builds once.
+  Those rings also share GF(p, k), the e = 1 ring U and the cyclotomic
+  polynomials mod p, from small bounded caches.
 - Elements are flat tuples of e*k canonical ints mod p^N, so add, sub, val
   and is_zero are one pass over a tuple.  mul is one pass over the nonzero
   entries of both operands into an unreduced array, folded once by
@@ -52,7 +54,7 @@ Costs are kept to one pass of each kind of work:
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, inf, lcm
 import random
@@ -434,7 +436,7 @@ def residue_roots(F, poly):
     factors of degree >= 2 whose roots would need a larger residue field;
     missing is then the smallest relative degree d >= 2 carrying roots.
     """
-    poly = gtrim(F, poly[:])
+    poly = gtrim(F, list(poly))
     if not poly:
         raise ValueError("zero polynomial")
     if F.p == 2 or any(any(c[1:]) for c in poly):
@@ -564,7 +566,7 @@ class TameRing:
         self._pad = (0,) * ((e - 1) * k)
         if e == 1:
             self.U = self
-            self.gf = self if isinstance(self, GF) else GF(p, k)
+            self.gf = self if isinstance(self, GF) else _residue_field(p, k)
             # reduction rows: t^(k+i) mod h for i in [0, k-2]
             rows, cur = [], [-x % m for x in h[:k]]
             for _ in range(k - 1):
@@ -575,7 +577,7 @@ class TameRing:
                     cur = [(a - top * x) % m for a, x in zip(cur, h)]
             self._red = rows
         else:
-            self.U = U = TameRing(TameExtension(p, 1), k, N)
+            self.U = U = _unramified_ring(p, k, N)
             self.gf = U.gf
             self._red = U._red
             # mul accumulates coefficient (i, j) of the unreduced product, i < 2e - 1
@@ -720,7 +722,7 @@ class TameRing:
         if (self.p**self.k - 1) % order:
             raise ValueError(f"no zeta_{order} in F_{self.p}^{self.k}")
         # a root of the cyclotomic polynomial over GF is a simple root of x^order - 1
-        roots, missing = residue_roots(U.gf, _cyclotomic_mod(order, U.gf))
+        roots, missing = residue_roots(U.gf, _cyclotomic_mod(order, self.p, self.k))
         assert roots and not missing
         poly = [U.from_int(-1)] + [U.zero] * (order - 1) + [U.one]
         z = _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(roots[0][0]))
@@ -792,14 +794,35 @@ class GF(TameRing):
             yield tuple(coeffs)
 
 
-def _cyclotomic_mod(e, F):
-    """e-th cyclotomic polynomial over GF, by dividing x^e - 1 by lower ones."""
+# A ring's only state after construction is its zeta_powers table, which
+# depends on nothing but its parameters, so rings may share these.  The
+# caches are bounded: the reuse is among the rings lift_over_ring builds for
+# one prime, and keys with distinct primes would otherwise pile up over a
+# long run.
+
+
+@lru_cache(maxsize=64)
+def _residue_field(p, k):
+    """GF(p, k), shared by every ring with this (p, k)."""
+    return GF(p, k)
+
+
+@lru_cache(maxsize=64)
+def _unramified_ring(p, k, N):
+    """The e = 1 ring O/p^N of Q_{p^k}^nr, shared as U by every ring with this (p, k, N)."""
+    return TameRing(TameExtension(p, 1), k, N)
+
+
+@lru_cache(maxsize=64)
+def _cyclotomic_mod(e, p, k):
+    """e-th cyclotomic polynomial over GF(p, k) as a tuple, by dividing x^e - 1 by lower ones."""
+    F = _residue_field(p, k)
     num = [F.neg(F.one)] + [F.zero] * (e - 1) + [F.one]
     for d in range(1, e):
         if e % d == 0:
-            num, rem = gdivmod(F, num, _cyclotomic_mod(d, F))
+            num, rem = gdivmod(F, num, _cyclotomic_mod(d, p, k))
             assert not rem
-    return num
+    return tuple(num)
 
 
 # polynomials over a TameRing: list of elements, index = degree

@@ -21,7 +21,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from multiprocessing import Pool
 
 from .conductor import analyze_prime
 from .curves import (
@@ -189,6 +188,9 @@ def _task_runner(workers):
     if workers == 1:
         yield _Done
         return
+    # imported here so that importing picard does not pay for multiprocessing
+    from multiprocessing import Pool
+
     with Pool(workers) as pool:
         yield pool.apply_async
 

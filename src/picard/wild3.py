@@ -11,6 +11,8 @@ AS reduction (jumps h_P prime to 3, 2g - 2 = -6 + sum 2(h_P + 1)), and the
 action of Gamma = Gal(L_m/Q_3^nr) on each component is an affine map on x
 together with z -> eps z + w, from which quotient genera follow by
 Riemann-Hurwitz exactly as in the tame case (inertia.quotient_genera).
+The action is built on the ring once per chart, for the generator of its
+stabilizer; the actions of its powers are composed from it in F_q.
 """
 
 import json
@@ -513,6 +515,32 @@ def _as_automorphism(ring, comp, j):
     return lam, gam, eps, w_red
 
 
+def _stabilizer_actions(ring, comp, ell):
+    """{j: (lam, gam, eps, w_red)} for every j = t*ell < e, from one chart action.
+
+    tau^ell generates the stabilizer of a chart in an orbit of length ell;
+    _as_automorphism builds and checks its action (x, z) -> (lam x + gam,
+    eps z + w(x)).  Its powers compose in F_q: after (lam_t, gam_t, eps_t,
+    w_t) comes (lam lam_t, lam gam_t + gam, eps eps_t, eps w_t + w(lam_t x +
+    gam_t)), and _rf keeps each w canonical, equal to what _as_automorphism
+    returns for that power.
+    """
+    gf = ring.gf
+    lam, gam, eps, w = act = _as_automorphism(ring, comp, ell)
+    out = {ell: act}
+    eps_r = _rconst(gf, eps)
+    for j in range(2 * ell, ring.e, ell):
+        lam_t, gam_t, eps_t, w_t = act
+        act = (
+            gf.mul(lam, lam_t),
+            gf.add(gf.mul(lam, gam_t), gam),
+            gf.mul(eps, eps_t),
+            _radd(gf, _rmul(gf, eps_r, w_t), _rcompose_affine(gf, w, lam_t, gam_t)),
+        )
+        out[j] = act
+    return out
+
+
 def _as_fix_count(gf, cover, lam, gam, eps, w_red):
     """Fixed points on the smooth model; None marks the identity."""
     vertical = lam == gf.one and gf.is_zero(gam)
@@ -659,11 +687,17 @@ def _verify_with_ring(ring, f_ints, witness):
 
     perm1 = _chart_permutation(ring, comps, 1)
     gf = ring.gf
+    actions = {}  # chart index -> its _stabilizer_actions, built on first use
 
     def signature(i, j):
         """The AS automorphism of tau^j with its fixed-point count, None for the identity."""
         comp = comps[i]
-        lam, gam, eps, w_red = _as_automorphism(ring, comp, j)
+        if i not in actions:
+            ell, cur = 1, perm1[i]
+            while cur != i:
+                ell, cur = ell + 1, perm1[cur]
+            actions[i] = _stabilizer_actions(ring, comp, ell)
+        lam, gam, eps, w_red = actions[i][j]
         fix = _as_fix_count(gf, comp.cover, lam, gam, eps, w_red)
         if fix is None:
             return None

@@ -1,9 +1,13 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import picard
 from picard.curves import PicardCurve, disc_quartic_monic, equivalent, normalize
 from picard.exact import poly_from_ints
 from picard.search import (
@@ -210,3 +214,17 @@ def test_rank_ordering_and_stability():
     # stability: equal keys preserve input order
     two = [records[0], records[0]]
     assert rank(two) == two
+
+
+def test_import_leaves_multiprocessing_out():
+    # the pool is imported only when a search starts one, so importing the
+    # package does not pay for multiprocessing
+    src = str(Path(picard.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import picard, picard.conductor; "
+        "print('multiprocessing' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,11 @@ import random
 import pytest
 
 import picard.localfield as lf
+import picard.wild3 as wild3
+from picard.conductor import _witness_equation
+from picard.curves import normalize
+from picard.exact import poly_from_ints
+from picard.fixtures import load_fixtures
 from picard.wild3 import (
     INF,
     WildWitness,
@@ -90,19 +95,20 @@ def test_witness_potentially_good():
     assert comp.cover.ram == {INF: 4}
 
 
+CHART_TWO_M4 = {
+    "p": 3,
+    "m": 4,
+    "charts": [
+        {"x_scale": 2, "x_center": [0], "y_scale": 2,
+         "y_poly": [[0], [1]], "y_codim": 2},
+        {"x_scale": 5, "x_center": [0, 0, 0, 0, -1], "y_scale": 4,
+         "y_poly": [[1], [0, 1]], "y_codim": 2},
+    ],
+}
+
+
 def test_witness_two_charts_f3_4():
-    w = WildWitness.from_dict(
-        {
-            "p": 3,
-            "m": 4,
-            "charts": [
-                {"x_scale": 2, "x_center": [0], "y_scale": 2,
-                 "y_poly": [[0], [1]], "y_codim": 2},
-                {"x_scale": 5, "x_center": [0, 0, 0, 0, -1], "y_scale": 4,
-                 "y_poly": [[1], [0, 1]], "y_codim": 2},
-            ],
-        }
-    )
+    w = WildWitness.from_dict(CHART_TWO_M4)
     v = verify_witness([-54, 0, 0, 1, 3], w)
     assert v.reduction_type == "b"
     assert v.etale_genera == [1, 2]
@@ -155,3 +161,80 @@ def test_witness_roundtrip_serialization():
     w = WildWitness.from_dict(CHART_POTGOOD)
     again = WildWitness.from_dict(w.to_dict())
     assert again == w
+
+
+def _check_composed_powers(f_ints, witness):
+    """Every stabilizer power composed in F_q equals the direct chart action.
+
+    Besides the stabilizer of each chart (generated by tau^ell, ell its orbit
+    length), every subgroup generated by tau^L with ell | L | m is composed
+    too, so generators other than tau itself are covered.  Returns the orbit
+    lengths.
+    """
+    m = witness.m
+    ring = lf.TameRing(lf.TameExtension(3, m, c=-1), lf.multiplicative_order(3, m), 20)
+    comps = [wild3._analyze_chart(ring, f_ints, i, ch) for i, ch in enumerate(witness.charts)]
+    perm = wild3._chart_permutation(ring, comps, 1)
+    lengths = []
+    for i, comp in enumerate(comps):
+        if comp.inseparable:
+            continue
+        ell, cur = 1, perm[i]
+        while cur != i:
+            ell, cur = ell + 1, perm[cur]
+        lengths.append(ell)
+        direct = {j: wild3._as_automorphism(ring, comp, j) for j in range(ell, m, ell)}
+        for gen in range(ell, m, ell):
+            if m % gen:
+                continue
+            composed = wild3._stabilizer_actions(ring, comp, gen)
+            assert list(composed) == list(range(gen, m, gen))
+            for j, act in composed.items():
+                assert act == direct[j], (f_ints, i, gen, j)
+    return lengths
+
+
+def test_composed_powers_match_direct_action_on_fixtures():
+    assert _check_composed_powers([1, 0, 0, 0, 1], WildWitness.from_dict(CHART_POTGOOD)) == [1]
+    # both charts of the m = 4 witness are fixed by tau; tau^2 is checked as a generator too
+    assert _check_composed_powers([-54, 0, 0, 1, 3], WildWitness.from_dict(CHART_TWO_M4)) == [1, 1]
+
+
+def test_composed_powers_match_direct_action_on_family():
+    # the witness-p3 family x^4 + 3b3 x^3 + 3b2 x^2 + 9b1 x + (1 + 9b0) with
+    # the bundled potgood-p3-f6 chart, untied from its curve
+    data = dict(next(f for f in load_fixtures() if f["name"] == "potgood-p3-f6")["witness"])
+    data.pop("curve")
+    witness = WildWitness.from_dict(data)
+    rng = random.Random(10)
+    for _ in range(50):
+        b3, b2, b1, b0 = (rng.randint(-20, 20) for _ in range(4))
+        curve, _ = normalize(poly_from_ints([1, 3 * b3, 3 * b2, 9 * b1, 1 + 9 * b0]))
+        assert _check_composed_powers(_witness_equation(curve, witness), witness) == [1]
+
+
+def test_one_chart_action_per_stabilizer(monkeypatch):
+    calls = []
+    direct = wild3._chart_xy_action
+
+    def counted(ring, comp, j):
+        calls.append(j)
+        return direct(ring, comp, j)
+
+    monkeypatch.setattr(wild3, "_chart_xy_action", counted)
+    assert verify_witness([1, 0, 0, 0, 1], WildWitness.from_dict(CHART_POTGOOD)).f3 == 6
+    assert calls == [1]
+
+
+def test_corrupted_generator_action_is_rejected(monkeypatch):
+    # the generator's action is checked against the AS equation; its powers
+    # are composed from it, so a wrong generator must still be caught
+    direct = wild3._chart_xy_action
+
+    def shifted(ring, comp, j):
+        lam, gam, F = direct(ring, comp, j)
+        return lam, ring.gf.add(gam, ring.gf.one), F
+
+    monkeypatch.setattr(wild3, "_chart_xy_action", shifted)
+    with pytest.raises(WitnessInvalidError, match="does not preserve the AS equation"):
+        verify_witness([1, 0, 0, 0, 1], WildWitness.from_dict(CHART_POTGOOD))
