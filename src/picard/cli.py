@@ -69,22 +69,13 @@ def cmd_analyze(args):
             return 1
         witnesses[w.p] = w
     try:
+        result = {"curve": curve.label, "normalized_from": args.curve.strip(), "disc": curve.disc}
         if args.prime is not None:
-            reports = [analyze_prime(curve, args.prime, witnesses.get(args.prime))]
-            result = {
-                "curve": curve.label,
-                "normalized_from": args.curve.strip(),
-                "disc": curve.disc,
-                "reports": [r.to_dict() for r in reports],
-            }
+            rep = analyze_prime(curve, args.prime, witnesses.get(args.prime))
+            result["reports"] = [rep.to_dict()]
         else:
             g = global_conductor(curve, witnesses)
-            result = {
-                "curve": curve.label,
-                "normalized_from": args.curve.strip(),
-                "disc": curve.disc,
-                "disc_factors": [[p, e] for p, e in curve.disc_factors],
-            }
+            result["disc_factors"] = [[p, e] for p, e in curve.disc_factors]
             result.update(g.to_dict())
     except WitnessInvalidError as ex:
         print(f"witness invalid: {ex}", file=sys.stderr)
@@ -124,11 +115,10 @@ def _print_human(result):
 
 def cmd_search(args):
     try:
-        primes = tuple(sorted({int(s) for s in args.set.split(",") if s.strip()}))
         cfg = SearchConfig(
-            primes=primes,
+            primes=tuple(int(s) for s in args.set.split(",") if s.strip()),
             height=args.height,
-            workers=max(1, args.workers),
+            workers=args.workers,
             resume_from=args.resume,
         )
     except ValueError as ex:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .clusters import splitting_ramification
 from .curves import PicardCurve, normalize
-from .exact import poly_from_ints
+from .exact import is_prime, poly_from_ints
 from .inertia import analyze_tame
 from .wild3 import WildWitness, WitnessInvalidError, verify_witness
 
@@ -215,19 +215,16 @@ def _witness_equation(curve, witness):
     normalize to the same curve.
     """
     if witness.curve is not None:
-        f = poly_from_ints(list(witness.curve))
-        model, _ = normalize(f)
-        if model.f != curve.f:
+        model, _ = normalize(poly_from_ints(list(witness.curve)))
+        if model != curve:
             raise WitnessInvalidError(
                 "witness targets a different curve than the one analyzed"
             )
-        return [int(c) for c in f.coeffs]
-    return [int(c) for c in curve.f.coeffs]
+        return witness.curve[::-1]
+    return curve.coeffs
 
 
 def analyze_prime(curve, p, witness=None):
-    from .exact import is_prime
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:

@@ -6,6 +6,11 @@ integer coefficients, and minimal at every prime under the substitution group
 x -> u^-3 x + b, y -> u^-4 y (times u^12 on the equation).  Under that group
 Delta(f) scales by u^36, so a minimal model satisfies 0 <= ord_p(Delta) < 36
 whenever the bound is attainable at all.
+
+A ``PicardCurve`` keeps f as the ints ``coeffs = (a0, a1, a2, a3, 1)``,
+index = degree; no other module builds or converts them.  ``normalize``
+computes one Delta and one factorization per curve (again only after a
+descale); Fractions appear only for non-monic or non-integral input.
 """
 
 from dataclasses import dataclass
@@ -13,8 +18,8 @@ from fractions import Fraction
 
 from .exact import (
     Poly,
-    disc_quartic_monic,  # noqa: F401  (re-exported; tests import it from here)
-    discriminant,
+    disc_quartic_monic,
+    discriminant,  # noqa: F401  (unused here; bench/tracing.py wraps this binding)
     factor_integer,
     nth_root_exact,
     poly_from_ints,
@@ -58,20 +63,23 @@ class InseparableCurveError(ValueError):
 
 
 class PicardCurve:
-    """A normalized Picard curve with cached discriminant data."""
+    """A normalized Picard curve: the int tuple ``coeffs`` and its Delta."""
 
-    __slots__ = ("f", "disc", "disc_sign", "disc_factors", "label")
+    __slots__ = ("coeffs", "disc", "disc_sign", "disc_factors", "label")
 
     def __init__(self, f, label=None):
         if f.degree != 4 or f.lc != 1 or not f.is_integral():
             raise ValueError("PicardCurve wants a monic integral quartic")
-        d = discriminant(f)
-        if d == 0:
+        self.coeffs = f.int_coeffs()
+        self.disc = disc_quartic_monic(*self.coeffs[3::-1])
+        if self.disc == 0:
             raise InseparableCurveError("quartic is inseparable")
-        self.f = f
-        self.disc = int(d)
         self.disc_sign, self.disc_factors = factor_integer(self.disc)
-        self.label = label if label is not None else curve_text(f)
+        self.label = label if label is not None else curve_text(self.coeffs)
+
+    @property
+    def f(self):
+        return Poly(self.coeffs)
 
     def ord_disc(self, p):
         for q, e in self.disc_factors:
@@ -86,17 +94,17 @@ class PicardCurve:
         return sorted(ps)
 
     def __eq__(self, other):
-        return isinstance(other, PicardCurve) and self.f == other.f
+        return isinstance(other, PicardCurve) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.f)
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"PicardCurve({self.label})"
 
 
 def curve_text(f):
-    """Serialize a quartic to the CLI/persistence format [a4,a3,a2,a1,a0]."""
+    """Serialize a quartic (Poly or coeffs) to the CLI format [a4,a3,a2,a1,a0]."""
     return "[" + ",".join(str(int(f[i])) for i in range(4, -1, -1)) + "]"
 
 
@@ -110,23 +118,27 @@ def parse_curve_text(s):
     return poly_from_ints([int(part) for part in parts])
 
 
-def _descale_shift(f, p):
-    """Translation t with ord_p(a_i(f(x+t))) >= 3(4-i) for all i, or None.
+def _shift(coeffs, t):
+    """Coefficients of f(x + t) (Taylor shift by repeated synthetic division)."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += t * c[j + 1]
+    return tuple(c)
 
-    A necessary condition is f == (x-t)^4 mod p, so for p > 2 the only
-    candidate mod p^3 comes from killing the cubic coefficient; for p = 2
-    all residues mod 8 are tried.
+
+def _descale_shift(coeffs, p):
+    """(t, p^-12 f(p^3 x + t)) for the translation t that keeps it integral, or None.
+
+    That needs ord_p(a_i(f(x+t))) >= 3(4-i) for all i, so f == (x-t)^4 mod p:
+    for p > 2 the only candidate mod p^3 comes from killing the cubic
+    coefficient; for p = 2 all residues mod 8 are tried.
     """
     p3 = p**3
-    if p == 2:
-        candidates = range(8)
-    else:
-        inv4 = pow(4, -1, p3)
-        candidates = [(-int(f[3]) * inv4) % p3]
-    for t in candidates:
-        g = f.shift(t)
-        if all(valuation(g[i], p) >= 3 * (4 - i) for i in range(4)):
-            return t
+    for t in range(8) if p == 2 else [(-coeffs[3] * pow(4, -1, p3)) % p3]:
+        g = _shift(coeffs, t)
+        if all(g[i] % p ** (3 * (4 - i)) == 0 for i in range(4)):
+            return t, tuple(a // p ** (3 * (4 - i)) for i, a in enumerate(g))
     return None
 
 
@@ -139,9 +151,6 @@ def normalize(f_raw, label=None):
     """
     if f_raw.degree != 4:
         raise ValueError("need a quartic")
-    if discriminant(f_raw) == 0:
-        raise InseparableCurveError("quartic is inseparable")
-
     lc = f_raw.lc
     f = f_raw if lc == 1 else f_raw.compose_linear(Fraction(1) / lc, 0).scale(lc**3)
     wit = EquivalenceWitness(u=Fraction(1), shift=Fraction(0), lc=lc)
@@ -164,24 +173,17 @@ def normalize(f_raw, label=None):
             f = f.compose_linear(Fraction(1) / u**3, 0).scale(u**12)
             wit = wit.compose_scale_shift(u, Fraction(0))
 
-    # per-prime maximal descaling (drops ord_p(Delta) by 36 each round)
-    changed = True
-    while changed:
-        changed = False
-        d = discriminant(f)
-        _, fac = factor_integer(d.numerator)
-        for p, e in fac:
-            while e >= 36:
-                t = _descale_shift(f, p)
-                if t is None:
-                    break
-                u = Fraction(1, p)
-                f = f.shift(t).compose_linear(Fraction(p**3), 0).scale(u**12)
-                wit = wit.compose_scale_shift(u, Fraction(t))
-                e -= 36
-                changed = True
-
+    # per-prime maximal descaling, ord_p(Delta) -36 each time: u = 1/p is a
+    # unit away from p, so no other prime's exponent or descale moves
     curve = PicardCurve(f, label=label)
+    coeffs = curve.coeffs
+    for p, e in curve.disc_factors:
+        while e >= 36 and (descaled := _descale_shift(coeffs, p)) is not None:
+            t, coeffs = descaled
+            wit = wit.compose_scale_shift(Fraction(1, p), Fraction(t))
+            e -= 36
+    if coeffs != curve.coeffs:
+        curve = PicardCurve(Poly(coeffs), label=label)
     return curve, wit
 
 
@@ -200,10 +202,11 @@ def equivalent(c1, c2):
     if rn is None or rd is None:
         return None
     t = Fraction(rn, rd)
+    f1, f2 = c1.f, c2.f
     for u in (t, -t):
-        b = (Fraction(c2.f[3]) / u**3 - c1.f[3]) / 4
+        b = (f2[3] / u**3 - f1[3]) / 4
         wit = EquivalenceWitness(u=u, shift=b)
-        if wit.apply(c1.f) == c2.f:
+        if wit.apply(f1) == f2:
             return wit
     return None
 

@@ -25,11 +25,10 @@ from itertools import islice
 from .conductor import analyze_prime
 from .curves import (
     PicardCurve,
-    curve_text,
     equivalent,  # noqa: F401  (unused here; bench/tracing.py wraps this binding)
     normalize,
 )
-from .exact import poly_from_ints
+from .exact import is_prime, poly_from_ints
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -38,7 +37,9 @@ class CheckpointCorruptError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    primes: tuple  # sorted prime set S
+    """A validated search: S is stored sorted and without repeats."""
+
+    primes: tuple  # the prime set S
     height: int
     workers: int = 1
     resume_from: int | None = None  # last completed a3 slice
@@ -46,10 +47,16 @@ class SearchConfig:
     def __post_init__(self):
         if not self.primes:
             raise ValueError("S must be nonempty")
+        for p in self.primes:
+            if not isinstance(p, int) or not is_prime(p):
+                raise ValueError(f"S must hold primes only, not {p}")
+        object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
         if self.height < 1:
             raise ValueError("height must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.resume_from is not None and abs(self.resume_from) > self.height:
+            raise ValueError(f"resume token must lie in [-{self.height}, {self.height}]")
 
 
 @dataclass
@@ -66,7 +73,7 @@ class SearchRecord:
     def to_dict(self):
         return {
             "label": self.curve.label,
-            "curve": [int(self.curve.f[i]) for i in range(4, -1, -1)],
+            "curve": list(reversed(self.curve.coeffs)),
             "source": list(self.source),
             "disc": self.curve.disc,
             "disc_factors": [[p, e] for p, e in self.curve.disc_factors],
@@ -146,7 +153,7 @@ def class_key(curve):
     discriminants differ by x -> +-x + b (u^36 = 1 forces u = +-1), and
     f(+-x + b) has the same depressed form as f up to the sign of Q.
     """
-    a3, a2, a1, a0 = (c.numerator for c in curve.f.coeffs[3::-1])
+    a3, a2, a1, a0 = curve.coeffs[3::-1]
     a3_2 = a3 * a3
     return (
         16 * a2 - 6 * a3_2,
@@ -246,7 +253,7 @@ def enumerate_search(cfg: SearchConfig, retained=None):
     with _task_runner(cfg.workers) as submit:
 
         def scan(a3):
-            return a3, submit(normalized_slice, ((a3, cfg.height, tuple(cfg.primes)),))
+            return a3, submit(normalized_slice, ((a3, cfg.height, cfg.primes),))
 
         scans = deque(scan(a3) for a3 in islice(a3s, cfg.workers))
         analyzing = deque()

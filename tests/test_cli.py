@@ -68,6 +68,16 @@ def test_search_cli_and_verify_examples(tmp_path, capsys):
     assert "FAIL" not in text and "PASS" in text
 
 
+def test_search_rejects_bad_config(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    # a composite in S, no worker, a resume token outside [-3, 3]
+    for extra in (["--set", "4"], ["--workers", "0"], ["--resume", "99"]):
+        args = ["search", "--set", "3", "--height", "3", "--out", str(out)] + extra
+        assert main(args) == 2, extra
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_analyze_rejects_degenerate_inputs(capsys):
     # leading coefficient zero: not a quartic
     assert main(["analyze", "--curve", "[0,1,2,3,4]"]) == 2

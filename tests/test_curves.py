@@ -59,12 +59,45 @@ def test_normalize_descales_full_36():
     assert c2.f == X4_MINUS_1.shift(5)
     assert valuation(c2.disc, 3) == 0
     assert w2.apply(g) == c2.f
+    # two primes, several descales at one: ord_2(Delta) = 80, ord_5(Delta) = 36
+    h = poly_from_ints([1, 0, 0, 0, -(20**12)])
+    c3, w3 = normalize(h)
+    assert c3.f == X4_MINUS_1
+    assert w3.apply(h) == c3.f
 
 
 def test_normalize_rejects_inseparable():
     f = poly_from_ints([1, -1]) * poly_from_ints([1, -1]) * poly_from_ints([1, 0, 1])
     with pytest.raises(InseparableCurveError):
         normalize(f)
+    # rational input reaches the same check after denominators are cleared
+    half = Poly([Fraction(-1, 2), 1])
+    with pytest.raises(InseparableCurveError):
+        normalize(half * half * poly_from_ints([1, 0, 1]))
+
+
+def test_normalize_minimal_integral_input_factors_once(monkeypatch):
+    import picard.curves
+    import picard.exact
+
+    calls = {"factor": 0, "disc": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name, key in [
+        (picard.curves, "factor_integer", "factor"),
+        (picard.curves, "discriminant", "disc"),
+        (picard.exact, "discriminant", "disc"),
+    ]:
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    c, w = normalize(EXA_TAME)
+    assert c.f == EXA_TAME and w.is_identity()
+    assert calls == {"factor": 1, "disc": 0}
 
 
 def test_normalized_minimality_random():
@@ -79,11 +112,17 @@ def test_normalized_minimality_random():
         n += 1
         c, w = normalize(f)
         assert w.apply(f) == c.f
+        # the one Delta against independent oracles
+        assert c.disc == resultant(c.f, c.f.derivative())
+        prod = 1
+        for p, e in c.disc_factors:
+            prod *= p**e
+        assert c.disc_sign * prod == c.disc
         for p, e in c.disc_factors:
             # the < 36 bound holds whenever any scaling+translation attains
             # it; above 36 the model must be genuinely minimal
             if e >= 36:
-                assert _descale_shift(c.f, p) is None
+                assert _descale_shift(c.coeffs, p) is None
         c2, w2 = normalize(c.f)
         assert c2.f == c.f and w2.is_identity()
 

@@ -74,6 +74,17 @@ def test_config_validation():
         SearchConfig(primes=(3,), height=0)
     with pytest.raises(ValueError):
         SearchConfig(primes=(3,), height=3, workers=0)
+    # S holds primes only: 0 and 1 would loop forever building S-units, 4
+    # keeps the powers of 4, a negative prime keeps nothing
+    for primes in [(1,), (0,), (2, 1), (4,), (-3,), (2.0,)]:
+        with pytest.raises(ValueError):
+            SearchConfig(primes=primes, height=2)
+    assert SearchConfig(primes=(3, 2, 3), height=2).primes == (2, 3)
+    # a resume token names one of the a3 slices in [-height, height]
+    for token in (-4, 4, 99):
+        with pytest.raises(ValueError):
+            SearchConfig(primes=(3,), height=3, resume_from=token)
+    assert SearchConfig(primes=(3,), height=3, resume_from=3).resume_from == 3
 
 
 def test_small_search_contents_and_invariants():
