@@ -168,15 +168,21 @@ def splitting_ramification(f, p):
 
     Returns a Ramification record: e and the split roots when a tame
     extension of index dividing 24 splits f (always the case for p >= 5),
-    and a typed wild outcome otherwise (possible only at p = 2, 3).
-    Raises ValueError on a non-integral coefficient.
+    and a typed wild outcome otherwise (possible only at p = 2, 3).  f is a
+    Poly, checked (ValueError when constant, inseparable or non-integral),
+    or a PicardCurve's int coeffs, separable already: the per-prime callers
+    hold a curve and so skip the Fraction discriminant.
     """
-    if f.degree < 1:
+    if isinstance(f, tuple):
+        coeffs = f
+    elif f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    if f.degree == 4 and discriminant(f) == 0:
+    elif f.degree == 4 and discriminant(f) == 0:
         raise ValueError("polynomial must be separable")
+    else:
+        coeffs = f.int_coeffs()
     try:
-        e, sr = split_over_minimal_tame(f.int_coeffs(), p)
+        e, sr = split_over_minimal_tame(coeffs, p)
     except WildSplittingError:
         return Ramification(p=p, tame=False)
     return Ramification(p=p, tame=True, e=e, split=sr)

@@ -104,8 +104,12 @@ class PicardCurve:
 
 
 def curve_text(f):
-    """Serialize a quartic (Poly or coeffs) to the CLI format [a4,a3,a2,a1,a0]."""
-    return "[" + ",".join(str(int(f[i])) for i in range(4, -1, -1)) + "]"
+    """Serialize an integral quartic (Poly or coeffs) as [a4,a3,a2,a1,a0], else ValueError."""
+    cs = [f[i] for i in range(4, -1, -1)]
+    ints = [int(c) for c in cs]
+    if ints != cs:
+        raise ValueError("curve text needs integer coefficients")
+    return "[" + ",".join(map(str, ints)) + "]"
 
 
 def parse_curve_text(s):
@@ -234,5 +238,5 @@ def exceptional_prime_candidate(curve, p):
         return False
     from .clusters import splitting_ramification
 
-    ram = splitting_ramification(curve.f, p)
+    ram = splitting_ramification(curve.coeffs, p)
     return ram.tame and ram.e == 1

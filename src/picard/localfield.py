@@ -44,12 +44,13 @@ Costs are kept to one pass of each kind of work:
   (coupled Newton), so a lift pays for one inverse in F_{p^k} and none in
   the ring; no ring inverts its elements.
 - Residue polynomials with every coefficient in F_p (nearly all of them)
-  are factored once over F_p, p odd, on int lists: distinct-degree
-  factorization, then Cantor-Zassenhaus per degree.  Linear factors give
-  their roots directly and quadratics at k = 2 by the quadratic formula
-  with a Tonelli-Shanks root in F_p; only other factors of degree D | k
-  are split over F_{p^k}.  p = 2 and polys with a coefficient outside F_p
-  take the tuple route over F_{p^k}.
+  are factored once over F_p on int lists, memoized per (p, k, f):
+  distinct-degree factorization, then Cantor-Zassenhaus per degree (a
+  trace split at p = 2).  Linear factors give their roots directly, and
+  quadratics at k = 2, p odd by the quadratic formula with a Tonelli-Shanks
+  root in F_p; only other factors of degree D | k are split over F_{p^k},
+  at p = 2 by absolute-trace splits.  Polys with a coefficient outside
+  F_p take the tuple route over F_{p^k}.
 """
 
 import os
@@ -235,7 +236,8 @@ def _fp_sqrt(a, p):
 def _fp_equal_degree(g, D, p, rng):
     """Irreducible factors of g, a squarefree product of monic degree-D ones.
 
-    Cantor-Zassenhaus for odd p: gcd(a^((p^D - 1)/2) - 1, g) for random a.
+    Cantor-Zassenhaus: gcd(s, g) for random a, with s = a^((p^D - 1)/2) - 1
+    for odd p and the trace s = a + a^2 + ... + a^(2^(D-1)) for p = 2.
     """
     n = len(g) - 1
     if n == D:
@@ -243,14 +245,21 @@ def _fp_equal_degree(g, D, p, rng):
     half = (p**D - 1) // 2
     while True:
         a = _fp_trim([rng.randrange(p) for _ in range(n)], p)
-        s = _fp_gcd(_fp_sub(_fp_powmod(a, half, g, p), [1], p), g, p)
+        if p == 2:  # the trace, summed by _fp_sub in characteristic 2
+            s = b = a
+            for _ in range(D - 1):
+                b = _fp_mulmod(b, b, g, p)
+                s = _fp_sub(s, b, p)
+        else:
+            s = _fp_sub(_fp_powmod(a, half, g, p), [1], p)
+        s = _fp_gcd(s, g, p)
         if 0 < len(s) - 1 < n:
             other = _fp_divmod(g, s, p)[0]
             return _fp_equal_degree(s, D, p, rng) + _fp_equal_degree(other, D, p, rng)
 
 
 def _fp_factor(f, p, rng):
-    """Monic irreducible factors of the monic f over F_p (p odd), with multiplicities.
+    """Monic irreducible factors of the monic f over F_p, with multiplicities.
 
     Distinct-degree factorization: g = gcd(x^(p^D) - x, rem) for D = 1, 2, ...
     is the product of the degree-D factors of rem, and every power of them
@@ -283,16 +292,15 @@ def _fp_factor(f, p, rng):
     return out
 
 
-_IRR_CACHE = {}
-
-
 def minimal_irreducible(p, k):
     """Lexicographically smallest monic irreducible of degree k over F_p."""
-    if k == 1:
-        return (0, 1)
-    key = (p, k)
-    if key in _IRR_CACHE:
-        return _IRR_CACHE[key]
+    return (0, 1) if k == 1 else _minimal_irreducible(p, k)
+
+
+# Unbounded, but only k > 1 reaches it: a long run meets few such (p, k),
+# and at some primes the search takes seconds.
+@lru_cache(maxsize=None)
+def _minimal_irreducible(p, k):
     # iterate constant-first lexicographic order over lower coefficients
     bound = p**k
     for code in range(bound):
@@ -305,7 +313,6 @@ def minimal_irreducible(p, k):
             continue
         cand = coeffs + [1]
         if _fp_poly_is_irreducible(cand, p):
-            _IRR_CACHE[key] = tuple(cand)
             return tuple(cand)
     raise RuntimeError("no irreducible found")  # unreachable
 
@@ -406,21 +413,28 @@ def geval(F, a, x):
 
 
 def _find_roots_linear_part(F, R, rng):
-    """Roots of R, which is assumed squarefree and split over F."""
+    """Roots of R, which is assumed squarefree and split over F.
+
+    Cantor-Zassenhaus: gcd(t, R) for random delta, with t = (x + delta)^((q-1)/2) - 1
+    for odd p and the trace t = y + y^2 + ... + y^(2^(k-1)) of y = delta x for p = 2.
+    """
     R = R[:]
     if len(R) <= 1:
         return []
     if len(R) == 2:
         return [F.mul(F.neg(R[0]), F.inv(R[1]))]
-    if F.p == 2:
-        return [x for x in F.elements() if F.is_zero(geval(F, R, x))]
     q = F.p**F.k
     # Cantor-Zassenhaus split into halves, deterministic via seeded rng
     while True:
         delta = tuple(rng.randrange(F.p) for _ in range(F.k))
-        base = [delta, F.one]
-        t = gpowmod(F, base, (q - 1) // 2, R)
-        t = gadd(F, t, [F.neg(F.one)])
+        if F.p == 2:
+            t = y = gtrim(F, [F.zero, delta])
+            for _ in range(F.k - 1):
+                y = gdivmod(F, gmul(F, y, y), R)[1]
+                t = gadd(F, t, y)
+        else:
+            t = gpowmod(F, [delta, F.one], (q - 1) // 2, R)
+            t = gadd(F, t, [F.neg(F.one)])
         g = ggcd(F, t, R)
         if 0 < len(g) - 1 < len(R) - 1:
             other, rem = gdivmod(F, R, g)
@@ -439,32 +453,36 @@ def residue_roots(F, poly):
     poly = gtrim(F, list(poly))
     if not poly:
         raise ValueError("zero polynomial")
-    if F.p == 2 or any(any(c[1:]) for c in poly):
+    if any(any(c[1:]) for c in poly):
         return _residue_roots_tuple(F, poly)
-    return _residue_roots_fp(F, [c[0] for c in poly])
+    p = F.p
+    inv = pow(poly[-1][0], -1, p)
+    roots, missing = _residue_roots_fp(p, F.k, tuple(c[0] * inv % p for c in poly))
+    return list(roots), missing
 
 
-def _residue_roots_fp(F, f):
-    """residue_roots for odd p and a poly with coefficients in F_p (int list).
+@lru_cache(maxsize=1024)
+def _residue_roots_fp(p, k, f):
+    """residue_roots in F_{p^k} of the monic f with coefficients in F_p (int tuple).
 
     f is factored once over F_p; an irreducible factor of degree D has its
     D roots in F = F_{p^k} when D | k, each with the factor's multiplicity,
-    and otherwise needs relative degree D / gcd(D, k).
+    and otherwise needs relative degree D / gcd(D, k).  Memoized, as the
+    same residue polynomials recur across roots, tries of e and curves:
+    returns (tuple of roots, missing).
     """
-    p, k = F.p, F.k
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
-    rng = random.Random(repr((p, k, tuple(f))))
+    F = _residue_field(p, k)
+    rng = random.Random(repr((p, k, f)))
     roots, missing = [], 0
     pad = (0,) * (k - 1)
-    for g, m in _fp_factor(f, p, rng):
+    for g, m in _fp_factor(list(f), p, rng):
         D = len(g) - 1
         if k % D:
             d = D // gcd(D, k)
             missing = min(missing, d) if missing else d
         elif D == 1:
             roots.append(((-g[0] % p,) + pad, m))
-        elif k == 2:
+        elif k == 2 and p != 2:
             # x^2 + bx + c with h = t^2 + h1 t + h0: (2t + h1)^2 = h1^2 - 4 h0,
             # so the roots are (-b +- (2t + h1) s) / 2 with s^2 the quotient of
             # the two discriminants, both non-squares in F_p
@@ -478,13 +496,13 @@ def _residue_roots_fp(F, f):
             for r in _find_roots_linear_part(F, [F.from_int(c) for c in g], rng):
                 roots.append((r, m))
     roots.sort()
-    return roots, missing
+    return tuple(roots), missing
 
 
 def _residue_roots_tuple(F, poly):
     """residue_roots over F_{p^k} itself (Cantor-Zassenhaus on GF tuples).
 
-    Taken for p = 2 and for polys with a coefficient outside F_p.
+    Taken for polys with a coefficient outside F_p.
     """
     q = F.p**F.k
     # squarefree part via gcd with derivative is unnecessary: gcd with x^q - x

@@ -102,8 +102,8 @@ def _s_units(primes, bound):
 def scan_slice(args):
     """All S-supported separable quartics in one a3 slice, lex order.
 
-    A discriminant is S-supported iff its absolute value lies in the set of
-    S-units up to a bound on |disc| over the slice, built once per call.
+    A discriminant is S-supported iff it lies in the set of signed S-units
+    up to a bound on |disc| over the slice, built once per call.
     """
     a3, height, primes = args
     rng = range(-height, height + 1)
@@ -136,11 +136,12 @@ def scan_slice(args):
         ((256 * height + abs(c2)) * height + abs(c1)) * height + abs(c0)
         for _, _, c2, c1, c0 in rows
     )
-    units = _s_units(primes, bound)  # 0 is not in it: inseparable quartics drop out
+    # +-u for every S-unit u; 0 is not in it: inseparable quartics drop out
+    units = {s * u for u in _s_units(primes, bound) for s in (1, -1)}
     out = []
     for a2, a1, c2, c1, c0 in rows:
         for a0 in rng:
-            if abs(((256 * a0 + c2) * a0 + c1) * a0 + c0) in units:
+            if ((256 * a0 + c2) * a0 + c1) * a0 + c0 in units:
                 out.append((a3, a2, a1, a0))
     return out
 

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import picard.clusters
 from picard.clusters import (
     ClusterTree,
     cluster_tree,
     inertia_permutation,
     splitting_ramification,
 )
+from picard.curves import normalize
 from picard.exact import Poly, discriminant, poly_from_ints
 
 
@@ -139,3 +141,18 @@ def test_splitting_ramification_rejects_rational_coefficients():
     with pytest.raises(ValueError):
         splitting_ramification(Poly([Fraction(7, 2), 1, 0, 0, 1]), 5)
     assert splitting_ramification(Poly([Fraction(6, 2), 1, 0, 0, 1]), 5).tame
+
+
+def test_splitting_ramification_of_a_curve_skips_the_discriminant(monkeypatch):
+    curves = [normalize(poly_from_ints(c))[0] for c in ([1, 0, 14, 72, -41], [1, 0, 0, 0, -5], [1, 0, 0, 0, -1])]
+    expect = {(c, p): splitting_ramification(c.f, p) for c in curves for p in (2, 3, 5)}
+
+    def no_discriminant(f):
+        raise AssertionError("a curve's coeffs are separable already")
+
+    monkeypatch.setattr(picard.clusters, "discriminant", no_discriminant)
+    for (c, p), want in expect.items():
+        got = splitting_ramification(c.coeffs, p)
+        assert (got.tame, got.e) == (want.tame, want.e), (c, p)
+        if got.tame:
+            assert got.split.roots == want.split.roots

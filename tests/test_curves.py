@@ -209,3 +209,10 @@ def test_curve_text_roundtrip():
     assert parse_curve_text(" [ 1, -3, -24, -1, 0 ] ") == poly_from_ints([1, -3, -24, -1, 0])
     with pytest.raises(ValueError):
         parse_curve_text("[1,2,3]")
+
+
+def test_curve_text_rejects_non_integral():
+    # used to truncate to "[1,0,0,2,0]", the text of another curve
+    with pytest.raises(ValueError):
+        curve_text(Poly([Fraction(1, 2), Fraction(7, 3), 0, 0, 1]))
+    assert curve_text(Poly([Fraction(6, 2), 0, 0, 0, 1])) == "[1,0,0,0,3]"

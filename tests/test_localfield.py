@@ -472,34 +472,96 @@ def _fp_fields():
 
 def test_residue_roots_fp_route_matches_tuple_route():
     rng = random.Random(29)
-    for p, k in _fp_fields():
+    for p, k in itertools.chain(((2, k) for k in range(1, 7)), _fp_fields()):
         F = lf.GF(p, k)
         for _ in range(6):
             poly = _fp_product(F, rng, rng.randint(1, 8))
             assert lf.residue_roots(F, poly) == lf._residue_roots_tuple(F, poly), (p, k, poly)
 
 
+def _brute_force_roots(F, poly):
+    """The oracle: every element of F tried, with its multiplicity."""
+    out = []
+    for x in F.elements():
+        if F.is_zero(lf.geval(F, poly, x)):
+            m, rest = 0, poly
+            while True:
+                quot, rem = lf.gdivmod(F, rest, [F.neg(x), F.one])
+                if rem:
+                    break
+                rest, m = quot, m + 1
+            out.append((x, m))
+    return sorted(out)
+
+
 def test_residue_roots_fp_route_brute_force():
     rng = random.Random(31)
-    for p, k in [(3, 1), (3, 2), (3, 3), (3, 4), (3, 6), (5, 2), (5, 4), (7, 3), (11, 2), (13, 2)]:
+    fields = [(2, k) for k in range(1, 7)]
+    fields += [(3, 1), (3, 2), (3, 3), (3, 4), (3, 6), (5, 2), (5, 4), (7, 3), (11, 2), (13, 2)]
+    for p, k in fields:
         assert p**k <= 729
         F = lf.GF(p, k)
         for _ in range(8):
             poly = _fp_product(F, rng, rng.randint(1, 8))
             roots, missing = lf.residue_roots(F, poly)
-            expect = []
-            for x in F.elements():
-                if F.is_zero(lf.geval(F, poly, x)):
-                    m, rest = 0, poly
-                    while True:
-                        quot, rem = lf.gdivmod(F, rest, [F.neg(x), F.one])
-                        if rem:
-                            break
-                        rest, m = quot, m + 1
-                    expect.append((x, m))
-            assert roots == sorted(expect), (p, k, poly)
+            assert roots == _brute_force_roots(F, poly), (p, k, poly)
             assert (missing == 0) == (sum(m for _, m in roots) == len(poly) - 1)
             assert missing == lf._residue_roots_tuple(F, poly)[1]
+
+
+def test_residue_roots_tuple_route_p2_brute_force():
+    # coefficients outside F_2: the tuple route, its roots split by the trace
+    rng = random.Random(41)
+    for k in range(2, 7):
+        F = lf.GF(2, k)
+        for _ in range(8):
+            poly = [F.one]
+            for _ in range(rng.randint(1, 5)):
+                a = tuple(rng.randrange(2) for _ in range(k))
+                poly = lf.gmul(F, poly, [a, F.one])
+            if rng.random() < 0.5:
+                poly = lf.gmul(F, poly, [tuple(rng.randrange(2) for _ in range(k)), F.one, F.one])
+            if not any(any(c[1:]) for c in poly):
+                continue
+            assert lf.residue_roots(F, poly) == lf._residue_roots_tuple(F, poly)
+            assert lf.residue_roots(F, poly)[0] == _brute_force_roots(F, poly), (k, poly)
+
+
+def test_residue_roots_returns_a_fresh_list():
+    # the F_p route is memoized; a caller mutating its roots must not reach the memo
+    for p, k, poly in [(2, 4, [1, 1, 0, 0, 1]), (7, 1, [6, 0, 1])]:  # x^4 + x + 1, x^2 - 1
+        F = lf.GF(p, k)
+        poly = [F.from_int(c) for c in poly]
+        roots, missing = lf.residue_roots(F, poly)
+        expect = list(roots)
+        assert len(expect) == len(poly) - 1 and missing == 0
+        roots.pop()
+        roots.append((F.one, 9))
+        assert lf.residue_roots(F, poly) == (expect, missing)
+
+
+def _f2_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= x & y
+    return out
+
+
+def test_fp_equal_degree_p2_splits_fully():
+    rng = random.Random(43)
+    for D in (1, 2, 3, 4):
+        irreducible = [
+            list(c) + [1] for c in itertools.product((0, 1), repeat=D)
+            if lf._fp_poly_is_irreducible(list(c) + [1], 2)
+        ]
+        for _ in range(12):
+            chosen = rng.sample(irreducible, rng.randint(1, len(irreducible)))
+            g = [1]
+            for h in chosen:
+                g = _f2_mul(g, h)
+            factors = lf._fp_equal_degree(g, D, 2, random.Random(rng.random()))
+            assert sorted(factors) == sorted(chosen), (D, chosen)
 
 
 def test_residue_roots_k2_quadratic_formula():
@@ -543,17 +605,22 @@ def test_residue_roots_route_choice(monkeypatch):
         return tuple_route(F, poly)
 
     monkeypatch.setattr(lf, "_residue_roots_tuple", spy)
+    # coefficients in F_2: factored over F_2 like every other F_p
     F2 = lf.GF(2, 3)
     assert lf.residue_roots(F2, [F2.one, F2.one, F2.one])[1] == 2  # x^2 + x + 1
+    assert calls == []
     F5 = lf.GF(5, 2)
     t = (0, 1)
     roots, missing = lf.residue_roots(F5, [F5.neg(t), F5.one])  # x - t
     assert roots == [(t, 1)] and missing == 0
-    assert calls == [(2, 3), (5, 2)]
+    assert calls == [(5, 2)]
     # coefficients in F_5: factored over F_5, the tuple route is not called
     assert lf.residue_roots(F5, [F5.from_int(3), F5.zero, F5.one]) == ([((0, 2), 1), ((0, 3), 1)], 0)
     assert lf.residue_roots(lf.GF(5, 1), [(3,), (0,), (1,)]) == ([], 2)
-    assert calls == [(2, 3), (5, 2)]
+    assert calls == [(5, 2)]
+    # a coefficient outside F_2 still takes the tuple route at p = 2
+    assert lf.residue_roots(F2, [(0, 1, 0), F2.one]) == ([((0, 1, 0), 1)], 0)  # x + t
+    assert calls == [(5, 2), (2, 3)]
 
 
 def _exact_inverse_newton(ring, poly, dpoly, z):
