@@ -30,10 +30,14 @@ Costs are kept to one pass of each kind of work:
   F_{p^k'}.
 - TameRing.zeta(order) is lifted over the e = 1 ring once per (p, k, N,
   order) and cached at module level, so the rings lift_over_ring builds
-  for each try of e, k and N share it.  The Galois action tau: pi ->
-  zeta_e pi reads zeta_e^i from a table of e powers each ring builds once.
-  Those rings also share GF(p, k), the e = 1 ring U and the cyclotomic
-  polynomials mod p, from small bounded caches.
+  for each try of e, k and N share it; its residue root is the least
+  primitive power of a^((q-1)/order), with no polynomial factored.  The
+  Galois action tau: pi -> zeta_e pi reads zeta_e^i from a table of e
+  powers each ring builds once.  Those rings also share GF(p, k) and the
+  e = 1 ring U from small bounded caches.
+- Each prime's tries of e share one residue degree k, the lcm of the
+  degrees of the factors of f mod p, and each simple residue root of f
+  is lifted once, over U = O/p^N, and embedded in every ring of the tries.
 - Elements are flat tuples of e*k canonical ints mod p^N, so add, sub, val
   and is_zero are one pass over a tuple.  mul is one pass over the nonzero
   entries of both operands into an unreduced array, folded once by
@@ -192,15 +196,15 @@ def _fp_poly_is_irreducible(coeffs, p):
     m, x = list(coeffs), [0, 1]
     if _fp_powmod(x, p**k, m, p) != x:
         return False
-    for q in {d for d in range(2, k + 1) if k % d == 0 and _is_small_prime(d)}:
+    for q in _prime_divisors(k):
         diff = _fp_sub(_fp_powmod(x, p ** (k // q), m, p), x, p)
         if _fp_gcd(m, diff, p) != [1]:
             return False
     return True
 
 
-def _is_small_prime(d):
-    return d > 1 and all(d % i for i in range(2, d))
+def _prime_divisors(n):
+    return [d for d in range(2, n + 1) if n % d == 0 and all(d % i for i in range(2, d))]
 
 
 def _fp_sqrt(a, p):
@@ -297,24 +301,23 @@ def minimal_irreducible(p, k):
     return (0, 1) if k == 1 else _minimal_irreducible(p, k)
 
 
-# Unbounded, but only k > 1 reaches it: a long run meets few such (p, k),
-# and at some primes the search takes seconds.
+# Unbounded, but only k > 1 reaches it: a long run meets few such (p, k).
 @lru_cache(maxsize=None)
 def _minimal_irreducible(p, k):
-    # iterate constant-first lexicographic order over lower coefficients
-    bound = p**k
-    for code in range(bound):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        if coeffs[0] == 0:
-            continue
-        cand = coeffs + [1]
-        if _fp_poly_is_irreducible(cand, p):
-            return tuple(cand)
+    # the first p candidates are the binomials x^k + c, which by Serret's theorem
+    # are all reducible unless every prime r | k divides p - 1, and 4 | p - 1 if 4 | k
+    serret = all((p - 1) % r == 0 for r in _prime_divisors(k))
+    start = 0 if serret and (k % 4 or (p - 1) % 4 == 0) else p
+    for low in _fp_tuples(p, k, start):
+        if low[0] and _fp_poly_is_irreducible(low + (1,), p):
+            return low + (1,)
     raise RuntimeError("no irreducible found")  # unreachable
+
+
+def _fp_tuples(p, k, start=0):
+    """The k-tuples over F_p in constant-first lexicographic order, from the start-th on."""
+    for code in range(start, p**k):
+        yield tuple(code // p**i % p for i in range(k))
 
 
 # polynomials over GF: lists of elements, index = degree
@@ -406,8 +409,9 @@ def gpowmod(F, base, n, mod):
 
 
 def geval(F, a, x):
-    acc = F.zero
-    for c in reversed(a):
+    """a(x) by Horner from a[-1]; a's coefficients are canonical elements of F."""
+    acc = a[-1] if a else F.zero
+    for c in a[-2::-1]:
         acc = F.add(F.mul(acc, x), c)
     return acc
 
@@ -737,13 +741,20 @@ class TameRing:
         key = (self.p, self.k, self.N, order)
         if key in _ZETA_CACHE:
             return _ZETA_CACHE[key]
-        if (self.p**self.k - 1) % order:
+        F, q = U.gf, self.p**self.k
+        if (q - 1) % order:
             raise ValueError(f"no zeta_{order} in F_{self.p}^{self.k}")
-        # a root of the cyclotomic polynomial over GF is a simple root of x^order - 1
-        roots, missing = residue_roots(U.gf, _cyclotomic_mod(order, self.p, self.k))
-        assert roots and not missing
+        # g = a^((q-1)/order) is primitive unless g^(order/r) = 1 for a prime
+        # r | order; at k > 1, F_p may hold no fit a, so the candidates start at t
+        for a in _fp_tuples(self.p, self.k, self.p if self.k > 1 else 1):
+            g = F.pow(a, (q - 1) // order)
+            if all(F.pow(g, order // r) != F.one for r in _prime_divisors(order)):
+                break
+        # the least primitive root: the first root residue_roots gives of the
+        # cyclotomic polynomial, and a simple root of x^order - 1
+        root = min(F.pow(g, j) for j in range(1, order) if gcd(j, order) == 1)
         poly = [U.from_int(-1)] + [U.zero] * (order - 1) + [U.one]
-        z = _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(roots[0][0]))
+        z = _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(root))
         _ZETA_CACHE[key] = z
         return z
 
@@ -802,14 +813,7 @@ class GF(TameRing):
         return tuple(x * c % p for x in s1) + (0,) * (k - len(s1))
 
     def elements(self):
-        p, k = self.p, self.k
-        for code in range(p**k):
-            coeffs = []
-            c = code
-            for _ in range(k):
-                coeffs.append(c % p)
-                c //= p
-            yield tuple(coeffs)
+        return _fp_tuples(self.p, self.k)
 
 
 # A ring's only state after construction is its zeta_powers table, which
@@ -829,18 +833,6 @@ def _residue_field(p, k):
 def _unramified_ring(p, k, N):
     """The e = 1 ring O/p^N of Q_{p^k}^nr, shared as U by every ring with this (p, k, N)."""
     return TameRing(TameExtension(p, 1), k, N)
-
-
-@lru_cache(maxsize=64)
-def _cyclotomic_mod(e, p, k):
-    """e-th cyclotomic polynomial over GF(p, k) as a tuple, by dividing x^e - 1 by lower ones."""
-    F = _residue_field(p, k)
-    num = [F.neg(F.one)] + [F.zero] * (e - 1) + [F.one]
-    for d in range(1, e):
-        if e % d == 0:
-            num, rem = gdivmod(F, num, _cyclotomic_mod(d, p, k))
-            assert not rem
-    return tuple(num)
 
 
 # polynomials over a TameRing: list of elements, index = degree
@@ -965,18 +957,33 @@ def _newton_lift(ring, poly, dpoly, z):
     """
     w = ring.lift_residue(ring.gf.inv(ring.residue(geval(ring, dpoly, z))))
     two = ring.from_int(2)
-    for _ in range(_newton_budget(ring)):
+    for step in range(_newton_budget(ring)):
         fz = geval(ring, poly, z)
         if ring.is_zero(fz):
             return z
+        if step:  # w follows z only when z takes another step
+            w = ring.mul(w, ring.sub(two, ring.mul(geval(ring, dpoly, z), w)))
         z = ring.sub(z, ring.mul(fz, w))
-        w = ring.mul(w, ring.sub(two, ring.mul(geval(ring, dpoly, z), w)))
     raise PrecisionStallError("Newton lift did not converge within its step budget")
 
 
-def _integral_roots(ring, poly, depth=0):
+@lru_cache(maxsize=64)
+def _unramified_root(p, k, N, f, rbar):
+    """The root of the int tuple f over O/p^N of Q_{p^k}^nr at its simple residue root rbar.
+
+    Unique mod p^N, so every ring over U embeds it; the tries of e at one
+    prime share it.  The key holds f, so curves share nothing: the memo is small.
+    """
+    U = _unramified_ring(p, k, N)
+    poly = rpoly_from_ints(U, f)
+    return _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(rbar))
+
+
+def _integral_roots(ring, poly, depth=0, f=None):
     """All roots of poly with valuation >= 0, as exact ring elements.
 
+    f is poly's int tuple when poly has integer coefficients (depth 0): its
+    simple residue roots are then lifted over the unramified ring U.
     Raises NeedsLargerK when residue factorization leaves the field,
     NeedsLargerE on fractional Newton slopes, PrecisionStallError when the
     working modulus cannot see the digits it needs.
@@ -993,7 +1000,7 @@ def _integral_roots(ring, poly, depth=0):
     roots_bar, missing = residue_roots(g, pbar)
     if missing:
         raise NeedsLargerK(ring.k * missing)
-    dpoly = rpoly_deriv(ring, poly)
+    dpoly = None if f else rpoly_deriv(ring, poly)
     out = []
     m0 = 0
     for rbar, mult in roots_bar:
@@ -1001,7 +1008,9 @@ def _integral_roots(ring, poly, depth=0):
             m0 = mult
             continue
         r = ring.lift_residue(rbar)
-        if mult == 1:
+        if mult == 1 and f:
+            out.append(ring.from_unram(_unramified_root(ring.p, ring.k, ring.N, f, rbar)))
+        elif mult == 1:
             out.append(_newton_lift(ring, poly, dpoly, r))
         else:
             shifted = rpoly_shift(ring, poly, r)
@@ -1114,7 +1123,7 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
         ring = TameRing(TameExtension(p, e), k, N)
         fpoly = rpoly_from_ints(ring, f_ints)
         try:
-            roots = _integral_roots(ring, fpoly)
+            roots = _integral_roots(ring, fpoly, f=tuple(f_ints))
             cert = _certify(ring, fpoly, rpoly_deriv(ring, fpoly), roots)
             return SplitRoots(ring, roots, cert)
         except NeedsLargerK as ex:
@@ -1180,18 +1189,35 @@ class WildSplittingError(Exception):
     """No tame extension in the candidate list splits f at this prime."""
 
 
+def _residue_split_degree(f_ints, p):
+    """The least k with f mod p split over F_{p^k} (f's leading coefficient a unit).
+
+    It is the lcm of the degrees of the irreducible factors of f mod p, the
+    k every try of e would otherwise climb to through NeedsLargerK at depth 0.
+    """
+    inv = pow(f_ints[-1], -1, p)
+    fbar = tuple(c * inv % p for c in f_ints)
+    k = 1
+    while missing := _residue_roots_fp(p, k, fbar)[1]:
+        k *= missing
+        if k > HARD_K_CAP:
+            raise RuntimeError(f"residue degree {k} out of range for quartics")
+    return k
+
+
 def split_over_minimal_tame(f_ints, p):
     """Find the minimal tame e with f split over Q_p^nr(p^(1/e)).
 
     Returns (e, SplitRoots); raises WildSplittingError if no tame candidate
     works (possible only for p = 2, 3, where the splitting field can be
-    wildly ramified).
+    wildly ramified).  The residue degree is fixed once for all tries of e.
     """
+    k = _residue_split_degree(f_ints, p) if f_ints[-1] % p else 1
     for e in TAME_E_CANDIDATES:
         if gcd(e, p) != 1:
             continue
         try:
-            return e, lift_over_ring(f_ints, p, e)
+            return e, lift_over_ring(f_ints, p, e, k)
         except NeedsLargerE:
             continue
     raise WildSplittingError(f"no tame extension of index | 24 splits f at {p}")

@@ -1,7 +1,10 @@
 import itertools
+import json
 import random
+import time
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
+from pathlib import Path
 
 import pytest
 
@@ -385,7 +388,7 @@ def test_zeta_is_computed_once_per_ring(monkeypatch):
     def no_lift(*args):
         raise AssertionError("zeta lifted again")
 
-    monkeypatch.setattr(lf, "_cyclotomic_mod", no_lift)
+    monkeypatch.setattr(lf, "_newton_lift", no_lift)
     assert _unram(7, 2, 12).zeta(8) is U.zeta(8)
     assert lf.TameRing(lf.TameExtension(7, 4, -1), 2, 13).zeta(8) is z13
 
@@ -682,7 +685,7 @@ def test_coupled_newton_matches_exact_inverse_oracle():
                 U = _unram(p, k, N)
                 for e in rng.sample([e for e in (2, 3, 4, 6, 8, 12, 24) if (p**k - 1) % e == 0], 2):
                     poly = [U.neg(U.one)] + [U.zero] * (e - 1) + [U.one]
-                    rbar = lf.residue_roots(U.gf, lf._cyclotomic_mod(e, p, k))[0][0][0]
+                    rbar = lf.residue_roots(U.gf, _cyclotomic_mod(e, p, k))[0][0][0]
                     want = _exact_inverse_newton(U, poly, lf.rpoly_deriv(U, poly), U.lift_residue(rbar))
                     assert U.pow(want, e) == U.one
                     assert U.zeta(e) == want, (p, k, N, e)
@@ -871,3 +874,171 @@ def test_tame_ring_matches_nested_oracle():
         # is_zero is `not any(a)`: it needs every result in canonical form
         for r in results:
             assert len(r) == e * k and all(0 <= x < ring.mod for x in r)
+
+
+# --- root lifting once per prime ------------------------------------------
+
+
+def _cyclotomic_mod(e, p, k):
+    """The e-th cyclotomic polynomial over GF(p, k): x^e - 1 over those of the proper divisors of e."""
+    F = lf.GF(p, k)
+    num = [F.neg(F.one)] + [F.zero] * (e - 1) + [F.one]
+    for d in range(1, e):
+        if e % d == 0:
+            num, rem = lf.gdivmod(F, num, _cyclotomic_mod(d, p, k))
+            assert not rem
+    return num
+
+
+def _zeta_keys():
+    """(p, k, N, order) of every zeta the analyze pool asks for, and p = 5 mod 6 at k = 2."""
+    with open(Path(__file__).with_name("zeta_keys_analyze_pool.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    for group, primes in data["primes"].items():
+        k, order = map(int, group.split(","))
+        for p in primes:
+            yield p, k, data["N"], order
+    for p in (5, 11, 17, 23, 29, 41, 47, 53, 59, 71, 83, 89, 101, 1013, 999983):
+        for N in (1, 5):
+            for order in (2, 3, 4, 6, 8, 12, 24):
+                yield p, 2, N, order
+    yield 454501, 2, 20, 6  # 6 | p - 1, yet every a in F_p has a^((p^2-1)/6) of order 1 or 3
+
+
+def test_zeta_matches_cyclotomic_route():
+    # the residue root from a generator's power is the first root that
+    # residue_roots gives of the cyclotomic polynomial, and lifts to the same zeta
+    checked = 0
+    for p, k, N, order in _zeta_keys():
+        U = _unram(p, k, N)
+        rbar = lf.residue_roots(U.gf, _cyclotomic_mod(order, p, k))[0][0][0]
+        poly = [U.neg(U.one)] + [U.zero] * (order - 1) + [U.one]
+        want = lf._newton_lift(U, poly, lf.rpoly_deriv(U, poly), U.lift_residue(rbar))
+        assert U.zeta(order) == want, (p, k, N, order)
+        checked += 1
+    assert checked >= 1000
+
+
+def _minimal_irreducible_from_code_0(p, k):
+    """The lexicographic search over every candidate, the binomials x^k + c included."""
+    for code in range(p**k):
+        low = [code // p**i % p for i in range(k)]
+        if low[0] and lf._fp_poly_is_irreducible(low + [1], p):
+            return tuple(low) + (1,)
+
+
+def test_minimal_irreducible_matches_search_from_code_0():
+    primes = [p for p in range(2, 160) if all(p % d for d in range(2, p))]
+    cases = [(p, k) for p in primes for k in (2, 3, 4, 6)]
+    assert len(cases) == 148
+    for p, k in cases:
+        assert lf._minimal_irreducible.__wrapped__(p, k) == _minimal_irreducible_from_code_0(p, k), (p, k)
+
+
+def test_minimal_irreducible_skips_reducible_binomials_fast():
+    # p = 2 mod 3 makes every element a cube and p = 3 mod 4 leaves -1 a
+    # non-square: no x^3 + c, resp. x^4 + c, is irreducible, and p of them
+    # took 20 s and more to rule out one at a time
+    for p, k, want in ((100019, 3, (9, 1, 0, 1)), (100003, 4, (7, 1, 0, 0, 1))):
+        t0 = time.perf_counter()
+        assert lf._minimal_irreducible.__wrapped__(p, k) == want
+        assert time.perf_counter() - t0 < 1.0
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _seeded_quartic(rng, p):
+    """A separable integer quartic, low degree first, with a unit leading coefficient.
+
+    Random, or a product with p-adically clustered roots and a quadratic or
+    cubic factor that is often irreducible mod p, the constant term moved by
+    a power of p.
+    """
+    from picard.exact import discriminant
+
+    while True:
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = [rng.randint(-p**4, p**4) for _ in range(4)] + [rng.choice((1, -1, p + 1))]
+        else:
+            a, b = rng.randrange(p), rng.randrange(p)
+            factors = [[-a, 1], [-a - p ** rng.randint(1, 3), 1]]
+            if kind == 1:
+                factors += [[-b, 1], [-b - rng.choice((1, -1)) * p ** rng.randint(1, 3), 1]]
+            elif kind == 2:
+                factors += [[rng.randint(-p, p), rng.randint(-p, p), 1]]
+            else:
+                factors = [[-a, 1], [rng.randint(-p, p), rng.randint(-p, p), rng.randint(-p, p), 1]]
+            f = [1]
+            for g in factors:
+                f = _poly_mul(f, g)
+            f[0] += rng.choice((0, 1, -1)) * p ** rng.randint(1, 5)
+        if f[-1] % p and discriminant(poly_from_ints(f[::-1])) != 0:
+            return f
+
+
+def _lift_outcome(f, p, e, k=1):
+    try:
+        sr = lf.lift_over_ring(f, p, e, k)
+    except lf.NeedsLargerE as ex:
+        return "NeedsLargerE", ex.factor
+    except RuntimeError as ex:  # PrecisionStallError included
+        return (type(ex).__name__,)
+    ring = sr.ring
+    return ring.e, ring.k, ring.N, ring.c, sr.roots, sr.cert
+
+
+def test_lift_from_the_residue_split_degree_matches_lift_from_k_1():
+    # split_over_minimal_tame starts every try of e at the k where f mod p
+    # splits; lift_over_ring reaches the same ring, roots and certificate,
+    # or the same exception, from k = 1 through NeedsLargerK at depth 0
+    rng = random.Random(1313)
+    climbed = 0
+    for p in (2, 3, 5, 7, 11, 13, 1009):
+        for _ in range(6):
+            f = _seeded_quartic(rng, p)
+            k_top = lf._residue_split_degree(f, p)
+            for e in lf.TAME_E_CANDIDATES:
+                if e % p:
+                    got = _lift_outcome(f, p, e, k_top)
+                    assert got == _lift_outcome(f, p, e), (f, p, e)
+                    climbed += k_top > 1
+    assert climbed >= 20
+    # x^4 - 2 is irreducible mod 5, (x^2 + x + 1)(x^2 - 2) a product of two
+    # irreducible quadratics, and (x - 1)(x^3 - 3) has an irreducible cubic mod 7
+    assert lf._residue_split_degree([-2, 0, 0, 0, 1], 5) == 4
+    assert lf._residue_split_degree(_poly_mul([1, 1, 1], [-2, 0, 1]), 5) == 2
+    assert lf._residue_split_degree(_poly_mul([-1, 1], [-3, 0, 0, 1]), 7) == 3
+    assert lf._residue_split_degree([-1, 0, 0, 0, 1], 3) == 2
+
+
+def test_depth_0_roots_lifted_once_over_the_unramified_ring():
+    # a simple residue root of f lifts over U and embeds as the root that
+    # _newton_lift finds in the ramified ring itself
+    rng = random.Random(1414)
+    lifts = 0
+    for p in (5, 7, 11, 13, 1009):
+        for _ in range(4):
+            f = _seeded_quartic(rng, p)
+            k_top = lf._residue_split_degree(f, p)
+            for e in (1, 2, 3, 4, 6):
+                for c in (1, -1):
+                    ring = lf.TameRing(lf.TameExtension(p, e, c), lcm(k_top, lf.multiplicative_order(p, e)), 5)
+                    poly = lf.rpoly_from_ints(ring, f)
+                    dpoly = lf.rpoly_deriv(ring, poly)
+                    for rbar, mult in lf.residue_roots(ring.gf, lf._residue_poly(ring, poly))[0]:
+                        if mult == 1 and not ring.gf.is_zero(rbar):
+                            u = lf._unramified_root(p, ring.k, ring.N, tuple(f), rbar)
+                            want = lf._newton_lift(ring, poly, dpoly, ring.lift_residue(rbar))
+                            assert ring.from_unram(u) == want, (f, p, e, c)
+                            lifts += 1
+    assert lifts >= 200
+    # the memo holds the lifts of one prime's tries, not of a whole run
+    info = lf._unramified_root.cache_info()
+    assert info.maxsize == 64 and info.currsize == 64
