@@ -163,7 +163,7 @@ def inertia_permutation(sr: SplitRoots, j=1):
     return tuple(perm)
 
 
-def splitting_ramification(f, p):
+def splitting_ramification(f, p, disc_val=None):
     """Minimal tame ramification of the splitting field of f over Q_p^nr.
 
     Returns a Ramification record: e and the split roots when a tame
@@ -171,7 +171,9 @@ def splitting_ramification(f, p):
     and a typed wild outcome otherwise (possible only at p = 2, 3).  f is a
     Poly, checked (ValueError when constant, inseparable or non-integral),
     or a PicardCurve's int coeffs, separable already: the per-prime callers
-    hold a curve and so skip the Fraction discriminant.
+    hold a curve and so skip the Fraction discriminant.  They also pass
+    disc_val = ord_p(Delta), from which the root lifts start (see
+    split_over_minimal_tame).
     """
     if isinstance(f, tuple):
         coeffs = f
@@ -182,7 +184,7 @@ def splitting_ramification(f, p):
     else:
         coeffs = f.int_coeffs()
     try:
-        e, sr = split_over_minimal_tame(coeffs, p)
+        e, sr = split_over_minimal_tame(coeffs, p, disc_val)
     except WildSplittingError:
         return Ramification(p=p, tame=False)
     return Ramification(p=p, tame=True, e=e, split=sr)

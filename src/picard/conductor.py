@@ -81,7 +81,7 @@ def conductor_tame(curve: PicardCurve, p: int) -> ConductorReport:
             epsilon=0, delta=0, exceptional=False,
             detail={"good_reduction": True},
         )
-    ram = splitting_ramification(curve.coeffs, p)
+    ram = splitting_ramification(curve.coeffs, p, curve.ord_disc(p))
     if not ram.tame:
         raise RuntimeError(f"splitting field wildly ramified at {p} >= 5")
     analysis = analyze_tame(ram)
@@ -125,7 +125,9 @@ def analyze_p2(curve: PicardCurve) -> ConductorReport:
             p=2, status="computed", f_lo=0, f_hi=0, reduction_type="a",
             epsilon=0, delta=0, detail={"good_reduction": True},
         )
-    ram = splitting_ramification(curve.coeffs, 2) if sqrt_disc_unramified_at_2(curve) else None
+    ram = None
+    if sqrt_disc_unramified_at_2(curve):
+        ram = splitting_ramification(curve.coeffs, 2, curve.ord_disc(2))
     if ram is not None and ram.tame:
         analysis = analyze_tame(ram)
         eps = analysis.epsilon

@@ -8,6 +8,15 @@ c in {1, -1}.  All arithmetic is exact modulo p^N; root certification uses
 Newton/Krasner ball bounds against the original integer polynomial, so
 intermediate digit erosion can never produce a falsely certified root.
 
+Nor can it produce a false NeedsLargerE.  Root lifting carries the absolute
+precision it knows (cap minus the pi-digits divided out) down its
+recursion, and a fractional Newton slope is trusted only when every
+invisible coefficient lies on or above its segment; otherwise the lift
+stalls and lift_over_ring doubles N.  So the outcome of a lift, a split
+over the same e or NeedsLargerE, does not depend on the N it starts from,
+and split_over_minimal_tame starts each prime at N = min(20, ord_p(disc f) + 1)
+when its caller holds the discriminant, as the curve pipeline does.
+
 One class, TameRing, holds the element format and its kernels.  At e = 1
 it is the unramified ring O/p^N of Q_{p^k}^nr, and GF(p, k), the residue
 field F_{p^k}, is that ring at N = 1: only its inverse (Euclid) and element
@@ -29,9 +38,10 @@ Costs are kept to one pass of each kind of work:
   along t -> theta, theta the Hensel lift of the first root of h_k in
   F_{p^k'}.
 - TameRing.zeta(order) is lifted over the e = 1 ring once per (p, k, N,
-  order) and cached at module level, so the rings lift_over_ring builds
-  for each try of e, k and N share it; its residue root is the least
-  primitive power of a^((q-1)/order), with no polynomial factored.  The
+  order) and kept in a small bounded cache, so the rings lift_over_ring
+  builds for each try of e, k and N share it; its residue root is the least
+  primitive power of a^((q-1)/order), with no polynomial factored, and its
+  Newton steps evaluate x^order - 1 by ring.pow.  The
   Galois action tau: pi -> zeta_e pi reads zeta_e^i from a table of e
   powers each ring builds once.  Those rings also share GF(p, k) and the
   e = 1 ring U from small bounded caches.
@@ -48,7 +58,8 @@ Costs are kept to one pass of each kind of work:
   (coupled Newton), so a lift pays for one inverse in F_{p^k} and none in
   the ring; no ring inverts its elements.
 - Residue polynomials with every coefficient in F_p (nearly all of them)
-  are factored once over F_p on int lists, memoized per (p, k, f):
+  are factored once over F_p on int lists, memoized per (p, f), and their
+  roots in F_{p^k} per (p, k, f):
   distinct-degree factorization, then Cantor-Zassenhaus per degree (a
   trace split at p = 2).  Linear factors give their roots directly, and
   quadratics at k = 2, p odd by the quadratic formula with a Tonelli-Shanks
@@ -262,14 +273,19 @@ def _fp_equal_degree(g, D, p, rng):
             return _fp_equal_degree(s, D, p, rng) + _fp_equal_degree(other, D, p, rng)
 
 
-def _fp_factor(f, p, rng):
-    """Monic irreducible factors of the monic f over F_p, with multiplicities.
+@lru_cache(maxsize=1024)
+def _fp_factor(p, f):
+    """Monic irreducible factors of the monic int tuple f over F_p, with multiplicities.
 
     Distinct-degree factorization: g = gcd(x^(p^D) - x, rem) for D = 1, 2, ...
     is the product of the degree-D factors of rem, and every power of them
     leaves rem before D grows.  Once deg rem < 2(D + 1), rem is 1 or irreducible.
+    Memoized per (p, f): _residue_roots_fp asks for the same f at every k.
+    Returns a tuple of (factor as an int tuple, multiplicity).
     """
+    rng = random.Random(repr((p, f)))
     x = [0, 1]
+    f = list(f)
     rem, xpd, D = f, x, 0
     irreducible = []
     while len(rem) - 1 >= 2 * (D + 1):
@@ -292,8 +308,8 @@ def _fp_factor(f, p, rng):
             if r:
                 break
             q, m = quot, m + 1
-        out.append((g, m))
-    return out
+        out.append((tuple(g), m))
+    return tuple(out)
 
 
 def minimal_irreducible(p, k):
@@ -479,7 +495,7 @@ def _residue_roots_fp(p, k, f):
     rng = random.Random(repr((p, k, f)))
     roots, missing = [], 0
     pad = (0,) * (k - 1)
-    for g, m in _fp_factor(list(f), p, rng):
+    for g, m in _fp_factor(p, f):
         D = len(g) - 1
         if k % D:
             d = D // gcd(D, k)
@@ -735,28 +751,7 @@ class TameRing:
 
         Computed once per (p, k, N, order) and shared by every ring with that key.
         """
-        U = self.U
-        if order == 1:
-            return U.one
-        key = (self.p, self.k, self.N, order)
-        if key in _ZETA_CACHE:
-            return _ZETA_CACHE[key]
-        F, q = U.gf, self.p**self.k
-        if (q - 1) % order:
-            raise ValueError(f"no zeta_{order} in F_{self.p}^{self.k}")
-        # g = a^((q-1)/order) is primitive unless g^(order/r) = 1 for a prime
-        # r | order; at k > 1, F_p may hold no fit a, so the candidates start at t
-        for a in _fp_tuples(self.p, self.k, self.p if self.k > 1 else 1):
-            g = F.pow(a, (q - 1) // order)
-            if all(F.pow(g, order // r) != F.one for r in _prime_divisors(order)):
-                break
-        # the least primitive root: the first root residue_roots gives of the
-        # cyclotomic polynomial, and a simple root of x^order - 1
-        root = min(F.pow(g, j) for j in range(1, order) if gcd(j, order) == 1)
-        poly = [U.from_int(-1)] + [U.zero] * (order - 1) + [U.one]
-        z = _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(root))
-        _ZETA_CACHE[key] = z
-        return z
+        return self.U.one if order == 1 else _zeta(self.p, self.k, self.N, order)
 
     @cached_property
     def zeta_powers(self):
@@ -777,7 +772,30 @@ class TameRing:
         return out
 
 
-_ZETA_CACHE = {}
+@lru_cache(maxsize=64)
+def _zeta(p, k, N, order):
+    """TameRing.zeta in U = O/p^N of Q_{p^k}^nr, for order > 1."""
+    U = _unramified_ring(p, k, N)
+    F, q = U.gf, p**k
+    if (q - 1) % order:
+        raise ValueError(f"no zeta_{order} in F_{p}^{k}")
+    # g = a^((q-1)/order) is primitive unless g^(order/r) = 1 for a prime
+    # r | order; at k > 1, F_p may hold no fit a, so the candidates start at t
+    for a in _fp_tuples(p, k, p if k > 1 else 1):
+        g = F.pow(a, (q - 1) // order)
+        if all(F.pow(g, order // r) != F.one for r in _prime_divisors(order)):
+            break
+    # the least primitive root: the first root residue_roots gives of the
+    # cyclotomic polynomial, and a simple root of x^order - 1, which Newton
+    # evaluates by U.pow rather than by Horner over order - 1 zero coefficients
+    root = min(F.pow(g, j) for j in range(1, order) if gcd(j, order) == 1)
+    n = U.from_int(order)
+    return _newton_lift(
+        U,
+        lambda z: U.sub(U.pow(z, order), U.one),
+        lambda z: U.mul(n, U.pow(z, order - 1)),
+        U.lift_residue(root),
+    )
 
 
 class GF(TameRing):
@@ -953,16 +971,19 @@ def _newton_lift(ring, poly, dpoly, z):
     inverts in the ring.  The errors of z and w start at one digit (pi or
     p) and square at each step.  Raises PrecisionStallError when f(z) still
     does not vanish at working precision after _newton_budget steps
-    (lift_over_ring then doubles N).
+    (lift_over_ring then doubles N).  poly and dpoly are coefficient lists,
+    or functions of z (TameRing.zeta passes x^order - 1 as one).
     """
-    w = ring.lift_residue(ring.gf.inv(ring.residue(geval(ring, dpoly, z))))
+    f = poly if callable(poly) else lambda x: geval(ring, poly, x)
+    df = dpoly if callable(dpoly) else lambda x: geval(ring, dpoly, x)
+    w = ring.lift_residue(ring.gf.inv(ring.residue(df(z))))
     two = ring.from_int(2)
     for step in range(_newton_budget(ring)):
-        fz = geval(ring, poly, z)
+        fz = f(z)
         if ring.is_zero(fz):
             return z
         if step:  # w follows z only when z takes another step
-            w = ring.mul(w, ring.sub(two, ring.mul(geval(ring, dpoly, z), w)))
+            w = ring.mul(w, ring.sub(two, ring.mul(df(z), w)))
         z = ring.sub(z, ring.mul(fz, w))
     raise PrecisionStallError("Newton lift did not converge within its step budget")
 
@@ -979,22 +1000,25 @@ def _unramified_root(p, k, N, f, rbar):
     return _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(rbar))
 
 
-def _integral_roots(ring, poly, depth=0, f=None):
+def _integral_roots(ring, poly, prec, depth=0, f=None):
     """All roots of poly with valuation >= 0, as exact ring elements.
 
-    f is poly's int tuple when poly has integer coefficients (depth 0): its
+    Every coefficient of poly is known mod pi^prec: digits at or above prec
+    are invisible, as dividing by pi pulls unknown digits into view.  f is
+    poly's int tuple when poly has integer coefficients (depth 0): its
     simple residue roots are then lifted over the unramified ring U.
     Raises NeedsLargerK when residue factorization leaves the field,
-    NeedsLargerE on fractional Newton slopes, PrecisionStallError when the
-    working modulus cannot see the digits it needs.
+    NeedsLargerE on a certified fractional Newton slope, and
+    PrecisionStallError when prec cannot see the digits it needs.
     """
     if depth > ring.cap + 4:
         raise PrecisionStallError("root recursion exceeded precision depth")
     c = _content_val(ring, poly)
-    if c >= ring.cap:
+    if c >= prec:
         raise PrecisionStallError("polynomial vanishes at working precision")
     if c:
         poly = [ring.div_pi(a, c) for a in poly]
+        prec -= c
     g = ring.gf
     pbar = _residue_poly(ring, poly)
     roots_bar, missing = residue_roots(g, pbar)
@@ -1014,46 +1038,72 @@ def _integral_roots(ring, poly, depth=0, f=None):
             out.append(_newton_lift(ring, poly, dpoly, r))
         else:
             shifted = rpoly_shift(ring, poly, r)
-            for s in _cluster_roots(ring, shifted, mult, depth + 1):
+            exact = f and _vanishes_at(f, rbar, ring.h)
+            for s in _cluster_roots(ring, shifted, mult, prec, depth + 1, exact):
                 out.append(ring.add(r, s))
     if m0:
-        out.extend(_cluster_roots(ring, poly, m0, depth + 1))
+        out.extend(_cluster_roots(ring, poly, m0, prec, depth + 1, f and not f[0]))
     return out
 
 
-def _cluster_roots(ring, poly, expected, depth):
-    """The `expected` roots of poly with strictly positive valuation."""
+def _vanishes_at(f, r, h):
+    """f(r) == 0 in Z[t]/(h) for the int tuple f, r's int coordinates and the monic h."""
+    k = len(h) - 1
+    acc = [0] * k
+    for c in reversed(f):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(acc):
+            for j, y in enumerate(r):
+                prod[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):  # t^i = -t^(i-k) * (h - t^k)
+            for j in range(k):
+                prod[i - k + j] -= prod[i] * h[j]
+        acc = prod[:k]
+        acc[0] += c
+    return not any(acc)
+
+
+def _cluster_roots(ring, poly, expected, prec, depth, exact_zero=False):
+    """The `expected` roots of poly with strictly positive valuation.
+
+    poly's coefficients are known mod pi^prec and its coefficient of degree
+    `expected` is a unit, so the last descending segment of its Newton
+    polygon ends at (expected, 0): its slope is minus the smallest root
+    valuation lam = min v_i / (expected - i) over i < expected.  A
+    fractional lam raises NeedsLargerE only when every invisible point
+    (i, >= prec) lies on or above that segment, so that no hidden digit
+    can lower it; otherwise the precision is too low to tell.
+
+    exact_zero says poly(0) = 0 exactly (the root is an exact root of f at
+    depth 0): 0 is then the first root at every precision.  A constant term
+    that is merely invisible stands for the deepest root, which comes last,
+    where a higher precision would find it.
+    """
     if depth > ring.cap + 4:
         raise PrecisionStallError("root recursion exceeded precision depth")
     out = []
-    poly = list(poly)
-    while expected > 0 and ring.val(poly[0]) >= ring.cap:
-        # constant term invisible at this precision: either an exact zero
-        # root or an unresolvably deep one; certification arbitrates later
-        out.append(ring.zero)
-        expected -= 1
-        poly = poly[1:]
-        if len(poly) <= 1:
-            return out
-    if expected == 0:
-        return out
-    pts = [(i, ring.val(poly[i])) for i in range(len(poly)) if ring.val(poly[i]) < ring.cap]
-    if not pts or pts[0][0] != 0:
-        raise PrecisionStallError("cluster slope invisible at working precision")
-    hull = lower_convex_hull(pts)
-    neg = [((Fraction(y2 - y1, x2 - x1)), (x1, y1), (x2, y2))
-           for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-           if y2 < y1]
-    if not neg:
-        raise PrecisionStallError("no descending Newton slope for cluster")
-    lam = -neg[-1][0]  # smallest positive root valuation, in pi units
+    if exact_zero:
+        out, poly, expected = [ring.zero], poly[1:], expected - 1
+    vals = [ring.val(a) for a in poly[:expected]]
+    # invisible constant terms: unresolvably deep roots; certification arbitrates later
+    s = 0
+    while s < expected and vals[s] >= prec:
+        s += 1
+    if s == expected:
+        return out + [ring.zero] * s
+    lam = min(Fraction(v, expected - i) for i, v in enumerate(vals) if v < prec)  # pi units
     if lam.denominator != 1:
+        hidden = max((expected - i for i, v in enumerate(vals) if v >= prec), default=0)
+        if prec < lam * hidden:
+            raise PrecisionStallError("fractional Newton slope not certified")
         raise NeedsLargerE(lam.denominator)
+    # scaling by pi^(lam*i) divides out pi^(lam*expected) in all: charge the
+    # stripped zeros' share here, as _integral_roots sees only the rest
     lam = int(lam)
-    scaled = [ring.mul(a, ring.pi_power(lam * i)) for i, a in enumerate(poly)]
-    for r in _integral_roots(ring, scaled, depth + 1):
+    scaled = [ring.mul(a, ring.pi_power(lam * i)) for i, a in enumerate(poly[s:])]
+    for r in _integral_roots(ring, scaled, prec - lam * s, depth + 1):
         out.append(ring.mul(ring.pi_power(lam), r))
-    return out
+    return out + [ring.zero] * s
 
 
 def _certify(ring, fpoly, dfpoly, roots):
@@ -1061,7 +1111,10 @@ def _certify(ring, fpoly, dfpoly, roots):
 
     Returns per-root (fval, ball) in pi digits, where the true root lies
     within pi^ball of the candidate; raises on uncertifiable candidates or
-    when pairwise distances are not resolved inside the balls.
+    when a pairwise distance reaches the least ball.  Below it, the Galois
+    images that inertia_permutation matches (against that same least ball)
+    and the chart coordinates read off root differences are exact at any
+    starting N, not only at a generous one.
     """
     data = []
     for z in roots:
@@ -1070,10 +1123,10 @@ def _certify(ring, fpoly, dfpoly, roots):
         if b >= ring.cap or a - 2 * b < 1:
             raise PrecisionStallError("root fails Newton certification")
         data.append((a, a - b))
+    ball = min(b for _, b in data)
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
-            d = ring.val(ring.sub(roots[i], roots[j]))
-            if d >= min(data[i][1], data[j][1]):
+            if ring.val(ring.sub(roots[i], roots[j])) >= ball:
                 raise PrecisionStallError("roots not separated within balls")
     return data
 
@@ -1110,9 +1163,11 @@ class SplitRoots:
 def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
     """Lift all roots of an integer polynomial over L = Q_p^nr(pi), pi^e = p.
 
-    Grows the residue field and the working precision as needed; propagates
-    NeedsLargerE (insufficient ramification) to the caller.  Requires the
-    leading coefficient to be a p-adic unit so all roots are integral.
+    Starts at N = n_digits p-digits and grows the residue field and the
+    working precision as needed; propagates NeedsLargerE (insufficient
+    ramification, certified at the precision reached) to the caller.
+    Requires the leading coefficient to be a p-adic unit so all roots are
+    integral.
     """
     if f_ints[-1] % p == 0:
         raise ValueError("leading coefficient must be a p-adic unit")
@@ -1123,7 +1178,7 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
         ring = TameRing(TameExtension(p, e), k, N)
         fpoly = rpoly_from_ints(ring, f_ints)
         try:
-            roots = _integral_roots(ring, fpoly, f=tuple(f_ints))
+            roots = _integral_roots(ring, fpoly, ring.cap, f=tuple(f_ints))
             cert = _certify(ring, fpoly, rpoly_deriv(ring, fpoly), roots)
             return SplitRoots(ring, roots, cert)
         except NeedsLargerK as ex:
@@ -1205,19 +1260,26 @@ def _residue_split_degree(f_ints, p):
     return k
 
 
-def split_over_minimal_tame(f_ints, p):
+def split_over_minimal_tame(f_ints, p, disc_val=None):
     """Find the minimal tame e with f split over Q_p^nr(p^(1/e)).
 
     Returns (e, SplitRoots); raises WildSplittingError if no tame candidate
     works (possible only for p = 2, 3, where the splitting field can be
     wildly ramified).  The residue degree is fixed once for all tries of e.
+
+    disc_val is v = ord_p(disc f) for a monic f, when the caller holds it:
+    every try of e then starts at N = min(DEFAULT_PI_DIGITS, v + 1).  The
+    pairwise distances of the roots sum to v/2, so v(f'(z)) <= e*v/2 at
+    every root z and v + 1 p-digits leave room for _certify's a - 2b >= 1;
+    on the analyze pool no lift from there doubles N.
     """
     k = _residue_split_degree(f_ints, p) if f_ints[-1] % p else 1
+    n = DEFAULT_PI_DIGITS if disc_val is None else min(DEFAULT_PI_DIGITS, disc_val + 1)
     for e in TAME_E_CANDIDATES:
         if gcd(e, p) != 1:
             continue
         try:
-            return e, lift_over_ring(f_ints, p, e, k)
+            return e, lift_over_ring(f_ints, p, e, k, n)
         except NeedsLargerE:
             continue
     raise WildSplittingError(f"no tame extension of index | 24 splits f at {p}")

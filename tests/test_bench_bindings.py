@@ -6,6 +6,7 @@ nothing; this keeps that visible in the test suite.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import picard.localfield
@@ -34,3 +35,10 @@ def test_gf_kernels_are_bound_on_gf_itself():
     assert tracing.GF_KERNELS
     for kernel in tracing.GF_KERNELS:
         assert kernel in picard.localfield.GF.__dict__, kernel
+
+
+def test_lift_over_ring_keeps_the_parameters_the_tracer_binds():
+    # the tracer binds lift_over_ring's arguments by name (inspect.signature)
+    # to count the doublings of N from n_digits and the growth of k
+    params = inspect.signature(picard.localfield.lift_over_ring).parameters
+    assert {"p", "e", "k", "n_digits"} <= set(params)

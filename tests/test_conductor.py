@@ -89,6 +89,21 @@ def test_tame_kummer_frozen_value():
     assert rep.detail["quotient_genera"] == [0]
 
 
+def test_reports_once_wrong_from_a_truncated_newton_hull():
+    # at N = 20 the e = 1 lifts of these curves raised NeedsLargerE on a
+    # fractional slope that only truncated digits showed; the answers are
+    # those at N = 80
+    c, _ = normalize(poly_from_ints([1, -9765645, 146484500, -488281500, 95367431640625]))
+    rep = analyze_prime(c, 5)
+    assert (rep.f_p, rep.reduction_type) == (6, "b")
+    assert (rep.detail["e_splitting"], rep.detail["e_semistable"]) == (1, 3)
+    c, _ = normalize(poly_from_ints(
+        [1, -1080033290, 6755455042842797, -33775116227687140, -13335257663366531740]
+    ))
+    rep = analyze_prime(c, 2)
+    assert (rep.status, rep.f_p, rep.reduction_type) == ("computed", 4, "c")
+
+
 def test_conductor_tame_rejects_small_primes():
     c, _ = normalize(X4_MINUS_1)
     with pytest.raises(ValueError):

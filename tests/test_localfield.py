@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import picard.localfield as lf
-from picard.exact import poly_from_ints
+from picard.exact import discriminant, poly_from_ints
 
 
 def test_gf_field_axioms_random():
@@ -1042,3 +1042,116 @@ def test_depth_0_roots_lifted_once_over_the_unramified_ring():
     # the memo holds the lifts of one prime's tries, not of a whole run
     info = lf._unramified_root.cache_info()
     assert info.maxsize == 64 and info.currsize == 64
+
+
+def _clustered_quartic(rng, p):
+    """(x-a)(x-a-p^s)(x-b)(x-b-c p^t), plus 0 or +-p^m on the constant term.
+
+    Half the time b = a + u p^j, so the two pairs nest in one cluster; with
+    no shift all four roots are exact integers, some inside clusters.
+    """
+    while True:
+        a = rng.randrange(p)
+        b = a + rng.randrange(p) * p ** rng.randint(1, 2) if rng.randrange(2) else rng.randrange(p)
+        c = rng.choice([u for u in range(1, p + 2) if u % p])
+        f = [1]
+        for g in ([-a, 1], [-a - p ** rng.randint(1, 6), 1], [-b, 1], [-b - c * p ** rng.randint(1, 6), 1]):
+            f = _poly_mul(f, g)
+        f[0] += rng.choice((0, 1, -1)) * p ** rng.randint(1, 10)
+        if discriminant(poly_from_ints(f[::-1])) != 0:
+            return f
+
+
+def _tries_of_e(f, p, n_digits):
+    """Each try of e up to the first split: NeedsLargerE, or the split's pairwise valuations."""
+    out = []
+    for e in lf.TAME_E_CANDIDATES:
+        if e % p:
+            try:
+                sr = lf.lift_over_ring(f, p, e, n_digits=n_digits)
+            except lf.NeedsLargerE:
+                out.append((e, "NeedsLargerE"))
+                continue
+            pairs = itertools.combinations(range(4), 2)
+            return out + [(e, tuple(sr.pairwise_val(i, j) for i, j in pairs))]
+    return out
+
+
+def test_lift_outcome_does_not_depend_on_the_starting_precision():
+    # NeedsLargerE is raised only on a certified fractional slope, and a lower
+    # precision stalls and doubles instead, so the tries of e and the roots
+    # (in order) come out the same from every starting N
+    rng = random.Random(1515)
+    splits_above_1 = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(25):
+            f = _clustered_quartic(rng, p)
+            want = _tries_of_e(f, p, 20)
+            for n in (4, 6, 8, 40):
+                assert _tries_of_e(f, p, n) == want, (f, p, n)
+            splits_above_1 += len(want) > 1 and want[-1][1] != "NeedsLargerE"
+    assert splits_above_1 >= 20
+
+
+def test_needs_larger_e_at_low_precision_was_a_truncated_hull():
+    # at n_digits = 6 the hull of a truncated cluster showed a slope of 1/2;
+    # the roots lie in Q_2^nr, as n_digits = 80 finds
+    f = [12, -8, -5, 1, 1]
+    sr = lf.lift_over_ring(f, 2, 1, n_digits=6)
+    assert sr.ring.e == 1 and sr.ring.N > 6
+    hi = lf.lift_over_ring(f, 2, 1, n_digits=80)
+    pairs = list(itertools.combinations(range(4), 2))
+    assert [sr.pairwise_val(i, j) for i, j in pairs] == [hi.pairwise_val(i, j) for i, j in pairs]
+
+
+def test_exact_roots_inside_clusters_keep_their_place_at_every_precision():
+    # x = 2 is an exact root of x^4 + x^3 - 2x^2 - 4x - 8 at a depth-1
+    # centre of the cluster of three roots at 0 mod 2, and comes last there;
+    # x(x - 5)(x - 1)(x - 2) has the exact root 0 at the depth-0 centre of
+    # the cluster {0, 5} mod 5, and it comes first
+    for f, p in (([-8, -4, -2, 1, 1], 2), (_poly_mul(_poly_mul([0, 1], [-5, 1]), [2, -3, 1]), 5)):
+        want = _tries_of_e(f, p, 80)
+        for n in (2, 4, 6, 20):
+            assert _tries_of_e(f, p, n) == want, (f, p, n)
+        sr = lf.lift_over_ring(f, p, 1, n_digits=4)
+    # the simple roots 1 and 2, then the cluster at 0 mod 5: 0 itself, then 5
+    assert sr.roots[2] == sr.ring.zero and sr.ring.val(sr.roots[3]) == 1
+    assert lf._vanishes_at([0, -5, 1], (0,), (0, 1))
+    h = lf.minimal_irreducible(3, 2)
+    f = _poly_mul(list(h), [-1, 1])  # h(x)(x - 1): t is an exact root in Z[t]/(h)
+    assert lf._vanishes_at(f, (0, 1), h) and lf._vanishes_at(f, (1, 0), h)
+    assert not lf._vanishes_at(f, (1, 1), h)
+
+
+def test_split_starts_from_the_discriminant_valuation(monkeypatch):
+    # every try of e starts at N = min(DEFAULT_PI_DIGITS, v + 1) for
+    # v = ord_p(disc f), or at DEFAULT_PI_DIGITS when v is not given
+    started = []
+    real = lf.lift_over_ring
+
+    def spy(f, p, e, k=1, n_digits=lf.DEFAULT_PI_DIGITS):
+        started.append(n_digits)
+        return real(f, p, e, k, n_digits)
+
+    monkeypatch.setattr(lf, "lift_over_ring", spy)
+    f = [-5, 0, 0, 0, 1]  # x^4 - 5: disc = -256 * 5^3, split at e = 4 after e = 1, 2, 3
+    runs = []
+    for v in (3, 100, None):
+        started.clear()
+        e, sr = lf.split_over_minimal_tame(f, 5, v)
+        runs.append((e, sr.ring.N, started[:]))
+    assert runs == [(4, 4, [4] * 4), (4, 20, [20] * 4), (4, 20, [20] * 4)]
+
+
+def test_residue_factorization_and_zeta_caches():
+    # f mod p is factored once for every k it is asked at, and the zeta
+    # memo is bounded like the other ring caches
+    f = (1, 0, 0, 0, 1)  # x^4 + 1 over F_3: two irreducible quadratics
+    lf._fp_factor.cache_clear()
+    lf._residue_roots_fp.cache_clear()
+    assert lf._residue_roots_fp(3, 1, f) == ((), 2)
+    assert len(lf._residue_roots_fp(3, 2, f)[0]) == 4
+    assert lf._residue_roots_fp(3, 4, f)[1] == 0
+    info = lf._fp_factor.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    assert lf._zeta.cache_info().maxsize == 64
