@@ -163,28 +163,26 @@ def inertia_permutation(sr: SplitRoots, j=1):
     return tuple(perm)
 
 
-def splitting_ramification(f, p, disc_val=None):
+def splitting_ramification(f, p):
     """Minimal tame ramification of the splitting field of f over Q_p^nr.
 
     Returns a Ramification record: e and the split roots when a tame
     extension of index dividing 24 splits f (always the case for p >= 5),
     and a typed wild outcome otherwise (possible only at p = 2, 3).  f is a
-    Poly, checked (ValueError when constant, inseparable or non-integral),
-    or a PicardCurve's int coeffs, separable already: the per-prime callers
-    hold a curve and so skip the Fraction discriminant.  They also pass
-    disc_val = ord_p(Delta), from which the root lifts start (see
-    split_over_minimal_tame).
+    quartic Poly, checked (ValueError when of another degree, inseparable or
+    non-integral), or a PicardCurve's int coeffs, separable already: the
+    per-prime callers hold a curve and so skip the Fraction discriminant.
     """
     if isinstance(f, tuple):
         coeffs = f
-    elif f.degree < 1:
-        raise ValueError("need a nonconstant polynomial")
-    elif f.degree == 4 and discriminant(f) == 0:
+    elif f.degree != 4:
+        raise ValueError("need a quartic")
+    elif discriminant(f) == 0:
         raise ValueError("polynomial must be separable")
     else:
         coeffs = f.int_coeffs()
     try:
-        e, sr = split_over_minimal_tame(coeffs, p, disc_val)
+        e, sr = split_over_minimal_tame(coeffs, p)
     except WildSplittingError:
         return Ramification(p=p, tame=False)
     return Ramification(p=p, tame=True, e=e, split=sr)

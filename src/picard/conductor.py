@@ -81,7 +81,7 @@ def conductor_tame(curve: PicardCurve, p: int) -> ConductorReport:
             epsilon=0, delta=0, exceptional=False,
             detail={"good_reduction": True},
         )
-    ram = splitting_ramification(curve.coeffs, p, curve.ord_disc(p))
+    ram = splitting_ramification(curve.coeffs, p)
     if not ram.tame:
         raise RuntimeError(f"splitting field wildly ramified at {p} >= 5")
     analysis = analyze_tame(ram)
@@ -125,9 +125,7 @@ def analyze_p2(curve: PicardCurve) -> ConductorReport:
             p=2, status="computed", f_lo=0, f_hi=0, reduction_type="a",
             epsilon=0, delta=0, detail={"good_reduction": True},
         )
-    ram = None
-    if sqrt_disc_unramified_at_2(curve):
-        ram = splitting_ramification(curve.coeffs, 2, curve.ord_disc(2))
+    ram = splitting_ramification(curve.coeffs, 2) if sqrt_disc_unramified_at_2(curve) else None
     if ram is not None and ram.tame:
         analysis = analyze_tame(ram)
         eps = analysis.epsilon

@@ -238,5 +238,5 @@ def exceptional_prime_candidate(curve, p):
         return False
     from .clusters import splitting_ramification
 
-    ram = splitting_ramification(curve.coeffs, p, curve.ord_disc(p))
+    ram = splitting_ramification(curve.coeffs, p)
     return ram.tame and ram.e == 1

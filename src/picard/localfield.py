@@ -14,8 +14,7 @@ recursion, and a fractional Newton slope is trusted only when every
 invisible coefficient lies on or above its segment; otherwise the lift
 stalls and lift_over_ring doubles N.  So the outcome of a lift, a split
 over the same e or NeedsLargerE, does not depend on the N it starts from,
-and split_over_minimal_tame starts each prime at N = min(20, ord_p(disc f) + 1)
-when its caller holds the discriminant, as the curve pipeline does.
+and split_over_minimal_tame starts each prime at N = min(20, ord_p(disc f) + 1).
 
 One class, TameRing, holds the element format and its kernels.  At e = 1
 it is the unramified ring O/p^N of Q_{p^k}^nr, and GF(p, k), the residue
@@ -53,10 +52,10 @@ Costs are kept to one pass of each kind of work:
   entries of both operands into an unreduced array, folded once by
   pi^e = c*p and once by h(t), with one reduction mod p^N per entry; at
   e = 1 it multiplies the k-tuples directly, with nothing to fold.
-- One Newton routine, _newton_lift, lifts every simple residue root: the
-  roots of f, zeta_e and theta.  It carries w ~ 1/f'(z) along with z
-  (coupled Newton), so a lift pays for one inverse in F_{p^k} and none in
-  the ring; no ring inverts its elements.
+- One Newton routine, _newton_lift, lifts the simple residue roots of f
+  and theta.  It carries w ~ 1/f'(z) along with z (coupled Newton), so a
+  lift pays for one inverse in F_{p^k} and none in the ring; no ring
+  inverts its elements.  zeta_e needs no w: z/e stands in for 1/f'(z).
 - Residue polynomials with every coefficient in F_p (nearly all of them)
   are factored once over F_p on int lists, memoized per (p, f), and their
   roots in F_{p^k} per (p, k, f):
@@ -75,6 +74,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 import random
 
+from .exact import disc_quartic_monic
 from .exact import valuation as q_valuation
 
 DEFAULT_PI_DIGITS = 20  # per unit of e; ring precision N in p-digits
@@ -786,16 +786,18 @@ def _zeta(p, k, N, order):
         if all(F.pow(g, order // r) != F.one for r in _prime_divisors(order)):
             break
     # the least primitive root: the first root residue_roots gives of the
-    # cyclotomic polynomial, and a simple root of x^order - 1, which Newton
-    # evaluates by U.pow rather than by Horner over order - 1 zero coefficients
+    # cyclotomic polynomial, and a simple root of x^order - 1
     root = min(F.pow(g, j) for j in range(1, order) if gcd(j, order) == 1)
-    n = U.from_int(order)
-    return _newton_lift(
-        U,
-        lambda z: U.sub(U.pow(z, order), U.one),
-        lambda z: U.mul(n, U.pow(z, order - 1)),
-        U.lift_residue(root),
-    )
+    # Newton on x^order = 1, by U.pow rather than Horner over order - 1 zero
+    # coefficients: where z^order = 1 + eps, 1/(order z^(order-1)) is z/order
+    # up to O(eps), so the step z -= eps z/order still squares the error
+    z, c = U.lift_residue(root), U.from_int(pow(order, -1, p**N))
+    for _ in range(_newton_budget(U)):
+        eps = U.sub(U.pow(z, order), U.one)
+        if U.is_zero(eps):
+            return z
+        z = U.sub(z, U.mul(U.mul(eps, z), c))
+    raise PrecisionStallError("zeta lift did not converge within its step budget")
 
 
 class GF(TameRing):
@@ -961,29 +963,25 @@ def _newton_budget(ring):
 def _newton_lift(ring, poly, dpoly, z):
     """Lift a simple residue root to ring precision (f'(z) stays a unit).
 
-    The one Hensel loop of the package, over a TameRing of any e:
-    _integral_roots lifts the simple roots of f with it, TameRing.zeta the
-    root of x^e - 1 over the e = 1 ring, and _unramified_images the root
-    theta of h_k.
+    The Hensel loop of the package, over a TameRing of any e:
+    _integral_roots lifts the simple roots of f with it, and
+    _unramified_images the root theta of h_k.
 
     Coupled Newton: w ~ 1/f'(z) starts from the residue-field inverse and
     is refined by w <- w(2 - f'(z) w) alongside z <- z - f(z) w, so no step
     inverts in the ring.  The errors of z and w start at one digit (pi or
     p) and square at each step.  Raises PrecisionStallError when f(z) still
     does not vanish at working precision after _newton_budget steps
-    (lift_over_ring then doubles N).  poly and dpoly are coefficient lists,
-    or functions of z (TameRing.zeta passes x^order - 1 as one).
+    (lift_over_ring then doubles N).
     """
-    f = poly if callable(poly) else lambda x: geval(ring, poly, x)
-    df = dpoly if callable(dpoly) else lambda x: geval(ring, dpoly, x)
-    w = ring.lift_residue(ring.gf.inv(ring.residue(df(z))))
+    w = ring.lift_residue(ring.gf.inv(ring.residue(geval(ring, dpoly, z))))
     two = ring.from_int(2)
     for step in range(_newton_budget(ring)):
-        fz = f(z)
+        fz = geval(ring, poly, z)
         if ring.is_zero(fz):
             return z
         if step:  # w follows z only when z takes another step
-            w = ring.mul(w, ring.sub(two, ring.mul(df(z), w)))
+            w = ring.mul(w, ring.sub(two, ring.mul(geval(ring, dpoly, z), w)))
         z = ring.sub(z, ring.mul(fz, w))
     raise PrecisionStallError("Newton lift did not converge within its step budget")
 
@@ -1144,12 +1142,13 @@ def multiplicative_order(p, e):
 
 
 class SplitRoots:
-    """Roots of f over the tame ring, with certification data."""
+    """Roots of the int polynomial f over the tame ring, with certification data."""
 
-    def __init__(self, ring, roots, cert):
+    def __init__(self, ring, roots, cert, f):
         self.ring = ring
         self.roots = roots
         self.cert = cert
+        self.f = f
 
     def pairwise_val(self, i, j):
         """Exact v(alpha_i - alpha_j) in p units (Fraction)."""
@@ -1157,7 +1156,19 @@ class SplitRoots:
         return Fraction(d, self.ring.e)
 
     def root_val(self, i):
-        return Fraction(self.ring.val(self.roots[i]), self.ring.e)
+        """Exact v(alpha_i) in p units (Fraction, or inf for the root 0).
+
+        A candidate's own valuation is exact below its ball.  The roots are
+        separated below the least ball, so at most one lies deeper; as f's
+        leading coefficient is a unit, its valuation is v(f(0)) less the others'.
+        """
+        v = self.ring.val(self.roots[i])
+        if v < self.cert[i][1]:
+            return Fraction(v, self.ring.e)
+        if self.f[0] == 0:
+            return inf
+        others = sum(self.root_val(j) for j in range(len(self.roots)) if j != i)
+        return q_valuation(self.f[0], self.ring.p) - others
 
 
 def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
@@ -1180,7 +1191,7 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
         try:
             roots = _integral_roots(ring, fpoly, ring.cap, f=tuple(f_ints))
             cert = _certify(ring, fpoly, rpoly_deriv(ring, fpoly), roots)
-            return SplitRoots(ring, roots, cert)
+            return SplitRoots(ring, roots, cert, tuple(f_ints))
         except NeedsLargerK as ex:
             if ex.k > HARD_K_CAP:
                 raise RuntimeError(f"residue degree {ex.k} out of range for quartics")
@@ -1234,7 +1245,7 @@ def extend_split(sr):
                 sum(c * img[j] for c, img in zip(u, images)) % mod for j in range(k)
             ]
         roots.append(tuple(out))
-    return SplitRoots(big, roots, [(r * a, r * ball) for a, ball in sr.cert])
+    return SplitRoots(big, roots, [(r * a, r * ball) for a, ball in sr.cert], sr.f)
 
 
 TAME_E_CANDIDATES = (1, 2, 3, 4, 6, 8, 12, 24)
@@ -1260,21 +1271,38 @@ def _residue_split_degree(f_ints, p):
     return k
 
 
-def split_over_minimal_tame(f_ints, p, disc_val=None):
+def _disc_val(f, p):
+    """ord_p(disc f) for the int quartic f (lowest degree first), its leading coefficient c a unit.
+
+    c^3 f(x/c) is monic with integer coefficients, and its discriminant is
+    c^6 disc f.
+    """
+    c = f[4]
+    d = disc_quartic_monic(f[3], f[2] * c, f[1] * c * c, f[0] * c**3)
+    if d == 0:
+        raise ValueError("polynomial must be separable")
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    return v
+
+
+def split_over_minimal_tame(f_ints, p):
     """Find the minimal tame e with f split over Q_p^nr(p^(1/e)).
 
-    Returns (e, SplitRoots); raises WildSplittingError if no tame candidate
-    works (possible only for p = 2, 3, where the splitting field can be
-    wildly ramified).  The residue degree is fixed once for all tries of e.
+    f_ints is a separable int quartic, lowest degree first.  Returns (e,
+    SplitRoots); raises WildSplittingError if no tame candidate works
+    (possible only for p = 2, 3, where the splitting field can be wildly
+    ramified).  The residue degree is fixed once for all tries of e.
 
-    disc_val is v = ord_p(disc f) for a monic f, when the caller holds it:
-    every try of e then starts at N = min(DEFAULT_PI_DIGITS, v + 1).  The
-    pairwise distances of the roots sum to v/2, so v(f'(z)) <= e*v/2 at
+    Every try of e starts at N = min(DEFAULT_PI_DIGITS, v + 1), v = ord_p(disc f).
+    The pairwise distances of the roots sum to v/2, so v(f'(z)) <= e*v/2 at
     every root z and v + 1 p-digits leave room for _certify's a - 2b >= 1;
     on the analyze pool no lift from there doubles N.
     """
     k = _residue_split_degree(f_ints, p) if f_ints[-1] % p else 1
-    n = DEFAULT_PI_DIGITS if disc_val is None else min(DEFAULT_PI_DIGITS, disc_val + 1)
+    n = min(DEFAULT_PI_DIGITS, _disc_val(f_ints, p) + 1)
     for e in TAME_E_CANDIDATES:
         if gcd(e, p) != 1:
             continue

@@ -143,6 +143,11 @@ def test_splitting_ramification_rejects_rational_coefficients():
     assert splitting_ramification(Poly([Fraction(6, 2), 1, 0, 0, 1]), 5).tame
 
 
+def test_splitting_ramification_wants_a_quartic():
+    with pytest.raises(ValueError):
+        splitting_ramification(poly_from_ints([1, 0, -5]), 5)
+
+
 def test_splitting_ramification_of_a_curve_skips_the_discriminant(monkeypatch):
     curves = [normalize(poly_from_ints(c))[0] for c in ([1, 0, 14, 72, -41], [1, 0, 0, 0, -5], [1, 0, 0, 0, -1])]
     expect = {(c, p): splitting_ramification(c.f, p) for c in curves for p in (2, 3, 5)}

@@ -336,7 +336,7 @@ def test_tame_analysis_invariant_under_root_relabelling():
         perm = list(range(len(sr.roots)))
         while perm == sorted(perm):
             rng.shuffle(perm)
-        moved = SplitRoots(sr.ring, [sr.roots[i] for i in perm], [sr.cert[i] for i in perm])
+        moved = SplitRoots(sr.ring, [sr.roots[i] for i in perm], [sr.cert[i] for i in perm], sr.f)
         got = analyze_tame(replace(ram, split=moved))
         want = analyze_tame(ram)
         # root j of the relabelled split is root perm[j] of the original

@@ -153,11 +153,8 @@ def test_lift_roots_certification_and_np_match():
         got = sorted(
             (sr.root_val(i) for i in range(4)), key=lambda v: (v is inf, v)
         )
-        # exact zero roots show as valuation >= cap
-        fixed = [
-            inf if v >= Fraction(sr.ring.cap, sr.ring.e) else v for v in got
-        ]
-        assert fixed == np_vals
+        # root_val is exact at any N: inf for an exact zero root
+        assert got == np_vals
         for i in range(4):
             fv, ball = sr.cert[i]
             assert fv >= 2 * (fv - ball) + 1  # a - 2b >= 1
@@ -1116,6 +1113,10 @@ def test_exact_roots_inside_clusters_keep_their_place_at_every_precision():
         sr = lf.lift_over_ring(f, p, 1, n_digits=4)
     # the simple roots 1 and 2, then the cluster at 0 mod 5: 0 itself, then 5
     assert sr.roots[2] == sr.ring.zero and sr.ring.val(sr.roots[3]) == 1
+    # root 2 comes last at p = 2 from any N, where N = 20 put it before the start moved
+    for n in (1, 4, 20):
+        sr = lf.lift_over_ring([-8, -4, -2, 1, 1], 2, 1, n_digits=n)
+        assert sr.ring.is_zero(sr.ring.sub(sr.roots[3], sr.ring.from_int(2))), n
     assert lf._vanishes_at([0, -5, 1], (0,), (0, 1))
     h = lf.minimal_irreducible(3, 2)
     f = _poly_mul(list(h), [-1, 1])  # h(x)(x - 1): t is an exact root in Z[t]/(h)
@@ -1124,8 +1125,7 @@ def test_exact_roots_inside_clusters_keep_their_place_at_every_precision():
 
 
 def test_split_starts_from_the_discriminant_valuation(monkeypatch):
-    # every try of e starts at N = min(DEFAULT_PI_DIGITS, v + 1) for
-    # v = ord_p(disc f), or at DEFAULT_PI_DIGITS when v is not given
+    # every try of e starts at N = min(DEFAULT_PI_DIGITS, v + 1) for v = ord_p(disc f)
     started = []
     real = lf.lift_over_ring
 
@@ -1134,13 +1134,37 @@ def test_split_starts_from_the_discriminant_valuation(monkeypatch):
         return real(f, p, e, k, n_digits)
 
     monkeypatch.setattr(lf, "lift_over_ring", spy)
-    f = [-5, 0, 0, 0, 1]  # x^4 - 5: disc = -256 * 5^3, split at e = 4 after e = 1, 2, 3
     runs = []
-    for v in (3, 100, None):
+    # x^4 - 5^m: disc = -256 * 5^(3m), split at e = 4 after e = 1, 2, 3
+    for m in (1, 7):
         started.clear()
-        e, sr = lf.split_over_minimal_tame(f, 5, v)
+        e, sr = lf.split_over_minimal_tame([-(5**m), 0, 0, 0, 1], 5)
         runs.append((e, sr.ring.N, started[:]))
-    assert runs == [(4, 4, [4] * 4), (4, 20, [20] * 4), (4, 20, [20] * 4)]
+    assert runs == [(4, 4, [4] * 4), (4, 20, [20] * 4)]
+
+
+def test_root_valuation_is_exact_below_the_ball_and_deeper():
+    # (x - 5)(x - 1)(x - 2)(x - 3) and x (x - 1)(x - 2)(x - 3) from N = 1:
+    # the root near 0 is known only mod 5, yet its valuation is exact
+    for r, want in ((5, 1), (0, inf)):
+        f = [6 * r, -6 - 11 * r, 11 + 6 * r, -6 - r, 1]
+        sr = lf.lift_over_ring(f, 5, 1, n_digits=1)
+        assert sr.ring.N == 1
+        assert sorted(sr.root_val(i) for i in range(4)) == [0, 0, 0, want]
+
+
+def test_discriminant_valuation_of_a_quartic_with_unit_leading_coefficient():
+    rng = random.Random(5)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        lc = rng.choice([1, -1, 1 + p, 2 * p - 1])
+        f = [rng.randint(-40, 40) for _ in range(4)] + [lc]
+        d = discriminant(poly_from_ints(f[::-1]))
+        if d == 0:
+            with pytest.raises(ValueError):
+                lf._disc_val(f, p)
+        else:
+            assert lf._disc_val(f, p) == lf.q_valuation(d, p), (f, p)
 
 
 def test_residue_factorization_and_zeta_caches():
