@@ -38,9 +38,13 @@ Costs are kept to one pass of each kind of work:
   F_{p^k'}.
 - TameRing.zeta(order) is lifted over the e = 1 ring once per (p, k, N,
   order) and kept in a small bounded cache, so the rings lift_over_ring
-  builds for each try of e, k and N share it; its residue root is the least
-  primitive power of a^((q-1)/order), with no polynomial factored, and its
-  Newton steps evaluate x^order - 1 by ring.pow.  The
+  builds for each try of e, k and N share it.  Its residue root is the
+  least root of the cyclotomic polynomial Phi_order.  For orders 2, 3, 4
+  and 6, Phi_order is linear or quadratic, and when its roots lie in F_p
+  or k = 2 the residue factorization below gives them in closed form;
+  otherwise the root is the least primitive power of a^((q-1)/order),
+  which beats splitting Phi_order over F_{p^k} at large p.  Its Newton
+  steps evaluate x^order - 1 by ring.pow.  The
   Galois action tau: pi -> zeta_e pi reads zeta_e^i from a table of e
   powers each ring builds once.  Those rings also share GF(p, k) and the
   e = 1 ring U from small bounded caches.
@@ -58,13 +62,19 @@ Costs are kept to one pass of each kind of work:
   inverts its elements.  zeta_e needs no w: z/e stands in for 1/f'(z).
 - Residue polynomials with every coefficient in F_p (nearly all of them)
   are factored once over F_p on int lists, memoized per (p, f), and their
-  roots in F_{p^k} per (p, k, f):
-  distinct-degree factorization, then Cantor-Zassenhaus per degree (a
-  trace split at p = 2).  Linear factors give their roots directly, and
-  quadratics at k = 2, p odd by the quadratic formula with a Tonelli-Shanks
-  root in F_p; only other factors of degree D | k are split over F_{p^k},
-  at p = 2 by absolute-trace splits.  Polys with a coefficient outside
-  F_p take the tuple route over F_{p^k}.
+  roots in F_{p^k} per (p, k, f).  Gcds with the derivative split f into
+  squarefree parts first, with a p-th root step for a part of zero
+  derivative (a quartic has one only at p = 2, 3).  At a bad prime f mod p
+  has a repeated root, so its parts have degree <= 2, and a quadratic part
+  splits by a Legendre symbol and a Tonelli-Shanks root on builtin pow.
+  Only a part of degree >= 3 takes distinct-degree factorization (the
+  Frobenius powers x^(p^D) mod the part), then Cantor-Zassenhaus per
+  degree (a trace split at p = 2), its seeded generator built only where a
+  split draws.  Linear factors give their roots directly, and quadratics
+  at k = 2, p odd by the quadratic formula with a Tonelli-Shanks root in
+  F_p; only other factors of degree D | k are split over F_{p^k}, at p = 2
+  by absolute-trace splits.  Polys with a coefficient outside F_p take the
+  tuple route over F_{p^k}.
 """
 
 import os
@@ -273,43 +283,77 @@ def _fp_equal_degree(g, D, p, rng):
             return _fp_equal_degree(s, D, p, rng) + _fp_equal_degree(other, D, p, rng)
 
 
+def _fp_squarefree(f, p):
+    """The squarefree parts of the monic f over F_p: pairs (g, m) with f the product of the g^m.
+
+    The g are monic, squarefree and pairwise coprime.  Gcds with the derivative
+    split off the parts of multiplicity prime to p; what is left has zero
+    derivative, so it is c(x^p) = c(x)^p, as Frobenius fixes F_p, and its
+    p-th root c (the coefficients at multiples of p) is split the same way.
+    """
+    out, scale = [], 1
+    while len(f) > 1:
+        df = _fp_trim([i * a % p for i, a in enumerate(f)][1:], p)
+        if df:
+            c = _fp_gcd(f, df, p)
+            w, i = _fp_divmod(f, c, p)[0], 1
+            while len(w) > 1:  # w: the product of the parts of multiplicity >= i, prime to p
+                y = _fp_gcd(w, c, p)
+                g = _fp_divmod(w, y, p)[0]
+                if len(g) > 1:
+                    out.append((g, i * scale))
+                c, w, i = _fp_divmod(c, y, p)[0], y, i + 1
+            f = c
+        f, scale = f[::p], scale * p
+    return out
+
+
+def _fp_quadratic_roots(g, p):
+    """The roots in F_p of the squarefree monic quadratic g, none when it is irreducible."""
+    c, b = g[0], g[1]
+    if p == 2:  # b = 1, or g would be a square: x^2 + x + c
+        return [0, 1] if c == 0 else []
+    try:
+        s = _fp_sqrt(b * b - 4 * c, p)
+    except ValueError:
+        return []
+    half = (p + 1) // 2
+    return [(s - b) * half % p, (-s - b) * half % p]
+
+
 @lru_cache(maxsize=1024)
 def _fp_factor(p, f):
     """Monic irreducible factors of the monic int tuple f over F_p, with multiplicities.
 
-    Distinct-degree factorization: g = gcd(x^(p^D) - x, rem) for D = 1, 2, ...
-    is the product of the degree-D factors of rem, and every power of them
-    leaves rem before D grows.  Once deg rem < 2(D + 1), rem is 1 or irreducible.
-    Memoized per (p, f): _residue_roots_fp asks for the same f at every k.
-    Returns a tuple of (factor as an int tuple, multiplicity).
+    f is split into squarefree parts first.  A part of degree 1 is
+    irreducible, and one of degree 2 splits exactly when it has a root in
+    F_p.  Only a part of degree >= 3 takes distinct-degree factorization:
+    g = gcd(x^(p^D) - x, rem) for D = 1, 2, ... is the product of the
+    degree-D factors of rem, and once deg rem < 2(D + 1), rem is 1 or
+    irreducible.  Memoized per (p, f): _residue_roots_fp asks for the same f
+    at every k.  Returns a sorted tuple of (factor as an int tuple, multiplicity).
     """
-    rng = random.Random(repr((p, f)))
+    out, rng = [], None
     x = [0, 1]
-    f = list(f)
-    rem, xpd, D = f, x, 0
-    irreducible = []
-    while len(rem) - 1 >= 2 * (D + 1):
-        D += 1
-        xpd = _fp_powmod(xpd, p, rem, p)
-        g = _fp_gcd(_fp_sub(xpd, x, p), rem, p)
-        if len(g) > 1:
-            irreducible.extend(_fp_equal_degree(g, D, p, rng))
-            while len(g) > 1:
+    for rem, m in _fp_squarefree(list(f), p):
+        if len(rem) == 3:
+            roots = _fp_quadratic_roots(rem, p)
+            out += [((-r % p, 1), m) for r in roots] if roots else [(tuple(rem), m)]
+            continue
+        xpd, D = x, 0
+        while len(rem) - 1 >= 2 * (D + 1):
+            D += 1
+            xpd = _fp_powmod(xpd, p, rem, p)
+            g = _fp_gcd(_fp_sub(xpd, x, p), rem, p)
+            if len(g) > 1:
+                if rng is None and len(g) - 1 > D:  # seeded only where a split draws
+                    rng = random.Random(repr((p, f)))
+                out += [(tuple(h), m) for h in _fp_equal_degree(g, D, p, rng)]
                 rem = _fp_divmod(rem, g, p)[0]
-                g = _fp_gcd(rem, g, p)
-            xpd = _fp_divmod(xpd, rem, p)[1]
-    if len(rem) > 1:
-        irreducible.append(rem)
-    out = []
-    for g in irreducible:
-        m, q = 0, f
-        while True:
-            quot, r = _fp_divmod(q, g, p)
-            if r:
-                break
-            q, m = quot, m + 1
-        out.append((tuple(g), m))
-    return tuple(out)
+                xpd = _fp_divmod(xpd, rem, p)[1]
+        if len(rem) > 1:
+            out.append((tuple(rem), m))
+    return tuple(sorted(out))
 
 
 def minimal_irreducible(p, k):
@@ -492,7 +536,7 @@ def _residue_roots_fp(p, k, f):
     returns (tuple of roots, missing).
     """
     F = _residue_field(p, k)
-    rng = random.Random(repr((p, k, f)))
+    rng = None
     roots, missing = [], 0
     pad = (0,) * (k - 1)
     for g, m in _fp_factor(p, f):
@@ -513,6 +557,7 @@ def _residue_roots_fp(p, k, f):
             roots.append((((h1 * s - b) * half % p, s), m))
             roots.append((((-h1 * s - b) * half % p, -s % p), m))
         else:
+            rng = rng or random.Random(repr((p, k, f)))  # seeded only where a split draws
             for r in _find_roots_linear_part(F, [F.from_int(c) for c in g], rng):
                 roots.append((r, m))
     roots.sort()
@@ -772,6 +817,10 @@ class TameRing:
         return out
 
 
+# the cyclotomic polynomials of degree <= 2, lowest degree first
+_QUADRATIC_CYCLOTOMIC = {2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1)}
+
+
 @lru_cache(maxsize=64)
 def _zeta(p, k, N, order):
     """TameRing.zeta in U = O/p^N of Q_{p^k}^nr, for order > 1."""
@@ -779,15 +828,21 @@ def _zeta(p, k, N, order):
     F, q = U.gf, p**k
     if (q - 1) % order:
         raise ValueError(f"no zeta_{order} in F_{p}^{k}")
-    # g = a^((q-1)/order) is primitive unless g^(order/r) = 1 for a prime
-    # r | order; at k > 1, F_p may hold no fit a, so the candidates start at t
-    for a in _fp_tuples(p, k, p if k > 1 else 1):
-        g = F.pow(a, (q - 1) // order)
-        if all(F.pow(g, order // r) != F.one for r in _prime_divisors(order)):
-            break
-    # the least primitive root: the first root residue_roots gives of the
-    # cyclotomic polynomial, and a simple root of x^order - 1
-    root = min(F.pow(g, j) for j in range(1, order) if gcd(j, order) == 1)
+    # the root is the least primitive one, a root of the cyclotomic polynomial
+    # and a simple root of x^order - 1 (p does not divide order)
+    cyc = _QUADRATIC_CYCLOTOMIC.get(order)
+    if cyc and (k == 2 or (p - 1) % order == 0):  # roots in F_p, or k = 2: in closed form
+        root = _residue_roots_fp(p, k, tuple(c % p for c in cyc))[0][0][0]
+    else:
+        # splitting the cyclotomic polynomial over F_q instead takes 3 to 36
+        # times as long at p near 10^6.  g = a^((q-1)/order) is primitive
+        # unless g^(order/r) = 1 for a prime r | order; at k > 1, F_p may
+        # hold no fit a, so the candidates start at t
+        for a in _fp_tuples(p, k, p if k > 1 else 1):
+            g = F.pow(a, (q - 1) // order)
+            if all(F.pow(g, order // r) != F.one for r in _prime_divisors(order)):
+                break
+        root = min(F.pow(g, j) for j in range(1, order) if gcd(j, order) == 1)
     # Newton on x^order = 1, by U.pow rather than Horner over order - 1 zero
     # coefficients: where z^order = 1 + eps, 1/(order z^(order-1)) is z/order
     # up to O(eps), so the step z -= eps z/order still squares the error
@@ -1130,6 +1185,9 @@ def _certify(ring, fpoly, dfpoly, roots):
 
 
 def multiplicative_order(p, e):
+    """The order of p mod e, for e >= 1 prime to p."""
+    if e < 1:
+        raise ValueError(f"no multiplicative order mod {e}")
     if e == 1:
         return 1
     if gcd(p, e) != 1:

@@ -63,14 +63,10 @@ class WildWitness:
 
     @classmethod
     def from_dict(cls, data):
-        if data.get("p", 3) != 3:
-            raise WitnessInvalidError("witnesses are for p = 3")
-        m = int(data["m"])
-        if gcd(m, 3) != 1:
-            raise WitnessInvalidError("tame degree m must be prime to 3")
-        charts = []
-        for ch in data["charts"]:
-            charts.append(
+        """The witness in parsed JSON; WitnessInvalidError for any other shape or a bad m."""
+        try:
+            p, m = data.get("p", 3), int(data["m"])
+            charts = tuple(
                 WitnessChart(
                     x_scale=int(ch["x_scale"]),
                     x_center=tuple(int(v) for v in ch["x_center"]),
@@ -78,11 +74,21 @@ class WildWitness:
                     y_poly=tuple(tuple(int(v) for v in cf) for cf in ch["y_poly"]),
                     y_codim=int(ch["y_codim"]),
                 )
+                for ch in data["charts"]
             )
-        curve = data.get("curve")
-        if curve is not None:
-            curve = tuple(int(v) for v in curve)
-        return cls(p=3, m=m, charts=tuple(charts), curve=curve)
+            curve = data.get("curve")
+            if curve is not None:
+                curve = tuple(int(v) for v in curve)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as ex:
+            raise WitnessInvalidError(f"malformed witness: {type(ex).__name__}: {ex}") from None
+        if p != 3:
+            raise WitnessInvalidError("witnesses are for p = 3")
+        if m < 1 or gcd(m, 3) != 1:
+            raise WitnessInvalidError("tame degree m must be a positive integer prime to 3")
+        # the ring needs F_{3^k}, k the order of 3 mod m
+        if all(pow(3, k, m) != 1 % m for k in range(1, HARD_K_CAP + 1)):
+            raise WitnessInvalidError(f"tame degree m = {m} needs a residue degree above {HARD_K_CAP}")
+        return cls(p=3, m=m, charts=charts, curve=curve)
 
     @classmethod
     def load(cls, path):

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -124,3 +125,38 @@ def test_analyze_precision_stall_exit_1(monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "PICARD_MAX_PRECISION" in err[0]
+
+
+_WITNESS_CHART = {"x_scale": 3, "x_center": [0], "y_scale": 0, "y_poly": [[-1]], "y_codim": 4}
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        [{"p": 3, "m": 8}],  # a list, not an object
+        {"p": 3, "m": 8, "charts": 5},
+        {"p": 3, "m": 8, "charts": [1]},
+        {"p": 3, "m": 8, "charts": [dict(_WITNESS_CHART, x_center=5)]},
+        {"p": 3, "m": None, "charts": [_WITNESS_CHART]},
+        {"p": 3, "m": 1e999, "charts": [_WITNESS_CHART]},  # json.dumps writes Infinity
+        {"p": 3, "m": -1, "charts": [_WITNESS_CHART]},  # the order of 3 mod -1 was searched forever
+        {"p": 3, "m": 1000003, "charts": [_WITNESS_CHART]},  # 3 has order 333334: F_(3^333334)
+    ],
+)
+def test_analyze_malformed_witness_exit_1(tmp_path, capsys, witness):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(witness))
+    old = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    try:
+        code = main(["analyze", "--curve", "[1,0,0,0,-1]", "--prime", "3", "--witness", str(wfile)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err and err.startswith("error: cannot read witness")
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("analyze did not finish")

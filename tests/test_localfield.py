@@ -3,7 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from pathlib import Path
 
 import pytest
@@ -564,6 +564,92 @@ def test_fp_equal_degree_p2_splits_fully():
             assert sorted(factors) == sorted(chosen), (D, chosen)
 
 
+def _fp_factor_distinct_degree(p, f):
+    """The oracle: distinct-degree factorization of f itself, then multiplicities by division."""
+    rng = random.Random(repr((p, f)))
+    x, f = [0, 1], list(f)
+    rem, xpd, D = f, x, 0
+    irreducible = []
+    while len(rem) - 1 >= 2 * (D + 1):
+        D += 1
+        xpd = lf._fp_powmod(xpd, p, rem, p)
+        g = lf._fp_gcd(lf._fp_sub(xpd, x, p), rem, p)
+        if len(g) > 1:
+            irreducible.extend(lf._fp_equal_degree(g, D, p, rng))
+            while len(g) > 1:
+                rem = lf._fp_divmod(rem, g, p)[0]
+                g = lf._fp_gcd(rem, g, p)
+            xpd = lf._fp_divmod(xpd, rem, p)[1]
+    if len(rem) > 1:
+        irreducible.append(rem)
+    out = []
+    for g in irreducible:
+        m, q = 0, f
+        while not (r := lf._fp_divmod(q, g, p))[1]:
+            q, m = r[0], m + 1
+        out.append((tuple(g), m))
+    return sorted(out)
+
+
+def _fp_power(g, n, p):
+    out = [1]
+    for _ in range(n):
+        out = [c % p for c in _poly_mul(out, g)]
+    return out
+
+
+def test_fp_factor_squarefree_parts_first():
+    # repeated factors, p-th powers (zero derivative) and parts of every degree
+    pinned = [
+        (3, [1, 1], 3),  # (x + 1)^3 = x^3 + 1 mod 3
+        (2, [1, 1, 1], 2),  # (x^2 + x + 1)^2 = x^4 + x^2 + 1 mod 2
+        (2, [1, 1], 4),  # x^4 + 1 mod 2
+        (3, [1, 0, 1], 3),  # (x^2 + 1)^3 = x^6 + 1 mod 3
+        (5, [0, 1], 4),  # x^4
+    ]
+    cases = [(p, tuple(_fp_power(g, n, p))) for p, g, n in pinned]
+    rng = random.Random(47)
+    for p in (2, 3, 5, 7, 101, 999983):
+        for _ in range(40):
+            f = [1]
+            for _ in range(rng.randint(1, 3)):
+                g = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+                f = _poly_mul(f, _fp_power(g, rng.choice((1, 1, 2, 3, p if p < 8 else 2)), p))
+            cases.append((p, tuple(c % p for c in f)))
+    for p, f in cases:
+        got = lf._fp_factor.__wrapped__(p, f)
+        prod = [1]
+        for g, m in got:
+            assert lf._fp_poly_is_irreducible(list(g), p), (p, f, g)
+            prod = [c % p for c in _poly_mul(prod, _fp_power(g, m, p))]
+        assert tuple(prod) == f, (p, f)
+        assert list(got) == _fp_factor_distinct_degree(p, f), (p, f)
+    assert lf._fp_factor(3, (1, 0, 0, 1)) == (((1, 1), 3),)
+    assert lf._fp_factor(2, (1, 0, 1, 0, 1)) == (((1, 1, 1), 2),)
+
+
+def test_fp_factor_seeds_a_generator_only_to_split(monkeypatch):
+    seeds = []
+
+    class Spy(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(lf.random, "Random", Spy)
+    lf._fp_factor.cache_clear()
+    lf._residue_roots_fp.cache_clear()
+    p = 999983
+    # (x - 1)^2 (x - 2)(x - 3) and (x - 1)^2 (x^2 + 1): squarefree parts of degree <= 2
+    for f in ((6, p - 17, 17, p - 7, 1), (1, p - 2, 2, p - 2, 1)):
+        assert lf._residue_roots_fp(p, 2, f)[1] == 0
+    assert seeds == []
+    # (x - 1)(x - 2)(x - 3)(x - 4): distinct-degree gives one part of degree 4 to split
+    roots, missing = lf._residue_roots_fp(p, 1, (24, p - 50, 35, p - 10, 1))
+    assert [r[0] for r, _ in roots] == [1, 2, 3, 4] and missing == 0
+    assert seeds == [repr((p, (24, p - 50, 35, p - 10, 1)))]
+
+
 def test_residue_roots_k2_quadratic_formula():
     # p = 3 mod 4, 5 mod 8 and 1 mod 8 reach every branch of Tonelli-Shanks
     for p in (3, 7, 11, 13, 29, 101, 17, 41, 1009):
@@ -902,18 +988,44 @@ def _zeta_keys():
     yield 454501, 2, 20, 6  # 6 | p - 1, yet every a in F_p has a^((p^2-1)/6) of order 1 or 3
 
 
-def test_zeta_matches_cyclotomic_route():
-    # the residue root from a generator's power is the first root that
-    # residue_roots gives of the cyclotomic polynomial, and lifts to the same zeta
-    checked = 0
+def _least_of_exact_order(F, order):
+    """The oracle for q <= 10^4: F's elements in increasing order, tried until one has exact order `order`."""
+    primes = [r for r in range(2, order + 1) if order % r == 0 and all(r % d for d in range(2, r))]
+    for x in itertools.product(range(F.p), repeat=F.k):
+        if F.pow(x, order) == F.one and all(F.pow(x, order // r) != F.one for r in primes):
+            return x
+
+
+def _least_primitive_power(F, order):
+    """The oracle for large q: the least primitive power of one element of exact order `order`.
+
+    g = a^((q-1)/order) for the first candidate a (from t on when k > 1) that
+    makes g primitive.
+    """
+    q = F.p**F.k
+    primes = [r for r in range(2, order + 1) if order % r == 0 and all(r % d for d in range(2, r))]
+    for a in lf._fp_tuples(F.p, F.k, F.p if F.k > 1 else 1):
+        g = F.pow(a, (q - 1) // order)
+        if all(F.pow(g, order // r) != F.one for r in primes):
+            return min(F.pow(g, j) for j in range(1, order) if gcd(j, order) == 1)
+
+
+def test_zeta_residue_root_is_the_least_of_its_order():
+    # every pool key and more: the residue root of zeta is the least element
+    # of exact order `order`, and zeta is its lift as a root of x^order - 1
+    checked = brute = 0
     for p, k, N, order in _zeta_keys():
         U = _unram(p, k, N)
-        rbar = lf.residue_roots(U.gf, _cyclotomic_mod(order, p, k))[0][0][0]
+        if p**k <= 10**4:
+            rbar = _least_of_exact_order(U.gf, order)
+            brute += 1
+        else:
+            rbar = _least_primitive_power(U.gf, order)
         poly = [U.neg(U.one)] + [U.zero] * (order - 1) + [U.one]
         want = lf._newton_lift(U, poly, lf.rpoly_deriv(U, poly), U.lift_residue(rbar))
         assert U.zeta(order) == want, (p, k, N, order)
         checked += 1
-    assert checked >= 1000
+    assert checked >= 1000 and brute >= 100
 
 
 def _minimal_irreducible_from_code_0(p, k):
@@ -1179,3 +1291,10 @@ def test_residue_factorization_and_zeta_caches():
     info = lf._fp_factor.cache_info()
     assert (info.hits, info.misses) == (2, 1)
     assert lf._zeta.cache_info().maxsize == 64
+
+
+def test_multiplicative_order_needs_a_positive_modulus():
+    assert lf.multiplicative_order(3, 8) == 2 and lf.multiplicative_order(3, 1) == 1
+    for e in (0, -1, -8):  # -1 looped forever
+        with pytest.raises(ValueError):
+            lf.multiplicative_order(3, e)
