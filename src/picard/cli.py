@@ -7,11 +7,12 @@ import argparse
 import json
 import sys
 
+from . import localfield
 from .conductor import analyze_prime, global_conductor
 from .curves import InseparableCurveError, normalize, parse_curve_text
 from .exact import FactorizationBudgetError, is_prime
 from .fixtures import run_fixtures
-from .localfield import PrecisionSettingError, PrecisionStallError, max_pi_digits
+from .localfield import PrecisionStallError
 from .search import CheckpointCorruptError, SearchConfig, run_search
 from .wild3 import WildWitness, WitnessInvalidError
 
@@ -82,8 +83,7 @@ def cmd_analyze(args):
         return 1
     except PrecisionStallError as ex:
         print(
-            f"error: {ex} below the precision ceiling of {max_pi_digits()} pi-digits"
-            " (PICARD_MAX_PRECISION)",
+            f"error: {ex} below the precision ceiling of {localfield.MAX_PI_DIGITS} pi-digits",
             file=sys.stderr,
         )
         return 1
@@ -141,11 +141,6 @@ def cmd_verify_examples(_args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        max_pi_digits()
-    except PrecisionSettingError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     if args.command == "analyze":
         return cmd_analyze(args)
     if args.command == "search":

@@ -61,23 +61,24 @@ Costs are kept to one pass of each kind of work:
   lift pays for one inverse in F_{p^k} and none in the ring; no ring
   inverts its elements.  zeta_e needs no w: z/e stands in for 1/f'(z).
 - Residue polynomials with every coefficient in F_p (nearly all of them)
-  are factored once over F_p on int lists, memoized per (p, f), and their
-  roots in F_{p^k} per (p, k, f).  Gcds with the derivative split f into
-  squarefree parts first, with a p-th root step for a part of zero
-  derivative (a quartic has one only at p = 2, 3).  At a bad prime f mod p
-  has a repeated root, so its parts have degree <= 2, and a quadratic part
-  splits by a Legendre symbol and a Tonelli-Shanks root on builtin pow.
-  Only a part of degree >= 3 takes distinct-degree factorization (the
-  Frobenius powers x^(p^D) mod the part), then Cantor-Zassenhaus per
-  degree (a trace split at p = 2), its seeded generator built only where a
-  split draws.  Linear factors give their roots directly, and quadratics
-  at k = 2, p odd by the quadratic formula with a Tonelli-Shanks root in
-  F_p; only other factors of degree D | k are split over F_{p^k}, at p = 2
-  by absolute-trace splits.  Polys with a coefficient outside F_p take the
-  tuple route over F_{p^k}.
+  have one factorization over F_p, on int lists and memoized per (p, f),
+  and everything else is read off it.  Gcds with the derivative split f
+  into squarefree parts, with a p-th root step for a part of zero
+  derivative (a quartic has one only at p = 2, 3).  A quadratic part
+  splits by a Legendre symbol and a Tonelli-Shanks root on builtin pow;
+  a part of degree >= 3 takes distinct-degree factorization (the
+  Frobenius powers x^(p^D) mod the part), which stops at the product of
+  its factors of each degree D.  The roots in F_{p^k}, memoized per
+  (p, k, f), come from the products with D | k: a linear factor gives its
+  root directly, an irreducible quadratic at k = 2, p odd, the quadratic
+  formula with a Tonelli-Shanks root in F_p, and every other product the
+  one Cantor-Zassenhaus splitter over F_{p^k} (absolute-trace splits at
+  p = 2), its seeded generator built only where a split draws.  The
+  residue degree of a prime is the lcm of the D, and a candidate for h is
+  irreducible when it is its own only product.  Polys with a coefficient
+  outside F_p take the tuple route over F_{p^k}.
 """
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -89,26 +90,7 @@ from .exact import valuation as q_valuation
 
 DEFAULT_PI_DIGITS = 20  # per unit of e; ring precision N in p-digits
 HARD_K_CAP = 24
-
-
-class PrecisionSettingError(ValueError):
-    """PICARD_MAX_PRECISION is set to something other than a positive integer."""
-
-
-def max_pi_digits():
-    """Precision ceiling in pi-digits, overridable via PICARD_MAX_PRECISION."""
-    v = os.environ.get("PICARD_MAX_PRECISION")
-    if not v:
-        return 640
-    try:
-        n = int(v)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise PrecisionSettingError(
-            f"PICARD_MAX_PRECISION must be a positive integer, got {v!r}"
-        )
-    return n
+MAX_PI_DIGITS = 640  # precision ceiling of root lifting, in pi-digits
 
 
 class NeedsLargerE(Exception):
@@ -209,21 +191,6 @@ def _fp_gcd(a, b, p):
     return [c * inv % p for c in a]
 
 
-def _fp_poly_is_irreducible(coeffs, p):
-    """Irreducibility of a monic poly over F_p via x^(p^d) = x tests."""
-    k = len(coeffs) - 1
-    if k == 1:
-        return True
-    m, x = list(coeffs), [0, 1]
-    if _fp_powmod(x, p**k, m, p) != x:
-        return False
-    for q in _prime_divisors(k):
-        diff = _fp_sub(_fp_powmod(x, p ** (k // q), m, p), x, p)
-        if _fp_gcd(m, diff, p) != [1]:
-            return False
-    return True
-
-
 def _prime_divisors(n):
     return [d for d in range(2, n + 1) if n % d == 0 and all(d % i for i in range(2, d))]
 
@@ -256,31 +223,6 @@ def _fp_sqrt(a, p):
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
-
-
-def _fp_equal_degree(g, D, p, rng):
-    """Irreducible factors of g, a squarefree product of monic degree-D ones.
-
-    Cantor-Zassenhaus: gcd(s, g) for random a, with s = a^((p^D - 1)/2) - 1
-    for odd p and the trace s = a + a^2 + ... + a^(2^(D-1)) for p = 2.
-    """
-    n = len(g) - 1
-    if n == D:
-        return [g]
-    half = (p**D - 1) // 2
-    while True:
-        a = _fp_trim([rng.randrange(p) for _ in range(n)], p)
-        if p == 2:  # the trace, summed by _fp_sub in characteristic 2
-            s = b = a
-            for _ in range(D - 1):
-                b = _fp_mulmod(b, b, g, p)
-                s = _fp_sub(s, b, p)
-        else:
-            s = _fp_sub(_fp_powmod(a, half, g, p), [1], p)
-        s = _fp_gcd(s, g, p)
-        if 0 < len(s) - 1 < n:
-            other = _fp_divmod(g, s, p)[0]
-            return _fp_equal_degree(s, D, p, rng) + _fp_equal_degree(other, D, p, rng)
 
 
 def _fp_squarefree(f, p):
@@ -323,22 +265,24 @@ def _fp_quadratic_roots(g, p):
 
 @lru_cache(maxsize=1024)
 def _fp_factor(p, f):
-    """Monic irreducible factors of the monic int tuple f over F_p, with multiplicities.
+    """Distinct-degree factorization of the monic int tuple f over F_p.
 
+    Returns a sorted tuple of (g, D, m): the int tuple g is the product of
+    the monic irreducible factors of degree D that divide f exactly m times.
     f is split into squarefree parts first.  A part of degree 1 is
-    irreducible, and one of degree 2 splits exactly when it has a root in
-    F_p.  Only a part of degree >= 3 takes distinct-degree factorization:
-    g = gcd(x^(p^D) - x, rem) for D = 1, 2, ... is the product of the
-    degree-D factors of rem, and once deg rem < 2(D + 1), rem is 1 or
-    irreducible.  Memoized per (p, f): _residue_roots_fp asks for the same f
-    at every k.  Returns a sorted tuple of (factor as an int tuple, multiplicity).
+    irreducible, and one of degree 2 splits into linear factors exactly when
+    it has a root in F_p.  Only a part of degree >= 3 takes distinct-degree
+    factorization: g = gcd(x^(p^D) - x, rem) for D = 1, 2, ... is the
+    product of the degree-D factors of rem, and once deg rem < 2(D + 1), rem
+    is 1 or irreducible.  Memoized per (p, f): _residue_roots_fp asks for
+    the same f at every k.
     """
-    out, rng = [], None
+    out = []
     x = [0, 1]
     for rem, m in _fp_squarefree(list(f), p):
         if len(rem) == 3:
             roots = _fp_quadratic_roots(rem, p)
-            out += [((-r % p, 1), m) for r in roots] if roots else [(tuple(rem), m)]
+            out += [((-r % p, 1), 1, m) for r in roots] if roots else [(tuple(rem), 2, m)]
             continue
         xpd, D = x, 0
         while len(rem) - 1 >= 2 * (D + 1):
@@ -346,13 +290,11 @@ def _fp_factor(p, f):
             xpd = _fp_powmod(xpd, p, rem, p)
             g = _fp_gcd(_fp_sub(xpd, x, p), rem, p)
             if len(g) > 1:
-                if rng is None and len(g) - 1 > D:  # seeded only where a split draws
-                    rng = random.Random(repr((p, f)))
-                out += [(tuple(h), m) for h in _fp_equal_degree(g, D, p, rng)]
+                out.append((tuple(g), D, m))
                 rem = _fp_divmod(rem, g, p)[0]
                 xpd = _fp_divmod(xpd, rem, p)[1]
         if len(rem) > 1:
-            out.append((tuple(rem), m))
+            out.append((tuple(rem), len(rem) - 1, m))
     return tuple(sorted(out))
 
 
@@ -368,9 +310,11 @@ def _minimal_irreducible(p, k):
     # are all reducible unless every prime r | k divides p - 1, and 4 | p - 1 if 4 | k
     serret = all((p - 1) % r == 0 for r in _prime_divisors(k))
     start = 0 if serret and (k % 4 or (p - 1) % 4 == 0) else p
+    # each candidate is tested once, so its factorization is not memoized
     for low in _fp_tuples(p, k, start):
-        if low[0] and _fp_poly_is_irreducible(low + (1,), p):
-            return low + (1,)
+        m = low + (1,)
+        if low[0] and _fp_factor.__wrapped__(p, m) == ((m, k, 1),):
+            return m
     raise RuntimeError("no irreducible found")  # unreachable
 
 
@@ -414,11 +358,19 @@ def gmul(F, a, b):
 
 
 def gcompose_linear(F, poly, lam, gam):
-    """poly(lam*x + gam), by Horner."""
+    """poly(lam*x + gam), trimmed, by Horner: acc <- acc*(lam*x + gam) + c.
+
+    Skips the products by lam when lam is one and those by gam when gam is zero.
+    """
+    scale, shift = lam != F.one, not F.is_zero(gam)
     acc = []
-    lin = [gam, lam]
     for c in reversed(poly):
-        acc = gadd(F, gmul(F, acc, lin), [c])
+        new = [F.zero] + ([F.mul(a, lam) for a in acc] if scale else acc)
+        if shift:
+            for i, a in enumerate(acc):
+                new[i] = F.add(new[i], F.mul(a, gam))
+        new[0] = F.add(new[0], c)
+        acc = gtrim(F, new)
     return acc
 
 
@@ -529,8 +481,8 @@ def residue_roots(F, poly):
 def _residue_roots_fp(p, k, f):
     """residue_roots in F_{p^k} of the monic f with coefficients in F_p (int tuple).
 
-    f is factored once over F_p; an irreducible factor of degree D has its
-    D roots in F = F_{p^k} when D | k, each with the factor's multiplicity,
+    Read off _fp_factor(p, f): a product of factors of degree D has its
+    roots in F = F_{p^k} when D | k, each with the product's multiplicity,
     and otherwise needs relative degree D / gcd(D, k).  Memoized, as the
     same residue polynomials recur across roots, tries of e and curves:
     returns (tuple of roots, missing).
@@ -539,14 +491,13 @@ def _residue_roots_fp(p, k, f):
     rng = None
     roots, missing = [], 0
     pad = (0,) * (k - 1)
-    for g, m in _fp_factor(p, f):
-        D = len(g) - 1
+    for g, D, m in _fp_factor(p, f):
         if k % D:
             d = D // gcd(D, k)
             missing = min(missing, d) if missing else d
-        elif D == 1:
+        elif len(g) == 2:
             roots.append(((-g[0] % p,) + pad, m))
-        elif k == 2 and p != 2:
+        elif k == 2 and D == 2 and len(g) == 3 and p != 2:  # one irreducible quadratic
             # x^2 + bx + c with h = t^2 + h1 t + h0: (2t + h1)^2 = h1^2 - 4 h0,
             # so the roots are (-b +- (2t + h1) s) / 2 with s^2 the quotient of
             # the two discriminants, both non-squares in F_p
@@ -558,8 +509,7 @@ def _residue_roots_fp(p, k, f):
             roots.append((((-h1 * s - b) * half % p, -s % p), m))
         else:
             rng = rng or random.Random(repr((p, k, f)))  # seeded only where a split draws
-            for r in _find_roots_linear_part(F, [F.from_int(c) for c in g], rng):
-                roots.append((r, m))
+            roots += [(r, m) for r in _find_roots_linear_part(F, [F.from_int(c) for c in g], rng)]
     roots.sort()
     return tuple(roots), missing
 
@@ -576,7 +526,8 @@ def _residue_roots_tuple(F, poly):
     xq = gpowmod(F, [F.zero, F.one], q, poly)
     xq_minus_x = gadd(F, xq, [F.zero, F.neg(F.one)])
     lin = ggcd(F, xq_minus_x, poly)
-    rng = random.Random(repr((F.p, F.k, tuple(map(tuple, poly)))))
+    # seeded only where a split draws
+    rng = random.Random(repr((F.p, F.k, tuple(map(tuple, poly))))) if len(lin) > 2 else None
     roots = _find_roots_linear_part(F, lin, rng)
     roots.sort()
     out = []
@@ -834,10 +785,8 @@ def _zeta(p, k, N, order):
     if cyc and (k == 2 or (p - 1) % order == 0):  # roots in F_p, or k = 2: in closed form
         root = _residue_roots_fp(p, k, tuple(c % p for c in cyc))[0][0][0]
     else:
-        # splitting the cyclotomic polynomial over F_q instead takes 3 to 36
-        # times as long at p near 10^6.  g = a^((q-1)/order) is primitive
-        # unless g^(order/r) = 1 for a prime r | order; at k > 1, F_p may
-        # hold no fit a, so the candidates start at t
+        # g = a^((q-1)/order) is primitive unless g^(order/r) = 1 for a prime
+        # r | order; at k > 1, F_p may hold no fit a, so the candidates start at t
         for a in _fp_tuples(p, k, p if k > 1 else 1):
             g = F.pow(a, (q - 1) // order)
             if all(F.pow(g, order // r) != F.one for r in _prime_divisors(order)):
@@ -913,29 +862,11 @@ def _unramified_ring(p, k, N):
 # polynomials over a TameRing: list of elements, index = degree
 
 
-def rpoly_from_ints(ring, ints):
-    return [ring.from_int(c) for c in ints]
-
-
 def rpoly_deriv(ring, poly):
     out = []
     for i in range(1, len(poly)):
         out.append(ring.mul(ring.from_int(i), poly[i]))
     return out
-
-
-def rpoly_shift(ring, poly, r):
-    """poly(r + x) via Horner: acc <- acc*(x + r) + c."""
-    acc = []
-    for c in reversed(poly):
-        new = [ring.zero] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            new[i + 1] = a
-        for i, a in enumerate(acc):
-            new[i] = ring.add(new[i], ring.mul(a, r))
-        new[0] = ring.add(new[0], c)
-        acc = new
-    return acc if acc else [ring.zero]
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +980,7 @@ def _unramified_root(p, k, N, f, rbar):
     prime share it.  The key holds f, so curves share nothing: the memo is small.
     """
     U = _unramified_ring(p, k, N)
-    poly = rpoly_from_ints(U, f)
+    poly = [U.from_int(c) for c in f]
     return _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(rbar))
 
 
@@ -1090,7 +1021,7 @@ def _integral_roots(ring, poly, prec, depth=0, f=None):
         elif mult == 1:
             out.append(_newton_lift(ring, poly, dpoly, r))
         else:
-            shifted = rpoly_shift(ring, poly, r)
+            shifted = gcompose_linear(ring, poly, ring.one, r)
             exact = f and _vanishes_at(f, rbar, ring.h)
             for s in _cluster_roots(ring, shifted, mult, prec, depth + 1, exact):
                 out.append(ring.add(r, s))
@@ -1242,10 +1173,9 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
         raise ValueError("leading coefficient must be a p-adic unit")
     k = lcm(k, multiplicative_order(p, e))
     N = n_digits
-    ceiling = max_pi_digits()
     while True:
         ring = TameRing(TameExtension(p, e), k, N)
-        fpoly = rpoly_from_ints(ring, f_ints)
+        fpoly = [ring.from_int(c) for c in f_ints]
         try:
             roots = _integral_roots(ring, fpoly, ring.cap, f=tuple(f_ints))
             cert = _certify(ring, fpoly, rpoly_deriv(ring, fpoly), roots)
@@ -1255,7 +1185,7 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
                 raise RuntimeError(f"residue degree {ex.k} out of range for quartics")
             k = lcm(ex.k, multiplicative_order(p, e))
         except PrecisionStallError:
-            if N * 2 * e > ceiling:
+            if N * 2 * e > MAX_PI_DIGITS:
                 raise
             N *= 2
 
@@ -1320,13 +1250,7 @@ def _residue_split_degree(f_ints, p):
     k every try of e would otherwise climb to through NeedsLargerK at depth 0.
     """
     inv = pow(f_ints[-1], -1, p)
-    fbar = tuple(c * inv % p for c in f_ints)
-    k = 1
-    while missing := _residue_roots_fp(p, k, fbar)[1]:
-        k *= missing
-        if k > HARD_K_CAP:
-            raise RuntimeError(f"residue degree {k} out of range for quartics")
-    return k
+    return lcm(*(D for _, D, _ in _fp_factor(p, tuple(c * inv % p for c in f_ints))))
 
 
 def _disc_val(f, p):
@@ -1356,8 +1280,7 @@ def split_over_minimal_tame(f_ints, p):
 
     Every try of e starts at N = min(DEFAULT_PI_DIGITS, v + 1), v = ord_p(disc f).
     The pairwise distances of the roots sum to v/2, so v(f'(z)) <= e*v/2 at
-    every root z and v + 1 p-digits leave room for _certify's a - 2b >= 1;
-    on the analyze pool no lift from there doubles N.
+    every root z and v + 1 p-digits leave room for _certify's a - 2b >= 1.
     """
     k = _residue_split_degree(f_ints, p) if f_ints[-1] % p else 1
     n = min(DEFAULT_PI_DIGITS, _disc_val(f_ints, p) + 1)

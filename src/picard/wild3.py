@@ -37,6 +37,9 @@ from .localfield import (
 )
 
 INF = "inf"
+# Largest m*k a witness may ask for: a ring product costs (m*k)^2 int products,
+# and the bundled witnesses have m*k = 16 (m = 8) and 8 (m = 4).
+MAX_WITNESS_WIDTH = 128
 
 
 class WitnessInvalidError(ValueError):
@@ -85,9 +88,14 @@ class WildWitness:
             raise WitnessInvalidError("witnesses are for p = 3")
         if m < 1 or gcd(m, 3) != 1:
             raise WitnessInvalidError("tame degree m must be a positive integer prime to 3")
-        # the ring needs F_{3^k}, k the order of 3 mod m
-        if all(pow(3, k, m) != 1 % m for k in range(1, HARD_K_CAP + 1)):
+        # the ring needs F_{3^k}, k the order of 3 mod m, and its elements are m*k ints
+        k = next((k for k in range(1, HARD_K_CAP + 1) if pow(3, k, m) == 1 % m), None)
+        if k is None:
             raise WitnessInvalidError(f"tame degree m = {m} needs a residue degree above {HARD_K_CAP}")
+        if m * k > MAX_WITNESS_WIDTH:
+            raise WitnessInvalidError(
+                f"tame degree m = {m} needs ring elements of m*k = {m * k} > {MAX_WITNESS_WIDTH} entries"
+            )
         return cls(p=3, m=m, charts=charts, curve=curve)
 
     @classmethod

@@ -3,6 +3,7 @@ import signal
 
 import pytest
 
+from picard import localfield as lf
 from picard.cli import main
 
 
@@ -87,15 +88,6 @@ def test_analyze_rejects_degenerate_inputs(capsys):
     capsys.readouterr()
 
 
-def test_bad_precision_setting_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("PICARD_MAX_PRECISION", "abc")
-    code = main(["analyze", "--curve", "[1,0,14,72,-41]", "--prime", "5"])
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    assert "PICARD_MAX_PRECISION" in err[0]
-
-
 def test_analyze_unfactorable_discriminant_exit_1(capsys):
     # Delta(x^4 + a0) = 256 a0^3, and a0 = (2^61 - 1)(2^89 - 1) is beyond rho's budget
     a0 = (2**61 - 1) * (2**89 - 1)
@@ -119,12 +111,12 @@ def test_analyze_huge_discriminant_exit_1(capsys):
 def test_analyze_precision_stall_exit_1(monkeypatch, capsys):
     # x (x - 5^21)(x^2 - 1): the roots 0 and 5^21 agree to 21 digits, which a
     # 30 pi-digit ceiling cannot certify apart
-    monkeypatch.setenv("PICARD_MAX_PRECISION", "30")
+    monkeypatch.setattr(lf, "MAX_PI_DIGITS", 30)
     code = main(["analyze", "--curve", "[1,-476837158203125,-1,476837158203125,0]", "--prime", "5"])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "PICARD_MAX_PRECISION" in err[0]
+    assert "precision ceiling of 30 pi-digits" in err[0]
 
 
 _WITNESS_CHART = {"x_scale": 3, "x_center": [0], "y_scale": 0, "y_poly": [[-1]], "y_codim": 4}

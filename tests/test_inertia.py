@@ -277,7 +277,7 @@ def test_embedded_split_matches_relift_oracle():
             grown.add(k)
         # the embedding is a ring map: f at each embedded root keeps its
         # valuation, in pi' units, and the balls scale with it
-        fpoly = lf.rpoly_from_ints(ring, ints)
+        fpoly = [ring.from_int(c) for c in ints]
         for z, (fval, ball), (fval0, ball0) in zip(sr.roots, sr.cert, ram.split.cert):
             assert ring.val(lf.geval(ring, fpoly, z)) == fval == 3 * fval0
             assert ball == 3 * ball0

@@ -205,13 +205,6 @@ def test_wild_detection():
         lf.split_over_minimal_tame([0, -1, -24, -3, 1], 3)  # needs e = 3 at p = 3
 
 
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("PICARD_MAX_PRECISION", "123")
-    assert lf.max_pi_digits() == 123
-    monkeypatch.delenv("PICARD_MAX_PRECISION")
-    assert lf.max_pi_digits() == 640
-
-
 def _first_digit(ring, z):
     """The residue-field digit of z's leading pi-adic term."""
     return ring.residue(ring.div_pi(z, ring.val(z)))
@@ -431,14 +424,6 @@ def test_gf_is_the_ring_at_n_equal_1():
             assert F.pow(abar, n) == acc == U.residue(U.pow(a, n))
 
 
-def test_precision_env_rejects_non_positive_integers(monkeypatch):
-    for bad in ("abc", "0", "-5", "1.5"):
-        monkeypatch.setenv("PICARD_MAX_PRECISION", bad)
-        with pytest.raises(lf.PrecisionSettingError):
-            lf.max_pi_digits()
-    assert issubclass(lf.PrecisionSettingError, ValueError)
-
-
 def test_minimal_irreducible_pinned():
     # values of the lexicographic search before its F_p kernels were shared
     assert lf.minimal_irreducible(2, 6) == (1, 1, 0, 0, 0, 0, 1)
@@ -548,47 +533,112 @@ def _f2_mul(a, b):
     return out
 
 
+def _fp_roots(g, p):
+    """The roots in F_p of the int polynomial g (low degree first), by trying every element."""
+    return [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(g)) % p == 0]
+
+
+def _brute_irreducible(g, p):
+    """Irreducibility of the monic g of degree <= 4 over a small F_p, by brute force.
+
+    No root, and at degree 4 also no monic quadratic factor.
+    """
+    g = [c % p for c in g]
+    if len(g) == 2:
+        return True
+    if _fp_roots(g, p):
+        return False
+    return len(g) < 5 or all(lf._fp_divmod(g, [c, b, 1], p)[1] for b in range(p) for c in range(p))
+
+
+def _rabin_irreducible(g, p):
+    """Irreducibility of the monic g over F_p by Rabin's test, for degrees brute force cannot reach.
+
+    g divides x^(p^n) - x, n = deg g, and is prime to x^(p^(n/q)) - x for
+    every prime q | n.
+    """
+    n, g, x = len(g) - 1, [c % p for c in g], [0, 1]
+    if lf._fp_powmod(x, p**n, g, p) != x:
+        return False
+    return all(
+        lf._fp_gcd(g, lf._fp_sub(lf._fp_powmod(x, p ** (n // q), g, p), x, p), p) == [1]
+        for q in lf._prime_divisors(n)
+    )
+
+
+def test_irreducibility_oracles_agree():
+    for p, n in ((2, 4), (3, 4), (5, 3), (5, 4), (7, 2)):
+        for low in itertools.product(range(p), repeat=n):
+            g = list(low) + [1]
+            assert _brute_irreducible(g, p) == _rabin_irreducible(g, p), (p, g)
+
+
 def test_fp_equal_degree_p2_splits_fully():
+    # a product of distinct irreducibles of degree D over F_2 splits over
+    # F_{2^D} into every root the field holds, each once
     rng = random.Random(43)
     for D in (1, 2, 3, 4):
+        F = lf.GF(2, D)
         irreducible = [
-            list(c) + [1] for c in itertools.product((0, 1), repeat=D)
-            if lf._fp_poly_is_irreducible(list(c) + [1], 2)
+            list(c) + [1] for c in itertools.product((0, 1), repeat=D) if _brute_irreducible(list(c) + [1], 2)
         ]
         for _ in range(12):
             chosen = rng.sample(irreducible, rng.randint(1, len(irreducible)))
             g = [1]
             for h in chosen:
                 g = _f2_mul(g, h)
-            factors = lf._fp_equal_degree(g, D, 2, random.Random(rng.random()))
-            assert sorted(factors) == sorted(chosen), (D, chosen)
+            assert {d for _, d, _ in lf._fp_factor.__wrapped__(2, tuple(g))} == {D}
+            roots, missing = lf._residue_roots_fp.__wrapped__(2, D, tuple(g))
+            poly = [F.from_int(c) for c in g]
+            want = [a for a in F.elements() if F.is_zero(lf.geval(F, poly, a))]
+            assert missing == 0 and list(roots) == [(a, 1) for a in sorted(want)], (D, chosen)
+            assert len(roots) == len(g) - 1
 
 
 def _fp_factor_distinct_degree(p, f):
-    """The oracle: distinct-degree factorization of f itself, then multiplicities by division."""
-    rng = random.Random(repr((p, f)))
-    x, f = [0, 1], list(f)
-    rem, xpd, D = f, x, 0
-    irreducible = []
-    while len(rem) - 1 >= 2 * (D + 1):
+    """The oracle: distinct-degree factorization of f itself, each product cut by multiplicity.
+
+    gcd(x^(p^D) - x, rem) is the product of the distinct degree-D factors
+    left in rem; dividing it out once leaves those of multiplicity >= 2,
+    which the gcd of rem with it picks out, and so on.
+    """
+    x, rem = [0, 1], list(f)
+    xpd, D, out = x, 0, []
+    while len(rem) > 1:
         D += 1
         xpd = lf._fp_powmod(xpd, p, rem, p)
-        g = lf._fp_gcd(lf._fp_sub(xpd, x, p), rem, p)
-        if len(g) > 1:
-            irreducible.extend(lf._fp_equal_degree(g, D, p, rng))
-            while len(g) > 1:
-                rem = lf._fp_divmod(rem, g, p)[0]
-                g = lf._fp_gcd(rem, g, p)
-            xpd = lf._fp_divmod(xpd, rem, p)[1]
-    if len(rem) > 1:
-        irreducible.append(rem)
-    out = []
-    for g in irreducible:
-        m, q = 0, f
-        while not (r := lf._fp_divmod(q, g, p))[1]:
-            q, m = r[0], m + 1
-        out.append((tuple(g), m))
+        g, m = lf._fp_gcd(lf._fp_sub(xpd, x, p), rem, p), 0
+        while len(g) > 1:  # the degree-D factors of multiplicity > m
+            rem, m = lf._fp_divmod(rem, g, p)[0], m + 1
+            deeper = lf._fp_gcd(rem, g, p)
+            exact = lf._fp_divmod(g, deeper, p)[0]
+            if len(exact) > 1:
+                out.append((tuple(exact), D, m))
+            g = deeper
+        xpd = lf._fp_divmod(xpd, rem, p)[1] if len(rem) > 1 else xpd
     return sorted(out)
+
+
+def _by_degree_and_multiplicity(factors, p):
+    """{(D, m): the product of the given factors of degree D and multiplicity m}.
+
+    _fp_factor gives a split quadratic part as its two linear factors, which
+    this merges back.
+    """
+    out = {}
+    for g, D, m in factors:
+        out[D, m] = [c % p for c in _poly_mul(out.get((D, m), [1]), list(g))]
+    return out
+
+
+def _is_degree_product(g, D, p):
+    """Whether g is a product of distinct monic irreducibles of degree D over a small F_p, by trial division."""
+    g = list(g)
+    for low in itertools.product(range(p), repeat=D):
+        h = list(low) + [1]
+        if _brute_irreducible(h, p) and not (qr := lf._fp_divmod(g, h, p))[1]:
+            g = qr[0]
+    return g == [1]
 
 
 def _fp_power(g, n, p):
@@ -619,13 +669,13 @@ def test_fp_factor_squarefree_parts_first():
     for p, f in cases:
         got = lf._fp_factor.__wrapped__(p, f)
         prod = [1]
-        for g, m in got:
-            assert lf._fp_poly_is_irreducible(list(g), p), (p, f, g)
+        for g, D, m in got:
+            assert p > 7 or _is_degree_product(g, D, p), (p, f, g, D)
             prod = [c % p for c in _poly_mul(prod, _fp_power(g, m, p))]
         assert tuple(prod) == f, (p, f)
-        assert list(got) == _fp_factor_distinct_degree(p, f), (p, f)
-    assert lf._fp_factor(3, (1, 0, 0, 1)) == (((1, 1), 3),)
-    assert lf._fp_factor(2, (1, 0, 1, 0, 1)) == (((1, 1, 1), 2),)
+        assert _by_degree_and_multiplicity(got, p) == _by_degree_and_multiplicity(_fp_factor_distinct_degree(p, f), p)
+    assert lf._fp_factor(3, (1, 0, 0, 1)) == (((1, 1), 1, 3),)
+    assert lf._fp_factor(2, (1, 0, 1, 0, 1)) == (((1, 1, 1), 2, 2),)
 
 
 def test_fp_factor_seeds_a_generator_only_to_split(monkeypatch):
@@ -644,10 +694,10 @@ def test_fp_factor_seeds_a_generator_only_to_split(monkeypatch):
     for f in ((6, p - 17, 17, p - 7, 1), (1, p - 2, 2, p - 2, 1)):
         assert lf._residue_roots_fp(p, 2, f)[1] == 0
     assert seeds == []
-    # (x - 1)(x - 2)(x - 3)(x - 4): distinct-degree gives one part of degree 4 to split
+    # (x - 1)(x - 2)(x - 3)(x - 4): distinct-degree gives one product of degree 4 to split
     roots, missing = lf._residue_roots_fp(p, 1, (24, p - 50, 35, p - 10, 1))
     assert [r[0] for r, _ in roots] == [1, 2, 3, 4] and missing == 0
-    assert seeds == [repr((p, (24, p - 50, 35, p - 10, 1)))]
+    assert seeds == [repr((p, 1, (24, p - 50, 35, p - 10, 1)))]
 
 
 def test_residue_roots_k2_quadratic_formula():
@@ -656,7 +706,7 @@ def test_residue_roots_k2_quadratic_formula():
         F = lf.GF(p, 2)
         irreducible = [
             [c, b] for b in range(min(p, 5)) for c in range(min(p, 5))
-            if lf._fp_poly_is_irreducible([c, b, 1], p)
+            if _brute_irreducible([c, b, 1], p)
         ]
         assert irreducible
         for c, b in irreducible[:6]:
@@ -669,6 +719,43 @@ def test_residue_roots_k2_quadratic_formula():
                 for r, _ in roots:
                     assert F.is_zero(lf.geval(F, g, r))
                 assert (roots, missing) == lf._residue_roots_tuple(F, poly)
+
+
+def test_residue_roots_k2_linear_product_is_not_a_quadratic(monkeypatch):
+    # (x - a)(x - b) q(x), q irreducible, is squarefree of degree 4: its
+    # distinct-degree product for D = 1 is the quadratic (x - a)(x - b),
+    # which splits by Cantor-Zassenhaus, while only q takes the quadratic
+    # formula and its one square root
+    sqrt_calls = []
+
+    def spy(a, p):
+        sqrt_calls.append(a)
+        return sqrt(a, p)
+
+    sqrt = lf._fp_sqrt
+    monkeypatch.setattr(lf, "_fp_sqrt", spy)
+    rng = random.Random(2081)
+    cases = 0
+    for p in (2, 3, 5, 7, 13, 1009, 999983):
+        F = lf.GF(p, 2)
+        for _ in range(4):
+            a, b = rng.sample(range(p), 2)
+            q = [1, 1, 1]  # the irreducible quadratic over F_2; for odd p, a non-square discriminant
+            while p > 2 and pow((q[1] ** 2 - 4 * q[0]) % p, (p - 1) // 2, p) != p - 1:
+                q = [rng.randrange(p), rng.randrange(p), 1]
+            f = tuple(c % p for c in _poly_mul(_poly_mul([-a, 1], [-b, 1]), q))
+            assert lf._fp_factor.__wrapped__(p, f) == tuple(
+                sorted([(tuple(c % p for c in _poly_mul([-a, 1], [-b, 1])), 1, 1), (tuple(q), 2, 1)])
+            )
+            sqrt_calls.clear()
+            roots, missing = lf._residue_roots_fp.__wrapped__(p, 2, f)
+            assert len(sqrt_calls) == (p != 2)
+            poly = [F.from_int(c) for c in f]
+            assert (list(roots), missing) == lf._residue_roots_tuple(F, poly)
+            assert sorted(r[0] for r, _ in roots if not any(r[1:])) == sorted((a, b))
+            assert missing == 0 and len(roots) == 4 and all(F.is_zero(lf.geval(F, poly, r)) for r, _ in roots)
+            cases += 1
+    assert cases == 28
 
 
 def test_fp_sqrt_exhaustive_small_primes():
@@ -787,7 +874,7 @@ def test_coupled_newton_matches_exact_inverse_oracle():
 
 def test_newton_lift_stalls_when_its_step_budget_runs_out(monkeypatch):
     ring = lf.TameRing(lf.TameExtension(5, 2), 1, 10)
-    poly = lf.rpoly_from_ints(ring, [-6, 0, 1])  # x^2 - 6: simple roots 1 and 4 mod 5
+    poly = [ring.from_int(c) for c in (-6, 0, 1)]  # x^2 - 6: simple roots 1 and 4 mod 5
     dpoly = lf.rpoly_deriv(ring, poly)
     r = ring.lift_residue((1,))
     root = lf._newton_lift(ring, poly, dpoly, r)
@@ -796,7 +883,7 @@ def test_newton_lift_stalls_when_its_step_budget_runs_out(monkeypatch):
     with pytest.raises(lf.PrecisionStallError):
         lf._newton_lift(ring, poly, dpoly, r)
     # lift_over_ring doubles N on the stall until the ceiling, then gives up
-    monkeypatch.setenv("PICARD_MAX_PRECISION", "80")
+    monkeypatch.setattr(lf, "MAX_PI_DIGITS", 80)
     with pytest.raises(lf.PrecisionStallError):
         lf.lift_over_ring([-6, 0, 1], 5, 1)
 
@@ -1032,7 +1119,7 @@ def _minimal_irreducible_from_code_0(p, k):
     """The lexicographic search over every candidate, the binomials x^k + c included."""
     for code in range(p**k):
         low = [code // p**i % p for i in range(k)]
-        if low[0] and lf._fp_poly_is_irreducible(low + [1], p):
+        if low[0] and _rabin_irreducible(low + [1], p):
             return tuple(low) + (1,)
 
 
@@ -1047,11 +1134,19 @@ def test_minimal_irreducible_matches_search_from_code_0():
 def test_minimal_irreducible_skips_reducible_binomials_fast():
     # p = 2 mod 3 makes every element a cube and p = 3 mod 4 leaves -1 a
     # non-square: no x^3 + c, resp. x^4 + c, is irreducible, and p of them
-    # took 20 s and more to rule out one at a time
-    for p, k, want in ((100019, 3, (9, 1, 0, 1)), (100003, 4, (7, 1, 0, 0, 1))):
+    # took 20 s and more to rule out one at a time; at (1000037, 6) and
+    # (3, 12) no binomial is irreducible either
+    pinned = (
+        (100019, 3, (9, 1, 0, 1)),
+        (100003, 4, (7, 1, 0, 0, 1)),
+        (1000037, 6, (1, 1, 0, 0, 0, 0, 1)),
+        (3, 12, (2, 0, 1) + (0,) * 9 + (1,)),
+    )
+    for p, k, want in pinned:
         t0 = time.perf_counter()
         assert lf._minimal_irreducible.__wrapped__(p, k) == want
-        assert time.perf_counter() - t0 < 1.0
+        assert time.perf_counter() - t0 < 0.05, (p, k)
+        assert _rabin_irreducible(list(want), p)
 
 
 def _poly_mul(a, b):
@@ -1103,6 +1198,28 @@ def _lift_outcome(f, p, e, k=1):
     return ring.e, ring.k, ring.N, ring.c, sr.roots, sr.cert
 
 
+def _split_degree_by_climbing(f, p):
+    """The oracle: k grows by the missing relative degree until f mod p splits over F_{p^k}."""
+    inv = pow(f[-1], -1, p)
+    fbar = tuple(c * inv % p for c in f)
+    k = 1
+    while missing := lf._residue_roots_fp(p, k, fbar)[1]:
+        k *= missing
+    return k
+
+
+def test_residue_split_degree_is_the_climbed_degree():
+    rng = random.Random(1616)
+    climbed = 0
+    for p in (2, 3, 5, 7, 11, 13, 1009, 999983):
+        for _ in range(30):
+            f = _seeded_quartic(rng, p)
+            k = lf._residue_split_degree(f, p)
+            assert k == _split_degree_by_climbing(f, p), (f, p)
+            climbed += k > 1
+    assert climbed >= 40
+
+
 def test_lift_from_the_residue_split_degree_matches_lift_from_k_1():
     # split_over_minimal_tame starts every try of e at the k where f mod p
     # splits; lift_over_ring reaches the same ring, roots and certificate,
@@ -1139,7 +1256,7 @@ def test_depth_0_roots_lifted_once_over_the_unramified_ring():
             for e in (1, 2, 3, 4, 6):
                 for c in (1, -1):
                     ring = lf.TameRing(lf.TameExtension(p, e, c), lcm(k_top, lf.multiplicative_order(p, e)), 5)
-                    poly = lf.rpoly_from_ints(ring, f)
+                    poly = [ring.from_int(c) for c in f]
                     dpoly = lf.rpoly_deriv(ring, poly)
                     for rbar, mult in lf.residue_roots(ring.gf, lf._residue_poly(ring, poly))[0]:
                         if mult == 1 and not ring.gf.is_zero(rbar):
@@ -1169,6 +1286,78 @@ def _clustered_quartic(rng, p):
         f[0] += rng.choice((0, 1, -1)) * p ** rng.randint(1, 10)
         if discriminant(poly_from_ints(f[::-1])) != 0:
             return f
+
+
+def _shift_reference(ring, poly, r):
+    """poly(x + r) by the untrimmed Horner the lifting used before: acc <- acc*(x + r) + c."""
+    acc = []
+    for c in reversed(poly):
+        new = [ring.zero] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            new[i + 1] = a
+        for i, a in enumerate(acc):
+            new[i] = ring.add(new[i], ring.mul(a, r))
+        new[0] = ring.add(new[0], c)
+        acc = new
+    return acc if acc else [ring.zero]
+
+
+def _compose_reference(F, poly, lam, gam):
+    """poly(lam*x + gam) by Horner on gmul and gadd."""
+    acc = []
+    for c in reversed(poly):
+        acc = lf.gadd(F, lf.gmul(F, acc, [gam, lam]), [c])
+    return acc
+
+
+def _cluster_outcome(ring, poly, mult):
+    try:
+        return lf._cluster_roots(ring, poly, mult, ring.cap, 1)
+    except lf.NeedsLargerE as ex:
+        return "NeedsLargerE", ex.factor
+    except lf.NeedsLargerK as ex:
+        return "NeedsLargerK", ex.k
+    except lf.PrecisionStallError:
+        return "PrecisionStallError"
+
+
+def test_shift_by_compose_matches_the_untrimmed_horner():
+    # gcompose_linear(ring, poly, ring.one, r) is poly(x + r) with its zero
+    # top coefficients trimmed, and _cluster_roots finds the same roots, or
+    # raises the same exception, in it as in the untrimmed shift; here f's
+    # top coefficients p^N u vanish in the ring
+    rng = random.Random(1717)
+    clusters = trimmed = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(10):
+            f = _clustered_quartic(rng, p)
+            for e in (1, 2, 3, 4):
+                if e % p == 0:
+                    continue
+                N = rng.randint(2, 8)
+                ring = lf.TameRing(lf.TameExtension(p, e, rng.choice((1, -1))), lf.multiplicative_order(p, e), N)
+                top = [p**N * rng.randint(1, 9) for _ in range(rng.randint(0, 2))]
+                poly = [ring.from_int(c) for c in f + top]
+                for rbar, mult in lf.residue_roots(ring.gf, lf._residue_poly(ring, poly))[0]:
+                    r = ring.lift_residue(rbar)
+                    ref = _shift_reference(ring, poly, r)
+                    got = lf.gcompose_linear(ring, poly, ring.one, r)
+                    assert got == lf.gtrim(ring, ref[:]) and len(ref) == len(got) + len(top)
+                    if mult > 1:
+                        assert _cluster_outcome(ring, got, mult) == _cluster_outcome(ring, ref, mult), (f, p, e, N)
+                        clusters += 1
+                        trimmed += bool(top)
+    assert clusters >= 100 and trimmed >= 50
+    # any lam and gam, over a residue field and a ramified ring
+    for ring in (lf.GF(3, 2), lf.GF(7, 1), lf.TameRing(lf.TameExtension(3, 8, -1), 2, 20)):
+        def elt():
+            return tuple(rng.randrange(ring.mod) for _ in ring.one) if rng.randrange(3) else ring.zero
+
+        for _ in range(60):
+            poly = lf.gtrim(ring, [elt() for _ in range(rng.randint(0, 6))])
+            lam = rng.choice((ring.one, elt()))
+            gam = elt()
+            assert lf.gcompose_linear(ring, poly, lam, gam) == _compose_reference(ring, poly, lam, gam)
 
 
 def _tries_of_e(f, p, n_digits):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -155,6 +156,22 @@ def test_witness_rejects_p_not_3():
         WildWitness.from_dict({"p": 5, "m": 4, "charts": []})
     with pytest.raises(WitnessInvalidError):
         WildWitness.from_dict({"p": 3, "m": 6, "charts": []})
+
+
+def test_witness_rejects_a_ring_wider_than_the_bound():
+    # elements of the witness ring are m*k ints, k the order of 3 mod m:
+    # m = 3^8 - 1 and 3^10 - 1 ask for 52480 and 590480 of them
+    chart = dict(CHART_POTGOOD["charts"][0])
+    for m in (6560, 59048):
+        t0 = time.perf_counter()
+        with pytest.raises(WitnessInvalidError, match="m\\*k"):
+            WildWitness.from_dict({"p": 3, "m": m, "charts": [chart]})
+        assert time.perf_counter() - t0 < 0.05, m
+    # m = 20 (k = 4) is within the bound, and m = 40 (k = 4) is not
+    assert WildWitness.from_dict({"p": 3, "m": 20, "charts": [chart]}).m == 20
+    assert 20 * 4 <= wild3.MAX_WITNESS_WIDTH < 40 * 4
+    with pytest.raises(WitnessInvalidError):
+        WildWitness.from_dict({"p": 3, "m": 40, "charts": [chart]})
 
 
 def test_witness_roundtrip_serialization():
