@@ -8,16 +8,17 @@ delta = 0.  p = 3 is always bad; without a witness the report is the bound
 2 <= f_2 <= 28 and f_2 != 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .clusters import splitting_ramification
 from .curves import PicardCurve, normalize
-from .exact import is_prime, poly_from_ints
+from .exact import MR_DETERMINISTIC_BOUND, is_prime, poly_from_ints
 from .inertia import analyze_tame
 from .wild3 import WildWitness, WitnessInvalidError, verify_witness
 
 P3_BOUND_HI_DEFAULT = 21
 P2_WILD_HI = 28  # genus-3 abelian-variety bound at p = 2
+PROBABLE_PRIME_NOTE = "p is a probable prime: Miller-Rabin is not a proof at or above 3.3e24"
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,10 @@ def analyze_prime(curve, p, witness=None):
         return analyze_p2(curve)
     if p == 3:
         return analyze_p3(curve, witness)
-    return conductor_tame(curve, p)
+    report = conductor_tame(curve, p)
+    if p >= MR_DETERMINISTIC_BOUND:
+        report = replace(report, notes=report.notes + (PROBABLE_PRIME_NOTE,))
+    return report
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,10 @@ def _int_val(n, p):
 
 
 # Deterministic Miller-Rabin witness sets (Sorenson-Webster / Jaeschke).
+# Below this bound the witness sets of _MR_THRESHOLDS make is_prime a proof;
+# at or above it a pass is only a probable prime.
+MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+
 _MR_THRESHOLDS = [
     (2047, (2,)),
     (1373653, (2, 3)),
@@ -257,7 +261,7 @@ _MR_THRESHOLDS = [
     (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
     (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+    (MR_DETERMINISTIC_BOUND, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -269,10 +273,12 @@ _TRIAL_PRIMES = _SMALL_PRIMES + tuple(
 
 
 def is_prime(n):
-    """Primality test, unconditional below 3.3e24 via fixed MR witness sets.
+    """Primality test, unconditional below MR_DETERMINISTIC_BOUND (3.3e24).
 
-    Above that bound the first 25 primes are used as witnesses, which is far
-    beyond anything the bounded searches here produce.
+    Below the bound fixed Miller-Rabin witness sets decide; at or above it
+    the first 25 primes are used as witnesses, so a pass is a probable prime
+    (``analyze_prime`` notes this on its report).  That is far beyond
+    anything the bounded searches here produce.
     """
     return _is_prime(n, None)
 

@@ -2,18 +2,21 @@
 
 Iterates monic integral quartics x^4 + a3 x^3 + a2 x^2 + a1 x + a0 with
 |a_i| <= height, keeps the separable ones whose discriminant is supported
-on the prime set S, normalizes, keeps one curve per class under scaling +
-translation, and analyzes each retained curve at its bad primes.
+on the prime set S, keeps one curve per class under scaling + translation,
+normalizes it, and analyzes it at its bad primes.
 
-With workers > 1 the per-candidate work runs in a process pool, as two
-kinds of task: ``normalized_slice`` scans one a3 slice, normalizes every
-hit and computes its ``class_key``; ``analyze_curve`` analyzes one retained
-curve at its bad primes.  The writer keeps everything stateful: it takes
-the slices in order, drops a candidate whose class key it has seen,
-submits the analyses of the rest, and writes the records in enumeration
-order, flushing after each slice.  With one worker the same tasks run
-in-process.  Output order is coefficient-lexicographic and byte-identical
-across reruns and worker counts.
+The work runs as two kinds of task, in a process pool when workers > 1 and
+in-process otherwise.  ``keyed_slice`` scans one a3 slice and returns each
+hit with its ``class_key``, as ints: a hit's key is read off its own
+coefficients, since ``normalize`` moves a monic integral quartic only where
+p^36 divides its discriminant, and only such a hit is normalized for its
+key.  ``analyze_slice`` normalizes the retained hits of one slice and
+analyzes each at its bad primes.  The writer keeps everything stateful: it
+takes the slices in order, drops a hit whose class key it has seen,
+submits one analysis task for the rest of the slice, and writes the
+records in enumeration order, flushing after each slice.  Output order is
+coefficient-lexicographic and byte-identical across reruns and worker
+counts.
 """
 
 import json
@@ -28,7 +31,7 @@ from .curves import (
     equivalent,  # noqa: F401  (unused here; bench/tracing.py wraps this binding)
     normalize,
 )
-from .exact import is_prime, poly_from_ints
+from .exact import disc_quartic_monic, is_prime, poly_from_ints
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -146,15 +149,16 @@ def scan_slice(args):
     return out
 
 
-def class_key(curve):
-    """Dedup key of a normalized curve: equal iff the curves are equivalent.
+def class_key(coeffs):
+    """Dedup key of a normalized quartic: equal iff the curves are equivalent.
 
+    coeffs are f's ints with index = degree, as in ``PicardCurve.coeffs``.
     For f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0 the key is (P, |Q|, R) from
     256 f((y - a3)/4) = y^4 + P y^2 + Q y + R.  Normalized models with equal
     discriminants differ by x -> +-x + b (u^36 = 1 forces u = +-1), and
     f(+-x + b) has the same depressed form as f up to the sign of Q.
     """
-    a3, a2, a1, a0 = curve.coeffs[3::-1]
+    a3, a2, a1, a0 = coeffs[3::-1]
     a3_2 = a3 * a3
     return (
         16 * a2 - 6 * a3_2,
@@ -163,19 +167,35 @@ def class_key(curve):
     )
 
 
-def normalized_slice(args):
-    """(source, normalized curve, class key) for each hit of one a3 slice."""
+def hit_key(source, primes):
+    """class_key of normalize(source) for an S-supported hit (1, a3, a2, a1, a0).
+
+    normalize changes a monic integral quartic only by descaling at a prime
+    p with p^36 | Delta, so any other hit is keyed off its own coefficients.
+    """
+    disc = disc_quartic_monic(*source[1:])
+    if any(disc % p**36 == 0 for p in primes):
+        return class_key(normalize(poly_from_ints(source))[0].coeffs)
+    return class_key(source[::-1])
+
+
+def keyed_slice(args):
+    """(source, hit_key) for each hit of one a3 slice, in scan order."""
+    primes = args[2]
     out = []
-    for a3, a2, a1, a0 in scan_slice(args):
-        source = (1, a3, a2, a1, a0)
-        curve, _ = normalize(poly_from_ints(source))
-        out.append((source, curve, class_key(curve)))
+    for hit in scan_slice(args):
+        source = (1, *hit)
+        out.append((source, hit_key(source, primes)))
     return out
 
 
-def analyze_curve(curve):
-    """Reports of one retained curve at each of its bad primes."""
-    return tuple(analyze_prime(curve, p) for p in curve.bad_prime_candidates())
+def analyze_slice(sources):
+    """(normalized curve, its reports at each bad prime) per source, in order."""
+    out = []
+    for source in sources:
+        curve, _ = normalize(poly_from_ints(source))
+        out.append((curve, tuple(analyze_prime(curve, p) for p in curve.bad_prime_candidates())))
+    return out
 
 
 class _Done:
@@ -203,10 +223,9 @@ def _task_runner(workers):
         yield pool.apply_async
 
 
-def _slice_records(a3, fresh):
+def _slice_records(a3, sources, analyses):
     """The records of one slice in order, then its end-of-slice marker."""
-    for source, curve, reports in fresh:
-        reports = reports.get()
+    for source, (curve, reports) in zip(sources, analyses.get()):
         lo = hi = 1
         for r in reports:
             lo *= r.p**r.f_lo
@@ -243,18 +262,20 @@ def enumerate_search(cfg: SearchConfig, retained=None):
     """Yield (a3_slice, record-or-None): records in deterministic order.
 
     A None record marks the end of a slice (its checkpoint boundary).
-    retained carries dedup state when resuming.  ``workers`` slices are
-    scanned ahead, and a slice's records are taken once the next slice's
-    analyses are submitted, so the pool always has work queued.
+    retained carries dedup state when resuming.  Each slice costs two
+    tasks: its keyed scan, and one analysis of the hits whose key is new.
+    ``workers`` slices are scanned ahead, and a slice's records are taken
+    once the next slice's analysis is submitted, so the pool always has
+    work queued.
     """
-    seen = {class_key(curve) for curve in retained or ()}
+    seen = {class_key(curve.coeffs) for curve in retained or ()}
     a3s = iter(range(-cfg.height, cfg.height + 1))
     if cfg.resume_from is not None:
         a3s = (a3 for a3 in a3s if a3 > cfg.resume_from)
     with _task_runner(cfg.workers) as submit:
 
         def scan(a3):
-            return a3, submit(normalized_slice, ((a3, cfg.height, cfg.primes),))
+            return a3, submit(keyed_slice, ((a3, cfg.height, cfg.primes),))
 
         scans = deque(scan(a3) for a3 in islice(a3s, cfg.workers))
         analyzing = deque()
@@ -262,11 +283,11 @@ def enumerate_search(cfg: SearchConfig, retained=None):
             a3, found = scans.popleft()
             scans.extend(scan(a3_next) for a3_next in islice(a3s, 1))
             fresh = []
-            for source, curve, key in found.get():
+            for source, key in found.get():
                 if key not in seen:
                     seen.add(key)
-                    fresh.append((source, curve, submit(analyze_curve, (curve,))))
-            analyzing.append((a3, fresh))
+                    fresh.append(source)
+            analyzing.append((a3, fresh, submit(analyze_slice, (fresh,))))
             if len(analyzing) > 1:
                 yield from _slice_records(*analyzing.popleft())
         while analyzing:

@@ -1,0 +1,59 @@
+"""tools/bench_trajectory.py reads every BENCH_*.json of the checkout."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_trajectory.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_trajectory", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_prints_a_row_per_workload_of_every_bench_file():
+    out = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT)],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    rows = [line.split() for line in out[1:]]
+    want = set()
+    for path in ROOT.glob("BENCH_*.json"):
+        workloads = json.loads(path.read_text(encoding="utf-8"))["workloads"]
+        want |= {(path.stem.removeprefix("BENCH_"), name) for name in workloads}
+    assert want
+    assert {(row[0], row[1]) for row in rows} == want
+    assert len(rows) == len(want)
+    for row in rows:
+        # pairs, then parent and change medians of wall_s, peak_rss_mb, attempted
+        assert len(row) == 9 and int(row[2]) > 0
+        assert all(float(cell) > 0 for cell in row[3:])
+
+
+def test_medians_come_from_the_raw_pairs(tmp_path):
+    def run(wall, rss, attempted):
+        return {"wall_s": wall, "peak_rss_mb": rss, "attempted": attempted}
+
+    pairs = [
+        {"seed": 1, "parent": run(0.30, 30.0, 100), "change": run(0.20, 31.0, 120)},
+        {"seed": 2, "parent": run(0.34, 30.4, 90), "change": run(0.24, 31.4, 130)},
+        {"seed": 3, "parent": run(0.32, 30.2, 95), "change": run(0.22, 31.2, 125)},
+    ]
+    (tmp_path / "BENCH_b.json").write_text(json.dumps({"workloads": {"search-s23": {"pairs": pairs}}}))
+    (tmp_path / "BENCH_a.json").write_text(json.dumps({"workloads": {"analyze": {"pairs": pairs[:2]}}}))
+    tool = _load_tool()
+    # outside a git checkout the files come in name order
+    assert [p.name for p in tool.bench_files(tmp_path)] == ["BENCH_a.json", "BENCH_b.json"]
+    [(name, count, medians)] = tool.trajectory(tmp_path / "BENCH_b.json")
+    assert (name, count) == ("search-s23", 3)
+    assert medians == {
+        "wall_s": (0.32, 0.22),
+        "peak_rss_mb": (30.2, 31.2),
+        "attempted": (95, 125),
+    }

@@ -6,6 +6,7 @@ import pytest
 
 import picard.conductor
 from picard.conductor import (
+    PROBABLE_PRIME_NOTE,
     ConductorReport,
     analyze_p2,
     analyze_p3,
@@ -15,7 +16,7 @@ from picard.conductor import (
     sqrt_disc_unramified_at_2,
 )
 from picard.curves import InseparableCurveError, PicardCurve, normalize
-from picard.exact import poly_from_ints
+from picard.exact import MR_DETERMINISTIC_BOUND, poly_from_ints
 from picard.localfield import WildSplittingError, split_over_minimal_tame
 from picard.wild3 import WildWitness, WitnessInvalidError
 
@@ -261,3 +262,18 @@ def test_analyze_prime_rejects_composites():
     c, _ = normalize(X4_MINUS_1)
     with pytest.raises(ValueError):
         analyze_prime(c, 6)
+
+
+def test_report_at_a_probable_prime_says_so():
+    # Delta(x^4 + x + 23500000) = 256 * 23500000^3 - 27 is a prime just above
+    # the bound below which Miller-Rabin with fixed witnesses is a proof
+    c, _ = normalize(poly_from_ints([1, 0, 0, 1, 23500000]))
+    p = 3322335999999999999999973
+    assert c.disc_factors == [(p, 1)] and p >= MR_DETERMINISTIC_BOUND
+    rep = analyze_prime(c, p)
+    assert rep.notes[-1] == PROBABLE_PRIME_NOTE
+    assert rep.to_dict()["notes"][-1] == PROBABLE_PRIME_NOTE
+    # below the bound the same route adds no note
+    assert PROBABLE_PRIME_NOTE not in analyze_prime(c, 3).notes
+    small, _ = normalize(X4_MINUS_1)
+    assert all(PROBABLE_PRIME_NOTE not in r.notes for r in global_conductor(small).reports)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -16,7 +17,8 @@ from picard.search import (
     SearchRecord,
     class_key,
     enumerate_search,
-    normalized_slice,
+    hit_key,
+    keyed_slice,
     rank,
     run_search,
     scan_slice,
@@ -117,7 +119,7 @@ def test_search_deduplicates_translates():
     )
     assert first == (1, -4, 6, -4, 0)
     records = collect(SearchConfig(primes=(2, 3), height=h))
-    same = [r for r in records if class_key(r.curve) == class_key(x4_minus_1)]
+    same = [r for r in records if class_key(r.curve.coeffs) == class_key(x4_minus_1.coeffs)]
     assert [r.source for r in same] == [first]
     assert same[0].dedup_class == "[1,-4,6,-4,0]"
 
@@ -126,7 +128,9 @@ def test_class_key_equal_iff_equivalent():
     # every normalized hit at S = {2,3}, H = 3 against every other, plus
     # translates g = f(+-x + b) with b in (1/4)Z and g integral
     curves = [
-        curve for a3 in range(-3, 4) for _, curve, _ in normalized_slice((a3, 3, (2, 3)))
+        normalize(poly_from_ints(source))[0]
+        for a3 in range(-3, 4)
+        for source, _ in keyed_slice((a3, 3, (2, 3)))
     ]
     rng = random.Random(43)
     moved = fractional = 0
@@ -142,7 +146,7 @@ def test_class_key_equal_iff_equivalent():
     # the x^2 coefficient gains 3k(2a3 + k)/8; for b = 1/2 it needs a3 odd
     # and the x coefficient then needs a3 = 2 mod 4
     assert moved > 0 and fractional == 0
-    keys = [class_key(c) for c in curves]
+    keys = [class_key(c.coeffs) for c in curves]
     pairs = equal = 0
     for i, ci in enumerate(curves):
         for j in range(i):
@@ -152,6 +156,42 @@ def test_class_key_equal_iff_equivalent():
             pairs += 1
             equal += same
     assert 0 < equal < pairs
+
+
+@pytest.mark.parametrize("primes, height", [((2, 3), 6), ((3,), 8)])
+def test_scan_key_is_the_normalized_key(primes, height):
+    # the scan keys a hit off its own coefficients unless p^36 | Delta, and
+    # that key must be the one of the normalized curve
+    hits = 0
+    for a3 in range(-height, height + 1):
+        for source, key in keyed_slice((a3, height, primes)):
+            assert key == class_key(normalize(poly_from_ints(source))[0].coeffs), source
+            hits += 1
+    assert hits > 0
+
+
+def test_hit_key_normalizes_a_descalable_hit():
+    # x^4 - 4096 = 2^12 ((x/8)^4 - 1) has Delta = -2^44: normalize descales it
+    # to x^4 - 1, whose key it must get, not the key of its own coefficients
+    source = (1, 0, 0, 0, -4096)
+    assert class_key(source[::-1]) == (0, 0, -1048576)
+    x4_minus_1 = (-1, 0, 0, 0, 1)
+    assert normalize(poly_from_ints(source))[0].coeffs == x4_minus_1
+    assert hit_key(source, (2,)) == class_key(x4_minus_1)
+    assert hit_key(source, (2, 3)) == class_key(x4_minus_1)
+
+
+SEARCH_S23_H12_SHA256 = "989206aebf6ab8957144ffe5e69ad59646382f3bee668e27df3a863b83e30615"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_s23_h12_is_byte_exact(tmp_path, workers):
+    # the benchmark's search reference: 451 records, the same bytes with
+    # one worker in-process and with a pool
+    out = tmp_path / "s23.jsonl"
+    written, token = run_search(SearchConfig(primes=(2, 3), height=12, workers=workers), str(out))
+    assert (written, token) == (451, 12)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEARCH_S23_H12_SHA256
 
 
 def test_rerun_byte_identical(tmp_path):

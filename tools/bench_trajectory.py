@@ -1,0 +1,95 @@
+"""Print the benchmark trajectory recorded in the BENCH_*.json files.
+
+    python3 tools/bench_trajectory.py [ROOT]
+
+Each BENCH_*.json at the root of a checkout (ROOT, by default the one this
+script lives in) records one change as pairs of ``bench/run.py`` results,
+parent and change, per workload.  For every file, in the order the commits
+added them (files git does not know come last, by name), and for every
+workload in it, this prints the number of pairs, the parent and change
+medians of ``wall_s`` and ``peak_rss_mb``, and the median number of
+operations attempted on each side: a workload that runs more operations in
+the same time keeps more per-operation data, so its peak RSS drifts with
+the op count.  Only the raw ``pairs`` are read, which every file has.
+"""
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+COLUMNS = (
+    ("wall_s", "{:.3f}"),
+    ("peak_rss_mb", "{:.2f}"),
+    ("attempted", "{:.0f}"),
+)
+
+
+def bench_files(root):
+    """The BENCH_*.json paths under root, in the order commits added them."""
+    try:
+        log = subprocess.run(
+            ["git", "-C", str(root), "log", "--reverse", "--diff-filter=A",
+             "--format=", "--name-only", "--", "BENCH_*.json"],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        log = []
+    rank = {}
+    for name in log:
+        rank.setdefault(name, len(rank))
+    files = sorted(Path(root).glob("BENCH_*.json"), key=lambda p: p.name)
+    return sorted(files, key=lambda p: rank.get(p.name, len(rank)))
+
+
+def _median(pairs, side, metric):
+    values = [pair[side][metric] for pair in pairs if metric in pair.get(side, {})]
+    return statistics.median(values) if values else None
+
+
+def trajectory(path):
+    """(workload, pairs, {metric: (parent median, change median)}) per workload."""
+    with open(path, encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    rows = []
+    for name, data in workloads.items():
+        pairs = data["pairs"]
+        medians = {
+            metric: (_median(pairs, "parent", metric), _median(pairs, "change", metric))
+            for metric, _ in COLUMNS
+        }
+        rows.append((name, len(pairs), medians))
+    return rows
+
+
+def _cell(fmt, value):
+    return "-" if value is None else fmt.format(value)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
+    files = bench_files(root)
+    if not files:
+        print(f"no BENCH_*.json under {root}", file=sys.stderr)
+        return 1
+    head = ["file", "workload", "pairs"]
+    for metric, _ in COLUMNS:
+        head += [f"{metric} parent", f"{metric} change"]
+    table = [head]
+    for path in files:
+        for name, count, medians in trajectory(path):
+            row = [path.stem.removeprefix("BENCH_"), name, str(count)]
+            for metric, fmt in COLUMNS:
+                row += [_cell(fmt, value) for value in medians[metric]]
+            table.append(row)
+    widths = [max(len(row[i]) for row in table) for i in range(len(head))]
+    for row in table:
+        cells = [cell.ljust(w) if i < 2 else cell.rjust(w) for i, (cell, w) in enumerate(zip(row, widths))]
+        print("  ".join(cells).rstrip())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
