@@ -10,7 +10,7 @@ from .conductor import (
     conductor_tame,
     global_conductor,
 )
-from .cover import SpecialFiber, assign_generators, classify_marked_tree, cover_fiber
+from .cover import SpecialFiber, classify_marked_tree, cover_fiber
 from .curves import (
     EquivalenceWitness,
     InseparableCurveError,
@@ -64,7 +64,6 @@ __all__ = [
     "analyze_p3",
     "analyze_prime",
     "analyze_tame",
-    "assign_generators",
     "classify_marked_tree",
     "cluster_tree",
     "conductor_tame",

@@ -30,6 +30,7 @@ class ClusterNode:
     parent: "ClusterNode | None" = None
     children: list = field(default_factory=list)
     immediate: tuple = ()  # root indices marking this component directly
+    key: tuple = ()  # the sorted indices: the cluster's name in fibers and reports
 
     @property
     def is_root(self):
@@ -74,7 +75,7 @@ class ClusterTree:
                 outside = [t for t in range(n) if t not in s]
                 if all(max(self.pairwise[t, i] for i in s) < d for t in outside):
                     clusters.append((s, d))
-        nodes = {s: ClusterNode(indices=s, depth=d) for s, d in clusters}
+        nodes = {s: ClusterNode(indices=s, depth=d, key=tuple(sorted(s))) for s, d in clusters}
         self.top = nodes[frozenset(range(n))]
         for s, node in nodes.items():
             if node is self.top:
@@ -84,26 +85,17 @@ class ClusterTree:
             node.parent = parent
             parent.children.append(node)
         for node in nodes.values():
-            node.children.sort(key=lambda c: sorted(c.indices))
+            node.children.sort(key=lambda c: c.key)
             covered = set().union(*(c.indices for c in node.children)) if node.children else set()
             node.immediate = tuple(sorted(node.indices - covered))
-        self.nodes = sorted(nodes.values(), key=lambda nd: (len(nd.indices) * -1, sorted(nd.indices)))
-
-    @classmethod
-    def from_split_roots(cls, sr: SplitRoots):
-        m = [[Fraction(0)] * 4 for _ in range(4)]
-        for i, j in itertools.combinations(range(4), 2):
-            m[i][j] = m[j][i] = sr.pairwise_val(i, j)
-        return cls(m)
+        self.nodes = sorted(nodes.values(), key=lambda nd: (-len(nd.indices), nd.key))
 
     def component_count(self):
         return len(self.nodes)
 
     def signature(self):
         """Canonical serialization: nested (sorted indices, depth) pairs."""
-        return tuple(
-            (tuple(sorted(nd.indices)), nd.depth) for nd in self.nodes
-        )
+        return tuple((nd.key, nd.depth) for nd in self.nodes)
 
     def gauss_valuation_of_f(self, node):
         """v_Z(f) for the monic quartic with these roots, at this component.
@@ -190,4 +182,7 @@ def splitting_ramification(f, p):
 
 def cluster_tree(sr: SplitRoots):
     """Stable 5-marked tree from the roots lifted by lift_over_ring."""
-    return ClusterTree.from_split_roots(sr)
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        m[i][j] = m[j][i] = sr.pairwise_val(i, j)
+    return ClusterTree(m)

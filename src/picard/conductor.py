@@ -100,12 +100,7 @@ def conductor_tame(curve: PicardCurve, p: int) -> ConductorReport:
             "e_splitting": analysis.e_splitting,
             "e_semistable": analysis.e_semistable,
             "fiber": analysis.fiber.to_dict(),
-            "cluster_depths": [
-                [list(key), str(depth)]
-                for key, depth in (
-                    (tuple(sorted(nd.indices)), nd.depth) for nd in analysis.tree.nodes
-                )
-            ],
+            "cluster_depths": [[list(key), str(depth)] for key, depth in analysis.tree.signature()],
             "quotient_genera": analysis.quotient.quotient_genera,
             "gamma0": analysis.quotient.gamma0,
         },

@@ -1,17 +1,21 @@
 """Admissible degree-3 covers of stable 5-marked trees: the tame special fiber.
 
 Given the marked tree of p-adic root clusters (p != 3), the special fiber of
-the stable model is determined combinatorially: marks carry canonical inertia
-generators (sigma for the infinity mark, sigma^2 for roots), node generators
-are forced by the product-one relation on each component together with
-admissibility (inverse generators on the two branches at a node), and each
-component of the cover is a tame cyclic degree-3 cover of P^1 whose genus is
-(number of branch points) - 2.
+the stable model is read off the cluster sizes.  The inertia generator is
+sigma^2 at a root and sigma at infinity, and by product-one on each
+component the exponents on the component of a cluster s, leaving out its
+upper node, add up to 2|s| mod 3; so the node above s carries +-|s| mod 3.
+Hence one point of the cover lies above that node when 3 does not divide
+|s|, and three points otherwise.  The component of s is a connected cyclic
+degree-3 cover of P^1 with B branch points: its own roots, its children c
+with 3 not dividing |c|, and one more when 3 does not divide |s| (infinity
+on the top cluster, where |s| = 4).  It has genus B - 2; with four roots
+B >= 2 always holds.
 """
 
 from dataclasses import dataclass
 
-from .clusters import INF_MARK, ClusterTree
+from .clusters import ClusterTree
 
 TREE_SHAPES = ("a", "b", "c", "d", "e")
 
@@ -41,61 +45,6 @@ def classify_marked_tree(tree: ClusterTree):
     if kids == [3] and grandkids == [2]:
         return "e"
     raise ImpossibleFiberError(f"not a stable 5-marked quartic tree: {tree!r}")
-
-
-@dataclass(frozen=True)
-class CoverBranchPoint:
-    """A branch point of the cover on one component.
-
-    location is a root index, the string "inf", or ("node", child-cluster
-    key); generator_exponent k in {0,1,2} means the canonical inertia
-    generator there is sigma^k.
-    """
-
-    component: tuple
-    location: object
-    generator_exponent: int
-
-
-def _cluster_key(node):
-    return tuple(sorted(node.indices))
-
-
-def assign_generators(tree: ClusterTree):
-    """Canonical inertia generators at every mark and node of the tree.
-
-    Marks: sigma for infinity, sigma^2 for roots.  At a node the child-side
-    exponent is forced bottom-up by the product-one relation, and the
-    parent side carries the inverse (admissibility).  The system is always
-    consistent: the mark exponents total 1 + 4*2 = 9 = 0 mod 3.
-    """
-    points = []
-    parent_side = {}
-
-    def walk(node):
-        total = 0
-        key = _cluster_key(node)
-        for i in node.immediate:
-            points.append(CoverBranchPoint(key, i, 2))
-            total += 2
-        if node.is_root:
-            points.append(CoverBranchPoint(key, INF_MARK, 1))
-            total += 1
-        for child in node.children:
-            walk(child)
-            a = parent_side[_cluster_key(child)]
-            points.append(CoverBranchPoint(key, ("node", _cluster_key(child)), a))
-            total += a
-        if not node.is_root:
-            up = (-total) % 3
-            parent_side[key] = (-up) % 3
-            points.append(CoverBranchPoint(key, ("node", key), up))
-            total += up
-        if total % 3:
-            raise ImpossibleFiberError("product-one relation failed")
-
-    walk(tree.top)
-    return points
 
 
 @dataclass(frozen=True)
@@ -135,50 +84,24 @@ class SpecialFiber:
 def cover_fiber(tree: ClusterTree):
     """Special fiber of the admissible degree-3 cover of the marked tree.
 
-    Per component with B branch points: B = 0 lifts to three disjoint
-    genus-0 copies (an unramified degree-3 cover of P^1 is split), B = 1 is
-    impossible by product-one, B >= 2 gives one connected component of genus
-    B - 2.  Nodes with nonzero generator have one point above, nodes with
-    generator zero have three.
+    One connected component per cluster, of genus B - 2, and one edge per
+    proper cluster with 1 or 3 points above it (see the module docstring).
     """
     shape = classify_marked_tree(tree)
-    points = assign_generators(tree)
-    by_component = {}
-    for pt in points:
-        by_component.setdefault(pt.component, []).append(pt)
-
-    components = []
+    components, edges = [], []
     for node in tree.nodes:
-        key = _cluster_key(node)
-        branch = sum(1 for pt in by_component[key] if pt.generator_exponent)
-        if branch == 1:
-            raise ImpossibleFiberError("component with a single branch point")
-        if branch == 0:
-            components.append((key, 0, 3))
-        else:
-            components.append((key, branch - 2, 1))
-
-    node_exponent = {}
-    for pt in points:
-        if isinstance(pt.location, tuple) and pt.location[0] == "node":
-            node_exponent.setdefault(pt.location[1], pt.generator_exponent)
-
-    edges = []
-    for node in tree.nodes:
-        if node.is_root:
-            continue
-        key = _cluster_key(node)
-        upstairs = 1 if node_exponent[key] % 3 else 3
-        edges.append((upstairs, key, _cluster_key(node.parent)))
-
-    vertices = sum(c for _, _, c in components)
-    edge_count = sum(pts for pts, _, _ in edges)
-    gamma = edge_count - vertices + 1
+        size = len(node.indices)
+        branch = len(node.immediate) + sum(1 for c in node.children if len(c.indices) % 3)
+        if size % 3:  # the node above the cluster, or infinity on the top one
+            branch += 1
+        components.append((node.key, branch - 2, 1))
+        if not node.is_root:
+            edges.append((1 if size % 3 else 3, node.key, node.parent.key))
     fiber = SpecialFiber(
         reduction_type=shape,
         components=tuple(components),
         edges=tuple(edges),
-        gamma=gamma,
+        gamma=sum(pts for pts, _, _ in edges) - len(components) + 1,
     )
     if fiber.total_genus() != 3:
         raise ImpossibleFiberError(

@@ -70,7 +70,7 @@ def _build_charts(tree, fiber, sr, e):
     genus_of = {key: g for key, g, _ in fiber.components}
     charts = {}
     for node in tree.nodes:
-        key = tuple(sorted(node.indices))
+        key = node.key
         m = e * node.depth
         if m.denominator != 1:
             raise UnsupportedActionError("cluster depth outside the value group")
@@ -82,7 +82,7 @@ def _build_charts(tree, fiber, sr, e):
         center = node.center()
         z = sr.roots[center]
         mult_at = {}
-        for i in sorted(node.indices):
+        for i in key:
             if i == center:
                 coord = gf.zero
             else:
@@ -117,7 +117,7 @@ def _build_charts(tree, fiber, sr, e):
 def _cluster_permutation(tree, perm):
     """Induced permutation on cluster keys; must preserve the tree."""
     mapping = {}
-    keys = {tuple(sorted(nd.indices)): nd for nd in tree.nodes}
+    keys = {nd.key: nd for nd in tree.nodes}
     for key, node in keys.items():
         image = tuple(sorted(perm[i] for i in key))
         if image not in keys or keys[image].depth != node.depth:
@@ -226,19 +226,6 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
     assert ring.e == e
     gf = ring.gf
     charts = _build_charts(tree, fiber, sr, e)
-
-    if e == 1:
-        genera = [charts[key].genus for key in charts]
-        h1 = sum(2 * g for g in genera) + fiber.gamma
-        return InertiaQuotientData(
-            e=1,
-            component_orbits=[[key] for key in charts],
-            quotient_genera=genera,
-            gamma0=fiber.gamma,
-            h1_dim=h1,
-            epsilon=6 - h1,
-        )
-
     perm1 = inertia_permutation(sr, 1)
     zbar = [ring.residue(z) for z in ring.zeta_powers]
     cl_perm = _cluster_permutation(tree, perm1)
@@ -268,37 +255,25 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
         UnsupportedActionError,
     )
 
-    # quotient dual graph: one vertex per component orbit; each orbit of
-    # base nodes contributes 1 edge (branch node), else 3 or 1 depending on
-    # whether the stabilizer rotates the three points above it
-    def orbit_index(key):
-        for i, orbit in enumerate(orbits):
-            if key in orbit:
-                return i
-        raise KeyError(key)
-
-    vertices = len(orbits)
+    # quotient dual graph: one vertex per component orbit; the orbit of a
+    # proper cluster also names the orbit of the node above it, which gives
+    # 1 edge (branch node), else 3 or 1 depending on whether the stabilizer
+    # rotates the three points above it
     edges = 0
-    counted = set()
-    for node in tree.nodes:
-        if node.is_root:
+    for orbit in orbits:
+        if orbit[0] == tree.top.key:  # no node above the top cluster
             continue
-        key = tuple(sorted(node.indices))
-        idx = orbit_index(key)
-        if idx in counted:
-            continue
-        counted.add(idx)
-        chart = charts[orbits[idx][0]]
+        chart = charts[orbit[0]]
         if chart.size % 3:
             edges += 1
         else:
-            ell = len(orbits[idx])
+            ell = len(orbit)
             rotated = any(
                 _mu(zbar, j, chart, chart.size) != gf.one
                 for j in range(ell, e, ell)
             )
             edges += 1 if rotated else 3
-    gamma0 = edges - vertices + 1
+    gamma0 = edges - len(orbits) + 1
     if gamma0 < 0:
         raise UnsupportedActionError("negative loop count in quotient graph")
     h1 = sum(2 * g for g in genera) + gamma0

@@ -1,11 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from picard.clusters import ClusterTree
+from picard.clusters import INF_MARK, ClusterTree
 from picard.cover import (
     ImpossibleFiberError,
-    assign_generators,
+    SpecialFiber,
     classify_marked_tree,
     cover_fiber,
 )
@@ -55,44 +57,124 @@ def test_cover_fiber_matches_taxonomy(shape):
     assert fiber.total_genus() == 3
 
 
-@pytest.mark.parametrize("shape", list(SHAPE_TREES))
-def test_generators_product_one_per_component(shape):
-    pts = assign_generators(SHAPE_TREES[shape])
+def walk_generators(tree):
+    """Reference: canonical inertia generators at every mark and node.
+
+    Marks carry sigma for infinity and sigma^2 for roots.  At a node the
+    child-side exponent is forced bottom-up by the product-one relation, and
+    the parent side carries the inverse (admissibility).  Returns
+    (component key, location, exponent) triples; location is a root index,
+    "inf", or ("node", child key).
+    """
+    points = []
+    parent_side = {}
+
+    def walk(node):
+        total = 0
+        key = tuple(sorted(node.indices))
+        for i in node.immediate:
+            points.append((key, i, 2))
+            total += 2
+        if node.is_root:
+            points.append((key, INF_MARK, 1))
+            total += 1
+        for child in node.children:
+            walk(child)
+            child_key = tuple(sorted(child.indices))
+            a = parent_side[child_key]
+            points.append((key, ("node", child_key), a))
+            total += a
+        if not node.is_root:
+            up = (-total) % 3
+            parent_side[key] = (-up) % 3
+            points.append((key, ("node", key), up))
+
+    walk(tree.top)
+    return points
+
+
+def walk_fiber(tree):
+    """Reference: the special fiber the generator walk implies."""
+    points = walk_generators(tree)
+    components = []
+    for node in tree.nodes:
+        key = tuple(sorted(node.indices))
+        branch = sum(1 for comp, _, k in points if comp == key and k)
+        assert branch != 1
+        components.append((key, 0, 3) if branch == 0 else (key, branch - 2, 1))
+    node_exponent = {}
+    for _, loc, k in points:
+        if isinstance(loc, tuple):
+            node_exponent.setdefault(loc[1], k)
+    edges = tuple(
+        (1 if node_exponent[tuple(sorted(nd.indices))] else 3,
+         tuple(sorted(nd.indices)), tuple(sorted(nd.parent.indices)))
+        for nd in tree.nodes
+        if not nd.is_root
+    )
+    vertices = sum(c for _, _, c in components)
+    gamma = sum(pts for pts, _, _ in edges) - vertices + 1
+    return SpecialFiber(classify_marked_tree(tree), tuple(components), edges, gamma)
+
+
+def relabeled(tree, perm):
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    for (i, j), v in tree.pairwise.items():
+        m[perm[i]][perm[j]] = v
+    return ClusterTree(m)
+
+
+def random_tree(rng):
+    # pairwise p-adic valuations of four distinct integers, over a ramified
+    # value group: an ultrametric of any of the five shapes
+    p, e = rng.choice([2, 3, 5]), rng.choice([1, 2, 3, 4])
+    roots = rng.sample(range(-200, 201), 4)
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        d, v = abs(roots[i] - roots[j]), 0
+        while d % p == 0:
+            d, v = d // p, v + 1
+        m[i][j] = m[j][i] = Fraction(v, e)
+    return ClusterTree(m)
+
+
+def assert_rule_matches_walk(tree):
+    points = walk_generators(tree)
     per = {}
-    for pt in pts:
-        per.setdefault(pt.component, 0)
-        per[pt.component] += pt.generator_exponent
+    for comp, loc, k in points:
+        per[comp] = per.get(comp, 0) + k
+        if loc == INF_MARK:
+            assert k == 1
+        elif isinstance(loc, int):
+            assert k == 2
+    # product-one on every component
     assert all(total % 3 == 0 for total in per.values())
-    # marks: roots carry sigma^2, infinity carries sigma
-    for pt in pts:
-        if pt.location == "inf":
-            assert pt.generator_exponent == 1
-        elif isinstance(pt.location, int):
-            assert pt.generator_exponent == 2
+    fiber = cover_fiber(tree)
+    assert fiber == walk_fiber(tree)
+    assert fiber.to_dict() == walk_fiber(tree).to_dict()
 
 
-def test_shape_b_node_exponents():
-    # infinity-side component sees exponent 1, the pair side 2
-    pts = assign_generators(SHAPE_TREES["b"])
-    node_pts = [pt for pt in pts if isinstance(pt.location, tuple)]
-    assert len(node_pts) == 2
-    by_side = {pt.component: pt.generator_exponent for pt in node_pts}
-    top = (0, 1, 2, 3)
-    assert by_side[top] == 1
-    assert by_side[(2, 3)] == 2
+@pytest.mark.parametrize("shape", list(SHAPE_TREES))
+def test_branch_rule_matches_generator_walk_relabeled(shape):
+    for perm in itertools.permutations(range(4)):
+        tree = relabeled(SHAPE_TREES[shape], perm)
+        assert classify_marked_tree(tree) == shape
+        assert_rule_matches_walk(tree)
+
+
+def test_branch_rule_matches_generator_walk_random():
+    rng = random.Random(1812)
+    shapes = set()
+    for _ in range(600):
+        tree = random_tree(rng)
+        shapes.add(classify_marked_tree(tree))
+        assert_rule_matches_walk(tree)
+    assert shapes == set(SHAPE_TREES)
 
 
 def test_shape_d_node_unramified():
-    pts = assign_generators(SHAPE_TREES["d"])
-    node_pts = [pt for pt in pts if isinstance(pt.location, tuple)]
-    assert {pt.generator_exponent for pt in node_pts} == {0}
     fiber = cover_fiber(SHAPE_TREES["d"])
     assert fiber.edges[0][0] == 3  # three singular points above the node
-
-
-def test_shape_a_exponents():
-    pts = assign_generators(SHAPE_TREES["a"])
-    assert sorted(pt.generator_exponent for pt in pts) == [1, 2, 2, 2, 2]
 
 
 def test_serialization_shape_e():

@@ -21,6 +21,8 @@ def test_trivial_action_quotient_is_fiber():
     a, ram = run([1, 0, 14, 72, -41], 5)
     assert a.e_semistable == 1
     q = a.quotient
+    # the general path at e = 1: every component is its own orbit
+    assert q.component_orbits == [[key] for key, _, _ in a.fiber.components]
     assert q.quotient_genera == [g for _, g, _ in a.fiber.components]
     assert q.gamma0 == a.fiber.gamma
     assert q.epsilon == 6 - (sum(2 * g for g in q.quotient_genera) + q.gamma0)

@@ -181,6 +181,27 @@ def test_hit_key_normalizes_a_descalable_hit():
     assert hit_key(source, (2, 3)) == class_key(x4_minus_1)
 
 
+@pytest.mark.parametrize(
+    "primes, height", [((2, 3), 6), ((3,), 8), ((2,), 16), ((2, 3, 5), 5)]
+)
+def test_positive_slice_hits_twin_an_earlier_key(primes, height):
+    # x -> -x maps a hit of slice a3 > 0 to a hit of slice -a3 with an equal
+    # key, so no slice a3 > 0 can retain a curve
+    twins = 0
+    for a3 in range(1, height + 1):
+        mirror = dict(keyed_slice((-a3, height, primes)))
+        for (_, _, a2, a1, a0), key in keyed_slice((a3, height, primes)):
+            assert mirror[(1, -a3, a2, -a1, a0)] == key
+            twins += 1
+    assert twins > 0
+
+
+def test_positive_slices_retain_nothing():
+    cfg = SearchConfig(primes=(2, 3), height=6)
+    slices = [a3 for a3, rec in enumerate_search(cfg) if rec is not None]
+    assert slices and max(slices) <= 0
+
+
 SEARCH_S23_H12_SHA256 = "989206aebf6ab8957144ffe5e69ad59646382f3bee668e27df3a863b83e30615"
 
 
