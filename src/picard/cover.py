@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 from .clusters import ClusterTree
 
-TREE_SHAPES = ("a", "b", "c", "d", "e")
-
 
 class ImpossibleFiberError(RuntimeError):
     """Internal invariant violation: input was not a valid stable 5-tree."""

@@ -1,28 +1,32 @@
 """Inertia action on the tame special fiber and the quotient curve.
 
-For p != 3 the curve acquires semistable reduction over L = Q_p^nr(pi),
-pi^e = p, where e is the splitting index of f times a cube-root twist
+For p != 3 the curve acquires semistable reduction over L = Q_p^nr(pi'),
+pi'^e = p, where e is the splitting index r of f times a cube-root twist
 (needed exactly when some component Gauss valuation v_Z(f) has
-e*v_Z(f) != 0 mod 3).  The cyclic inertia group of order e acts on the
+r*v_Z(f) != 0 mod 3).  The cyclic inertia group of order e acts on the
 special fiber; the conductor exponent is epsilon = 6 - dim H^1_et of the
 quotient, and delta = 0 by tameness.
 
-The action is computed chart by chart.  On the component of a cluster s
-with center z, m = e*depth(s) and Gauss number n = e*v_Z(f), the generator
-power tau^j sends the chart coordinate a to lambda*a + gamma with
-lambda = zeta^(j*m) and gamma = red((tau^j(z) - z)/pi^m), and multiplies
-the cover coordinate by nu = zeta^(j*n/3).  Fixed points are counted over
-the at most two fixed base points: one point (always fixed) above a branch
-point, and three points above an unramified point, fixed iff the local
-Kummer multiplier zeta^(j*(n - m*mult)/3) is trivial.  Quotient genera
-follow from Riemann-Hurwitz over the effective stabilizer.
+The action is computed on the splitting ring, pi^r = p, alone.  A generator
+tau' of order e, pi' -> zeta_e pi' with zeta_e^(e/r) = zeta_r, restricts to
+tau: pi -> zeta_r pi, so tau'^j moves the roots as tau^(j mod r) does.  On
+the component of a cluster s with center z, m = e*depth(s), m_r =
+r*depth(s) and Gauss number n = e*v_Z(f), tau'^j sends the chart coordinate
+a to lambda*a + gamma with lambda = zeta_e^(j*m) = zeta_r^(j*m_r) and
+gamma = red((tau^j(z) - z)/pi^(m_r)), and multiplies the cover coordinate
+by nu = zeta_e^(j*n/3).  The twist acts only through nu and the Kummer
+multipliers, powers of zeta_e that are only ever compared with 1, so they
+stay exponents mod e.  Fixed points are counted over the at most two fixed
+base points: one point (always fixed) above a branch point, and three
+points above an unramified point, fixed iff the local Kummer multiplier
+zeta_e^(j*(n - m*mult)/3) is trivial.  Quotient genera follow from
+Riemann-Hurwitz over the effective stabilizer.
 """
 
 from dataclasses import dataclass
 
 from .clusters import ClusterTree, cluster_tree, inertia_permutation
 from .cover import SpecialFiber, cover_fiber
-from .localfield import extend_split
 from .localfield import lift_over_ring  # noqa: F401  (bench/tracing.py wraps this name)
 
 
@@ -36,8 +40,8 @@ class ComponentChart:
 
     key: tuple
     size: int
-    m: int  # e * depth, pi units
-    n: int  # e * v_Z(f), pi units, divisible by 3
+    m: int  # e * depth, pi' units
+    n: int  # e * v_Z(f), pi' units, divisible by 3
     center: int  # root index used as chart origin
     mult_at: dict  # finite chart coordinate (GF element) -> multiplicity
     genus: int
@@ -65,16 +69,17 @@ def needs_cube_twist(tree: ClusterTree, e0: int):
 
 
 def _build_charts(tree, fiber, sr, e):
+    """The chart of each cluster; root differences are divided by pi^(m_r) in sr's ring."""
     ring = sr.ring
     gf = ring.gf
     genus_of = {key: g for key, g, _ in fiber.components}
     charts = {}
     for node in tree.nodes:
         key = node.key
-        m = e * node.depth
-        if m.denominator != 1:
+        mr = ring.e * node.depth
+        if mr.denominator != 1:
             raise UnsupportedActionError("cluster depth outside the value group")
-        m = int(m)
+        mr = int(mr)
         n = e * tree.gauss_valuation_of_f(node)
         if n.denominator != 1 or int(n) % 3:
             raise UnsupportedActionError("Gauss valuation not a multiple of 3")
@@ -87,13 +92,13 @@ def _build_charts(tree, fiber, sr, e):
                 coord = gf.zero
             else:
                 diff = ring.sub(sr.roots[i], z)
-                coord = ring.residue(ring.div_pi(diff, m))
+                coord = ring.residue(ring.div_pi(diff, mr))
             mult_at[coord] = mult_at.get(coord, 0) + 1
         for child in node.children:
             coords = set()
             for i in child.indices:
                 diff = ring.sub(sr.roots[i], z)
-                coords.add(gf.zero if i == center else ring.residue(ring.div_pi(diff, m)))
+                coords.add(gf.zero if i == center else ring.residue(ring.div_pi(diff, mr)))
             if len(coords) != 1:
                 raise UnsupportedActionError("child cluster not collapsed on chart")
         branches = sum(1 for mult in mult_at.values() if mult % 3) + (
@@ -104,7 +109,7 @@ def _build_charts(tree, fiber, sr, e):
         charts[key] = ComponentChart(
             key=key,
             size=len(node.indices),
-            m=m,
+            m=e // ring.e * mr,
             n=n,
             center=center,
             mult_at=mult_at,
@@ -126,23 +131,22 @@ def _cluster_permutation(tree, perm):
     return mapping
 
 
-def _mu(zbar, j, chart, mult):
-    """Kummer multiplier zeta^(j*(n - m*mult)/3) above a fixed base point.
+def _mu_trivial(e, j, chart, mult):
+    """True iff the Kummer multiplier zeta_e^(j*(n - m*mult)/3) above a fixed base point is 1.
 
     mult is the vanishing order of the reduced quartic there; the chart's
     point at infinity uses mult = chart.size (the degree of the reduction).
-    zbar lists the e powers of the residue of zeta_e, so the exponent is
-    taken mod e.
+    zeta_e is primitive, so the multiplier is 1 iff its exponent is 0 mod e.
     """
     expo = chart.n - chart.m * mult
     if expo % 3:
         raise UnsupportedActionError("non-integral Kummer multiplier exponent")
-    return zbar[j * (expo // 3) % len(zbar)]
+    return j * (expo // 3) % e == 0
 
 
-def _fix_count(gf, zbar, j, chart, sig):
+def _fix_count(gf, e, j, chart, sig):
     """Fixed points of the signature's automorphism on the cover component."""
-    lam, gam, nu = sig
+    lam, gam, _ = sig
     if lam == gf.one and gf.is_zero(gam):
         # vertical: a deck transformation; fixes exactly the branch points
         return chart.branches
@@ -152,12 +156,12 @@ def _fix_count(gf, zbar, j, chart, sig):
         mult = chart.mult_at.get(u_star, 0)
         if mult % 3:
             fix += 1
-        elif _mu(zbar, j, chart, mult) == gf.one:
+        elif _mu_trivial(e, j, chart, mult):
             fix += 3
     # the point at infinity of the chart is fixed by every affine map
     if chart.size % 3:
         fix += 1
-    elif _mu(zbar, j, chart, chart.size) == gf.one:
+    elif _mu_trivial(e, j, chart, chart.size):
         fix += 3
     return fix
 
@@ -215,15 +219,21 @@ def quotient_genera(items, perm, order, genus, signature, fixed_points, error):
     return orbits, genera
 
 
-def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
+def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr):
     """Quotient data of the special fiber by the cyclic inertia of order e.
 
-    sr holds the roots lifted over Q_p^nr(pi) with pi^e = p (zeta_e lives in
-    its residue field); the root permutation of tau: pi -> zeta pi is
-    computed there so it stays consistent with the multiplier formulas.
+    sr holds the roots lifted over Q_p^nr(pi) with pi^r = p (zeta_r lives in
+    its residue field), and e is r, or 3r when needs_cube_twist(tree, r).
+    The root permutation and lambda of tau: pi -> zeta_r pi are computed
+    there, and the powers of zeta_e (nu and the Kummer multipliers) are
+    kept as exponents mod e.  A ring at 3r needs no twist, so e = r then.
     """
     ring = sr.ring
-    assert ring.e == e
+    r = ring.e
+    # the twist multiplies the index by 3 even when 3 | r: with e = 3*r
+    # every n_Z = e*v_Z(f) = 3*(r*v_Z) is a multiple of 3
+    e = 3 * r if needs_cube_twist(tree, r) else r
+    twist = e // r
     gf = ring.gf
     charts = _build_charts(tree, fiber, sr, e)
     perm1 = inertia_permutation(sr, 1)
@@ -231,19 +241,18 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
     cl_perm = _cluster_permutation(tree, perm1)
 
     perms = {0: tuple(range(4))}
-    for j in range(1, e):
+    for j in range(1, r):
         perms[j] = tuple(perm1[perms[j - 1][i]] for i in range(4))
 
     def signature(key, j):
-        """(lambda, gamma, nu) of tau^j on the chart, None for the identity."""
+        """(lambda, gamma, nu's exponent) of tau'^j on the chart, None for the identity."""
         chart = charts[key]
-        lam = zbar[j * chart.m % e]
-        nu = zbar[j * (chart.n // 3) % e]
+        mr = chart.m // twist
         z = sr.roots[chart.center]
-        image_center = perms[j % e][chart.center]
-        gam = ring.residue(ring.div_pi(ring.sub(sr.roots[image_center], z), chart.m))
-        sig = (lam, gam, nu)
-        return None if sig == (gf.one, gf.zero, gf.one) else sig
+        image_center = perms[j % r][chart.center]
+        gam = ring.residue(ring.div_pi(ring.sub(sr.roots[image_center], z), mr))
+        sig = (zbar[j * mr % r], gam, j * (chart.n // 3) % e)
+        return None if sig == (gf.one, gf.zero, 0) else sig
 
     orbits, genera = quotient_genera(
         charts,
@@ -251,7 +260,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
         e,
         lambda key: charts[key].genus,
         signature,
-        lambda key, j, sig: _fix_count(gf, zbar, j, charts[key], sig),
+        lambda key, j, sig: _fix_count(gf, e, j, charts[key], sig),
         UnsupportedActionError,
     )
 
@@ -269,8 +278,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr, e: int):
         else:
             ell = len(orbit)
             rotated = any(
-                _mu(zbar, j, chart, chart.size) != gf.one
-                for j in range(ell, e, ell)
+                not _mu_trivial(e, j, chart, chart.size) for j in range(ell, e, ell)
             )
             edges += 1 if rotated else 3
     gamma0 = edges - len(orbits) + 1
@@ -311,26 +319,20 @@ def analyze_tame(ram):
     """Run cluster tree -> cover -> inertia quotient for a tame prime.
 
     ram is the Ramification record from splitting_ramification (must be
-    tame).  When the cube twist is needed, the split roots are carried over
-    to pi'^(3*e0) = p by extend_split rather than lifted again, so the
-    cluster tree and the root order are those of ram.split.
+    tame).  Everything is computed on ram.split's ring; the semistable
+    index is the order of inertia that inertia_quotient works out.
     """
-    e0 = ram.e
     tree = cluster_tree(ram.split)
     fiber = cover_fiber(tree)
-    # the twist multiplies the index by 3 even when 3 | e0: with e = 3*e0
-    # every n_Z = e*v_Z(f) = 3*(e0*v_Z) is a multiple of 3
-    e = 3 * e0 if needs_cube_twist(tree, e0) else e0
-    sr = ram.split if e == e0 else extend_split(ram.split)
-    quotient = inertia_quotient(tree, fiber, sr, e)
+    quotient = inertia_quotient(tree, fiber, ram.split)
     if quotient.epsilon % 2 or not (0 <= quotient.epsilon <= 6):
         raise UnsupportedActionError(f"epsilon = {quotient.epsilon} violates parity/range")
     if fiber.reduction_type in ("d", "e") and quotient.gamma0 not in (0, 2):
         raise UnsupportedActionError("gamma0 must be 0 or 2 for types d/e")
     return TameAnalysis(
         p=ram.p,
-        e_splitting=e0,
-        e_semistable=e,
+        e_splitting=ram.e,
+        e_semistable=quotient.e,
         tree=tree,
         fiber=fiber,
         quotient=quotient,

@@ -30,12 +30,6 @@ Costs are kept to one pass of each kind of work:
   a^(p^k - 2).
 - Polynomial division over F_{p^k} inverts the divisor's leading
   coefficient only when it is not 1; gpowmod makes its modulus monic once.
-- Roots lifted over pi^e = c*p are reused for the cube twist over
-  pi'^(3e) = c*p through pi = pi'^3 (extend_split): the pi^i coefficient
-  moves to index 3i, certified balls scale by 3, N and c stay.  When
-  zeta_{3e} is missing, the residue field grows to k' = lcm(k, ord_{3e}(p))
-  along t -> theta, theta the Hensel lift of the first root of h_k in
-  F_{p^k'}.
 - TameRing.zeta(order) is lifted over the e = 1 ring once per (p, k, N,
   order) and kept in a small bounded cache, so the rings lift_over_ring
   builds for each try of e, k and N share it.  Its residue root is the
@@ -56,10 +50,10 @@ Costs are kept to one pass of each kind of work:
   entries of both operands into an unreduced array, folded once by
   pi^e = c*p and once by h(t), with one reduction mod p^N per entry; at
   e = 1 it multiplies the k-tuples directly, with nothing to fold.
-- One Newton routine, _newton_lift, lifts the simple residue roots of f
-  and theta.  It carries w ~ 1/f'(z) along with z (coupled Newton), so a
-  lift pays for one inverse in F_{p^k} and none in the ring; no ring
-  inverts its elements.  zeta_e needs no w: z/e stands in for 1/f'(z).
+- One Newton routine, _newton_lift, lifts the simple residue roots of f.
+  It carries w ~ 1/f'(z) along with z (coupled Newton), so a lift pays
+  for one inverse in F_{p^k} and none in the ring; no ring inverts its
+  elements.  zeta_e needs no w: z/e stands in for 1/f'(z).
 - Residue polynomials with every coefficient in F_p (nearly all of them)
   have one factorization over F_p, on int lists and memoized per (p, f),
   and everything else is read off it.  Gcds with the derivative split f
@@ -950,8 +944,7 @@ def _newton_lift(ring, poly, dpoly, z):
     """Lift a simple residue root to ring precision (f'(z) stays a unit).
 
     The Hensel loop of the package, over a TameRing of any e:
-    _integral_roots lifts the simple roots of f with it, and
-    _unramified_images the root theta of h_k.
+    _integral_roots and _unramified_root lift the simple roots of f with it.
 
     Coupled Newton: w ~ 1/f'(z) starts from the residue-field inverse and
     is refined by w <- w(2 - f'(z) w) alongside z <- z - f(z) w, so no step
@@ -1188,52 +1181,6 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
             if N * 2 * e > MAX_PI_DIGITS:
                 raise
             N *= 2
-
-
-def _unramified_images(U, U2):
-    """Images of 1, t, ..., t^(k-1) under O/p^N at degree k -> degree k' (k | k').
-
-    The map is the identity when the degrees agree and t -> theta otherwise,
-    theta the Hensel lift of the first root of h_k that residue_roots gives
-    in F_{p^k'}.
-    """
-    k = U.k
-    if U2.k == k:
-        return [tuple(int(i == j) for i in range(k)) for j in range(k)]
-    h = [U2.from_int(c) for c in U.h]
-    roots, _ = residue_roots(U2.gf, [U2.residue(c) for c in h])
-    theta = _newton_lift(U2, h, rpoly_deriv(U2, h), U2.lift_residue(roots[0][0]))
-    images = [U2.one]
-    for _ in range(1, k):
-        images.append(U2.mul(images[-1], theta))
-    return images
-
-
-def extend_split(sr):
-    """The roots of sr over pi'^(3e) = c*p (the cube twist), through pi = pi'^3.
-
-    No root is lifted again: the pi^i coefficient of each root moves to index
-    3i and every certified (fval, ball) pair is multiplied by 3, while N and
-    c stay.  The residue field grows to k' = lcm(k, ord_{3e}(p)), so that
-    zeta_{3e} lives in it, along _unramified_images.  Root order is kept.
-    """
-    ring = sr.ring
-    r = 3
-    e = r * ring.e
-    k = lcm(ring.k, multiplicative_order(ring.p, e))
-    big = TameRing(TameExtension(ring.p, e, ring.c), k, ring.N)
-    images = _unramified_images(ring.U, big.U)
-    mod = big.mod
-    roots = []
-    for root in sr.roots:
-        out = [0] * (e * k)
-        for i in range(ring.e):
-            u = root[i * ring.k:(i + 1) * ring.k]
-            out[r * i * k:(r * i + 1) * k] = [
-                sum(c * img[j] for c, img in zip(u, images)) % mod for j in range(k)
-            ]
-        roots.append(tuple(out))
-    return SplitRoots(big, roots, [(r * a, r * ball) for a, ball in sr.cert], sr.f)
 
 
 TAME_E_CANDIDATES = (1, 2, 3, 4, 6, 8, 12, 24)

@@ -233,12 +233,12 @@ def test_chart_data_against_substitution_oracle():
                 ) == [], (c.label, p, key, j)
 
 
-def _embedding_cases():
+def _twist_cases():
     """Pinned cube-twist cases, then a seeded random corpus of them.
 
-    The pinned ones grow the residue field: k = 3 -> 6 at 5, k = 2 -> 6 at
-    5 (theta a root of a quadratic h in F_{5^6}), k = 1 -> 3 at 7 and
-    k = 1 -> 2 at 5.
+    The pinned ones need zeta_{3 e0} outside the splitting ring's residue
+    field, so a relift at 3 e0 grows it: k = 3 -> 6 at 5, k = 2 -> 6 at 5,
+    k = 1 -> 3 at 7 and k = 1 -> 2 at 5.
     """
     yield from [([1, 0, 25, 125, 0], 5), ([1, 0, 0, -10, 0], 5),
                 ([1, 0, 0, -7, 0], 7), ([1, 0, 0, 0, -5], 5)]
@@ -249,16 +249,13 @@ def _embedding_cases():
             yield coeffs, rng.choice([5, 7, 11, 13])
 
 
-def test_embedded_split_matches_relift_oracle():
-    """extend_split against lifting the roots again over pi'^(3 e0) = p."""
-    from math import lcm
-
-    import picard.localfield as lf
+def test_twisted_quotient_matches_relift_oracle():
+    """The twist as exponents mod e against the roots lifted again over pi'^(3 e0) = p."""
     from picard.cover import cover_fiber
-    from picard.localfield import extend_split, lift_over_ring
+    from picard.localfield import lift_over_ring
 
     done, grown = 0, set()
-    for coeffs, p in _embedding_cases():
+    for coeffs, p in _twist_cases():
         if done == 30:
             break
         c, _ = normalize(poly_from_ints(coeffs))
@@ -271,30 +268,42 @@ def test_embedded_split_matches_relift_oracle():
         done += 1
         ints = [int(x) for x in c.f.coeffs]
         e, k = 3 * ram.e, ram.split.ring.k
-        sr = extend_split(ram.split)
-        ring = sr.ring
-        assert (ring.e, ring.N, ring.c) == (e, ram.split.ring.N, ram.split.ring.c)
-        assert ring.k == lcm(k, lf.multiplicative_order(p, e))
-        if ring.k > k:
-            grown.add(k)
-        # the embedding is a ring map: f at each embedded root keeps its
-        # valuation, in pi' units, and the balls scale with it
-        fpoly = [ring.from_int(c) for c in ints]
-        for z, (fval, ball), (fval0, ball0) in zip(sr.roots, sr.cert, ram.split.cert):
-            assert ring.val(lf.geval(ring, fpoly, z)) == fval == 3 * fval0
-            assert ball == 3 * ball0
         oracle = lift_over_ring(ints, p, e, k=k)
-        assert cluster_tree(sr).signature() == tree.signature()
+        if oracle.ring.k > k:
+            grown.add(k)
         assert cluster_tree(oracle).signature() == tree.signature(), (c.label, p)
-        fiber = cover_fiber(tree)
         got = analyze_tame(ram)
-        want = inertia_quotient(tree, fiber, oracle, e)
-        assert got.e_semistable == e
-        assert (got.epsilon, got.quotient.quotient_genera, got.quotient.gamma0) == (
-            want.epsilon, want.quotient_genera, want.gamma0,
-        ), (c.label, p)
+        want = inertia_quotient(tree, cover_fiber(tree), oracle)
+        assert got.e_semistable == want.e == e
+        assert (
+            got.epsilon, got.quotient.component_orbits, got.quotient.quotient_genera,
+            got.quotient.gamma0,
+        ) == (want.epsilon, want.component_orbits, want.quotient_genera, want.gamma0), (c.label, p)
     assert done == 30
     assert {1, 2, 3} <= grown
+
+
+def test_analyze_tame_builds_no_ring_beyond_the_split(monkeypatch):
+    """With the cube twist, every ring analyze_tame builds has e in {1, e0} and the split's k."""
+    from itertools import islice
+
+    from picard.localfield import TameRing
+
+    init = TameRing.__init__
+    for coeffs, p in islice(_twist_cases(), 4):
+        c, _ = normalize(poly_from_ints(coeffs))
+        ram = splitting_ramification(c.f, p)
+        built = []
+
+        def spy(self, ext, k, N):
+            init(self, ext, k, N)
+            built.append((self.e, self.k))
+
+        with monkeypatch.context() as m:
+            m.setattr(TameRing, "__init__", spy)
+            a = analyze_tame(ram)
+        assert a.e_semistable == 3 * ram.e, (coeffs, p)
+        assert all(e in (1, ram.e) and k == ram.split.ring.k for e, k in built), (coeffs, p, built)
 
 
 def _relabel_cases():

@@ -861,15 +861,6 @@ def test_coupled_newton_matches_exact_inverse_oracle():
                     assert U.zeta(e) == want, (p, k, N, e)
                     zetas += 1
     assert zetas >= 100
-    # theta: the lift into degree k' of the first root of h_k there
-    for p in (5, 7, 11):
-        for k, k2 in ((1, 2), (2, 4), (2, 6), (3, 6)):
-            U, U2 = _unram(p, k, 5), _unram(p, k2, 5)
-            h = [U2.from_int(c) for c in U.h]
-            rbar = lf.residue_roots(U2.gf, [U2.residue(c) for c in h])[0][0][0]
-            theta = _exact_inverse_newton(U2, h, lf.rpoly_deriv(U2, h), U2.lift_residue(rbar))
-            assert U2.is_zero(lf.geval(U2, h, theta))
-            assert lf._unramified_images(U, U2) == [U2.pow(theta, i) for i in range(k)], (p, k, k2)
 
 
 def test_newton_lift_stalls_when_its_step_budget_runs_out(monkeypatch):
