@@ -233,7 +233,6 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr):
     # the twist multiplies the index by 3 even when 3 | r: with e = 3*r
     # every n_Z = e*v_Z(f) = 3*(r*v_Z) is a multiple of 3
     e = 3 * r if needs_cube_twist(tree, r) else r
-    twist = e // r
     gf = ring.gf
     charts = _build_charts(tree, fiber, sr, e)
     perm1 = inertia_permutation(sr, 1)
@@ -247,7 +246,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr):
     def signature(key, j):
         """(lambda, gamma, nu's exponent) of tau'^j on the chart, None for the identity."""
         chart = charts[key]
-        mr = chart.m // twist
+        mr = chart.m * r // e
         z = sr.roots[chart.center]
         image_center = perms[j % r][chart.center]
         gam = ring.residue(ring.div_pi(ring.sub(sr.roots[image_center], z), mr))
@@ -277,9 +276,7 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr):
             edges += 1
         else:
             ell = len(orbit)
-            rotated = any(
-                not _mu_trivial(e, j, chart, chart.size) for j in range(ell, e, ell)
-            )
+            rotated = any(not _mu_trivial(e, j, chart, chart.size) for j in range(ell, e, ell))
             edges += 1 if rotated else 3
     gamma0 = edges - len(orbits) + 1
     if gamma0 < 0:

@@ -21,7 +21,7 @@ it is the unramified ring O/p^N of Q_{p^k}^nr, and GF(p, k), the residue
 field F_{p^k}, is that ring at N = 1: only its inverse (Euclid) and element
 enumeration are its own.  Residue fields never need k > 12 here: every
 root of a quartic over Q_p^nr lives in residue degree <= 4 and the roots
-of unity zeta_e for e | 72 live in degree <= 6.
+of unity zeta_e for e | 24 live in degree <= 2.
 
 Costs are kept to one pass of each kind of work:
 
