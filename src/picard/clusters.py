@@ -7,8 +7,10 @@ component.  Depths are exact rationals in (1/e)Z.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .exact import discriminant
 from .localfield import (
@@ -19,6 +21,7 @@ from .localfield import (
 )
 
 INF_MARK = "inf"
+_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 @dataclass
@@ -28,7 +31,7 @@ class ClusterNode:
     indices: frozenset
     depth: Fraction
     parent: "ClusterNode | None" = None
-    children: list = field(default_factory=list)
+    children: tuple = ()
     immediate: tuple = ()  # root indices marking this component directly
     key: tuple = ()  # the sorted indices: the cluster's name in fibers and reports
 
@@ -59,14 +62,17 @@ class ClusterTree:
 
     Built from the 4x4 matrix of pairwise valuations v(alpha_i - alpha_j).
     The top cluster (all four roots) is always present; every node with
-    fewer roots has strictly larger depth than its parent.
+    fewer roots has strictly larger depth than its parent.  A tree is shared
+    by every root configuration of its valuation pattern (cluster_tree), so
+    it is immutable once built: nodes and children are tuples, and the
+    Gauss numbers are computed with it.  Equal signatures make equal trees.
     """
 
     def __init__(self, pairwise):
         n = 4
-        self.pairwise = {
+        self.pairwise = MappingProxyType({
             (i, j): Fraction(pairwise[i][j]) for i in range(n) for j in range(n) if i != j
-        }
+        })
         clusters = []
         for size in (4, 3, 2):
             for s in itertools.combinations(range(n), size):
@@ -77,45 +83,51 @@ class ClusterTree:
                     clusters.append((s, d))
         nodes = {s: ClusterNode(indices=s, depth=d, key=tuple(sorted(s))) for s, d in clusters}
         self.top = nodes[frozenset(range(n))]
+        children = {s: [] for s in nodes}
         for s, node in nodes.items():
             if node is self.top:
                 continue
-            candidates = [t for t in nodes if s < t]
-            parent = nodes[min(candidates, key=len)]
+            parent = nodes[min((t for t in nodes if s < t), key=len)]
             node.parent = parent
-            parent.children.append(node)
-        for node in nodes.values():
-            node.children.sort(key=lambda c: c.key)
-            covered = set().union(*(c.indices for c in node.children)) if node.children else set()
-            node.immediate = tuple(sorted(node.indices - covered))
-        self.nodes = sorted(nodes.values(), key=lambda nd: (-len(nd.indices), nd.key))
+            children[parent.indices].append(node)
+        for s, node in nodes.items():
+            node.children = tuple(sorted(children[s], key=lambda c: c.key))
+            node.immediate = tuple(sorted(s.difference(*(c.indices for c in node.children))))
+        self.nodes = tuple(sorted(nodes.values(), key=lambda nd: (-len(nd.indices), nd.key)))
+        self._signature = tuple((nd.key, nd.depth) for nd in self.nodes)
+        self._hash = hash(self._signature)
+        self._gauss = {nd.key: self._gauss_of(nd) for nd in self.nodes}
 
     def component_count(self):
         return len(self.nodes)
 
     def signature(self):
         """Canonical serialization: nested (sorted indices, depth) pairs."""
-        return tuple((nd.key, nd.depth) for nd in self.nodes)
+        return self._signature
 
     def gauss_valuation_of_f(self, node):
         """v_Z(f) for the monic quartic with these roots, at this component.
 
         v_Z(x - alpha_i) = depth(Z) for i inside the cluster and the depth of
-        the smallest cluster containing both otherwise.
+        the smallest cluster containing both otherwise.  Computed with the tree.
         """
+        return self._gauss[node.key]
+
+    @staticmethod
+    def _gauss_of(node):
         total = Fraction(0)
         for i in range(4):
-            if i in node.indices:
-                total += node.depth
-            else:
-                anc = node
-                while anc is not None and i not in anc.indices:
-                    anc = anc.parent
-                total += anc.depth
+            anc = node
+            while i not in anc.indices:
+                anc = anc.parent
+            total += anc.depth
         return total
 
     def __eq__(self, other):
-        return isinstance(other, ClusterTree) and self.signature() == other.signature()
+        return isinstance(other, ClusterTree) and self._signature == other._signature
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"ClusterTree{self.top!r}"
@@ -159,7 +171,7 @@ def splitting_ramification(f, p):
     """Minimal tame ramification of the splitting field of f over Q_p^nr.
 
     Returns a Ramification record: e and the split roots when a tame
-    extension of index dividing 24 splits f (always the case for p >= 5),
+    extension of index <= 4 splits f (always the case for p >= 5),
     and a typed wild outcome otherwise (possible only at p = 2, 3).  f is a
     quartic Poly, checked (ValueError when of another degree, inseparable or
     non-integral), or a PicardCurve's int coeffs, separable already: the
@@ -181,8 +193,19 @@ def splitting_ramification(f, p):
 
 
 def cluster_tree(sr: SplitRoots):
-    """Stable 5-marked tree from the roots lifted by lift_over_ring."""
+    """Stable 5-marked tree from the roots lifted by lift_over_ring.
+
+    Memoized per valuation pattern: the tree is a function of the ring's e
+    and the six pairwise valuations v(alpha_i - alpha_j) in pi digits, so
+    every configuration with one pattern gets the same ClusterTree object.
+    """
+    ring, roots = sr.ring, sr.roots
+    return _tree_of_pattern(ring.e, tuple(ring.val(ring.sub(roots[i], roots[j])) for i, j in _PAIRS))
+
+
+@lru_cache(maxsize=256)
+def _tree_of_pattern(e, vals):
     m = [[Fraction(0)] * 4 for _ in range(4)]
-    for i, j in itertools.combinations(range(4), 2):
-        m[i][j] = m[j][i] = sr.pairwise_val(i, j)
+    for (i, j), v in zip(_PAIRS, vals):
+        m[i][j] = m[j][i] = Fraction(v, e)
     return ClusterTree(m)

@@ -14,6 +14,7 @@ B >= 2 always holds.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .clusters import ClusterTree
 
@@ -79,11 +80,13 @@ class SpecialFiber:
         }
 
 
+@lru_cache(maxsize=256)
 def cover_fiber(tree: ClusterTree):
     """Special fiber of the admissible degree-3 cover of the marked tree.
 
     One connected component per cluster, of genus B - 2, and one edge per
     proper cluster with 1 or 3 points above it (see the module docstring).
+    Memoized per tree: the fiber is a function of the tree's signature.
     """
     shape = classify_marked_tree(tree)
     components, edges = [], []

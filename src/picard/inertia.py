@@ -24,6 +24,7 @@ Riemann-Hurwitz over the effective stabilizer.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .clusters import ClusterTree, cluster_tree, inertia_permutation
 from .cover import SpecialFiber, cover_fiber
@@ -60,8 +61,9 @@ class InertiaQuotientData:
     epsilon: int
 
 
+@lru_cache(maxsize=256)
 def needs_cube_twist(tree: ClusterTree, e0: int):
-    """True iff the cover needs pi^(1/3) over the splitting field."""
+    """True iff the cover needs pi^(1/3) over the splitting field (memoized per tree and e0)."""
     for node in tree.nodes:
         if (e0 * tree.gauss_valuation_of_f(node)) % 3 != 0:
             return True

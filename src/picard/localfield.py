@@ -21,7 +21,7 @@ it is the unramified ring O/p^N of Q_{p^k}^nr, and GF(p, k), the residue
 field F_{p^k}, is that ring at N = 1: only its inverse (Euclid) and element
 enumeration are its own.  Residue fields never need k > 12 here: every
 root of a quartic over Q_p^nr lives in residue degree <= 4 and the roots
-of unity zeta_e for e | 24 live in degree <= 2.
+of unity zeta_e for e <= 4 live in degree <= 2.
 
 Costs are kept to one pass of each kind of work:
 
@@ -42,6 +42,11 @@ Costs are kept to one pass of each kind of work:
   Galois action tau: pi -> zeta_e pi reads zeta_e^i from a table of e
   powers each ring builds once.  Those rings also share GF(p, k) and the
   e = 1 ring U from small bounded caches.
+- The tries of e are the e <= 4 prime to p (tame inertia is cyclic and
+  acts faithfully on the four roots), and of those only the multiples of
+  what the splitting index is known to contain: 2 when ord_p(disc f) is
+  odd, and the denominator of each fractional Newton slope an earlier try
+  certified.  No try that must end in NeedsLargerE is made.
 - Each prime's tries of e share one residue degree k, the lcm of the
   degrees of the factors of f mod p, and each simple residue root of f
   is lifted once, over U = O/p^N, and embedded in every ring of the tries.
@@ -257,7 +262,7 @@ def _fp_quadratic_roots(g, p):
     return [(s - b) * half % p, (-s - b) * half % p]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _fp_factor(p, f):
     """Distinct-degree factorization of the monic int tuple f over F_p.
 
@@ -297,8 +302,9 @@ def minimal_irreducible(p, k):
     return (0, 1) if k == 1 else _minimal_irreducible(p, k)
 
 
-# Unbounded, but only k > 1 reaches it: a long run meets few such (p, k).
-@lru_cache(maxsize=None)
+# Only k > 1 reaches it, one entry per (p, k): 1024 holds the 682 keys of
+# the benchmark's 1200-curve analyze pool, and a long run stays flat.
+@lru_cache(maxsize=1024)
 def _minimal_irreducible(p, k):
     # the first p candidates are the binomials x^k + c, which by Serret's theorem
     # are all reducible unless every prime r | k divides p - 1, and 4 | p - 1 if 4 | k
@@ -471,7 +477,7 @@ def residue_roots(F, poly):
     return list(roots), missing
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _residue_roots_fp(p, k, f):
     """residue_roots in F_{p^k} of the monic f with coefficients in F_p (int tuple).
 
@@ -1183,11 +1189,13 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
             N *= 2
 
 
-TAME_E_CANDIDATES = (1, 2, 3, 4, 6, 8, 12, 24)
+# Tame inertia over Q_p^nr is cyclic and acts faithfully on the four roots,
+# and a cyclic subgroup of S4 has order at most 4.
+TAME_E_CANDIDATES = (1, 2, 3, 4)
 
 
 class WildSplittingError(Exception):
-    """No tame extension in the candidate list splits f at this prime."""
+    """No tame extension of index <= 4 splits f at this prime."""
 
 
 def _residue_split_degree(f_ints, p):
@@ -1221,21 +1229,30 @@ def split_over_minimal_tame(f_ints, p):
     """Find the minimal tame e with f split over Q_p^nr(p^(1/e)).
 
     f_ints is a separable int quartic, lowest degree first.  Returns (e,
-    SplitRoots); raises WildSplittingError if no tame candidate works
+    SplitRoots); raises WildSplittingError if no tame index <= 4 works
     (possible only for p = 2, 3, where the splitting field can be wildly
     ramified).  The residue degree is fixed once for all tries of e.
 
     Every try of e starts at N = min(DEFAULT_PI_DIGITS, v + 1), v = ord_p(disc f).
     The pairwise distances of the roots sum to v/2, so v(f'(z)) <= e*v/2 at
     every root z and v + 1 p-digits leave room for _certify's a - 2b >= 1.
+
+    Only the e that can split f are tried: multiples of `need`, a divisor of
+    the splitting index e_s.  The product of the root differences is
+    +-sqrt(disc f), of valuation v/2, so need starts at 2 when v is odd.  A
+    try at e that raises NeedsLargerE(d) saw a root minus an element of the
+    ring at e with a valuation of denominator d in pi units, and d divides
+    e_s / gcd(e, e_s), so need becomes lcm(need, d).
     """
     k = _residue_split_degree(f_ints, p) if f_ints[-1] % p else 1
-    n = min(DEFAULT_PI_DIGITS, _disc_val(f_ints, p) + 1)
+    v = _disc_val(f_ints, p)
+    n = min(DEFAULT_PI_DIGITS, v + 1)
+    need = 2 if v % 2 else 1
     for e in TAME_E_CANDIDATES:
-        if gcd(e, p) != 1:
+        if e % need or gcd(e, p) != 1:
             continue
         try:
             return e, lift_over_ring(f_ints, p, e, k, n)
-        except NeedsLargerE:
-            continue
-    raise WildSplittingError(f"no tame extension of index | 24 splits f at {p}")
+        except NeedsLargerE as ex:
+            need = lcm(need, ex.factor)
+    raise WildSplittingError(f"no tame extension of index <= 4 splits f at {p}")

@@ -31,9 +31,12 @@ def test_prints_a_row_per_workload_of_every_bench_file():
     assert {(row[0], row[1]) for row in rows} == want
     assert len(rows) == len(want)
     for row in rows:
-        # pairs, then parent and change medians of wall_s, peak_rss_mb, attempted
-        assert len(row) == 9 and int(row[2]) > 0
-        assert all(float(cell) > 0 for cell in row[3:])
+        # pairs, then parent and change medians of wall_s, peak_rss_mb,
+        # attempted, then the pairs with a lower change wall_s and whether
+        # the median gap is wider than the parent's interquartile range
+        assert len(row) == 11 and int(row[2]) > 0
+        assert all(float(cell) > 0 for cell in row[3:9])
+        assert 0 <= int(row[9]) <= int(row[2]) and row[10] in ("yes", "no")
 
 
 def test_medians_come_from_the_raw_pairs(tmp_path):
@@ -57,3 +60,16 @@ def test_medians_come_from_the_raw_pairs(tmp_path):
         "peak_rss_mb": (30.2, 31.2),
         "attempted": (95, 125),
     }
+
+
+def test_claim_rule_counts_lower_pairs_and_compares_the_gap_with_the_spread():
+    def pairs(parent, change):
+        return [{"parent": {"wall_s": a}, "change": {"wall_s": b}} for a, b in zip(parent, change)]
+
+    tool = _load_tool()
+    parent = [0.40, 0.41, 0.42, 0.43, 0.44]  # quartiles 0.41 and 0.43
+    # 4 of 5 lower, and a median gap of 0.03 > 0.02
+    assert tool.claim_rule(pairs(parent, [0.37, 0.38, 0.39, 0.40, 0.45])) == (4, True)
+    # every pair lower, but by 0.01 only: inside the parent's spread
+    assert tool.claim_rule(pairs(parent, [0.39, 0.40, 0.41, 0.42, 0.43])) == (5, False)
+    assert tool.claim_rule(pairs(parent[:1], [0.3])) == (1, None)

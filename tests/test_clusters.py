@@ -161,3 +161,43 @@ def test_splitting_ramification_of_a_curve_skips_the_discriminant(monkeypatch):
         assert (got.tame, got.e) == (want.tame, want.e), (c, p)
         if got.tame:
             assert got.split.roots == want.split.roots
+
+
+def _lift_split(roots, p, n_digits=20):
+    from picard.localfield import lift_over_ring
+
+    f = [1]
+    for r in roots:
+        f = [0, *f]
+        for i in range(len(f) - 1):
+            f[i] -= r * f[i + 1]
+    return lift_over_ring(f, p, 1, n_digits=n_digits)
+
+
+def test_one_valuation_pattern_gives_one_shared_tree():
+    # the same roots at two precisions, and roots moved by a unit multiple of
+    # the cluster's diameter: other rings and roots, one valuation pattern
+    splits = [_lift_split((1, 6, 2, 3), 5, 2), _lift_split((1, 6, 2, 3), 5, 30), _lift_split((1, 11, 2, 3), 5)]
+    patterns = {tuple(sr.pairwise_val(i, j) for i, j in itertools.combinations(range(4), 2)) for sr in splits}
+    assert len(patterns) == 1 and len({sr.ring.N for sr in splits}) == 3
+    tree = cluster_tree(splits[0])
+    assert all(cluster_tree(sr) is tree for sr in splits)
+    deeper = cluster_tree(_lift_split((1, 26, 2, 3), 5))
+    assert deeper is not tree and deeper != tree
+    assert deeper.signature() != tree.signature()
+
+
+def test_a_shared_tree_cannot_be_reordered_or_extended():
+    tree = cluster_tree(_lift_split((1, 6, 2, 3), 5))
+    assert isinstance(tree.nodes, tuple)
+    assert all(isinstance(nd.children, tuple) for nd in tree.nodes)
+    with pytest.raises(AttributeError):
+        tree.nodes.sort(key=lambda nd: len(nd.indices))
+    with pytest.raises(AttributeError):
+        tree.nodes.append(tree.top)
+    with pytest.raises(AttributeError):
+        tree.top.children.append(tree.top)
+    with pytest.raises(TypeError):
+        tree.pairwise[0, 1] = Fraction(7)
+    assert cluster_tree(_lift_split((1, 6, 2, 3), 5)) is tree
+    assert tree.top.children[0].key == (0, 1) and tree.component_count() == 2

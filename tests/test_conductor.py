@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from picard.conductor import (
     sqrt_disc_unramified_at_2,
 )
 from picard.curves import InseparableCurveError, PicardCurve, normalize
-from picard.exact import MR_DETERMINISTIC_BOUND, poly_from_ints
+from picard.exact import MR_DETERMINISTIC_BOUND, FactorizationBudgetError, poly_from_ints
 from picard.localfield import WildSplittingError, split_over_minimal_tame
 from picard.wild3 import WildWitness, WitnessInvalidError
 
@@ -277,3 +278,66 @@ def test_report_at_a_probable_prime_says_so():
     assert PROBABLE_PRIME_NOTE not in analyze_prime(c, 3).notes
     small, _ = normalize(X4_MINUS_1)
     assert all(PROBABLE_PRIME_NOTE not in r.notes for r in global_conductor(small).reports)
+
+
+def _clear_every_cache():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("picard"):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def _clustered_curve(rng, p):
+    """A monic quartic with p-adically clustered roots of a random cluster shape.
+
+    Roots a, b, c, d: a pair, two pairs, a triple, a pair inside a triple,
+    or four equidistant roots about 0 (x^4 + u p^m); the constant term is
+    sometimes moved by +-p^m at small p, which ramifies the roots.
+    """
+    while True:
+        a, b = rng.sample(range(min(p, 7)), 2) if p > 2 else (0, 1)
+        u = [rng.choice([c for c in range(1, min(p, 7) + 3) if c % p]) for _ in range(3)]
+        top = 4 if p < 20 else 1  # keeps Delta small enough to factor
+        s, t = rng.randint(1, top), rng.randint(1, top)
+        shape = rng.randrange(5)
+        if shape == 0:
+            f = [u[0] * p ** rng.randint(1, 2 * top - 1), 0, 0, 0, 1]
+        else:
+            roots = {
+                1: (a, a + u[0] * p**s, b, b + 1),
+                2: (a, a + u[0] * p**s, b, b + u[1] * p**t),
+                3: (a, a + u[0] * p**s, a + u[1] * p**s, b),
+                4: (a, a + u[0] * p**s, a + u[0] * p**s + u[1] * p ** (s + t), b),
+            }[shape]
+            f = [1]
+            for r in roots:
+                f = [0, *f]
+                for i in range(len(f) - 1):
+                    f[i] -= r * f[i + 1]
+            if p < 20:
+                f[0] += rng.choice((0, 0, 1, -1)) * p ** rng.randint(1, 9)
+        try:
+            return PicardCurve(poly_from_ints(f[::-1]))
+        except (InseparableCurveError, FactorizationBudgetError):
+            continue
+
+
+def test_tame_reports_do_not_depend_on_warm_caches():
+    # trees, fibers and cube twists are shared per valuation pattern: a
+    # report from warm caches is the one computed with every cache cleared
+    rng = random.Random(2222)
+    corpus = [(_clustered_curve(rng, p), p) for p in (2, 5, 7, 11, 13, 10007) for _ in range(30)]
+
+    def report(curve, p):
+        return (analyze_p2(curve) if p == 2 else conductor_tame(curve, p)).to_dict()
+
+    warm = [report(curve, p) for curve, p in corpus + corpus[::-1]]
+    cold = []
+    for curve, p in corpus:
+        _clear_every_cache()
+        cold.append(report(curve, p))
+    assert warm == cold + cold[::-1]
+    computed = [(p, rep["type"]) for (_, p), rep in zip(corpus, cold) if rep["status"] == "computed"]
+    assert {t for p, t in computed if p > 2} == set("abcde")
+    assert sum(p == 2 for p, _ in computed) >= 10

@@ -183,3 +183,35 @@ def test_serialization_shape_e():
     assert d["gamma"] == 2
     assert sorted(c["genus"] for c in d["components"]) == [0, 0, 1]
     assert sorted(e["points"] for e in d["edges"]) == [1, 3]
+
+
+def test_fiber_and_cube_twist_are_computed_once_per_tree(monkeypatch):
+    import picard.cover
+    from picard.inertia import needs_cube_twist
+
+    shapes, gauss = [], []
+    classify, gauss_of = picard.cover.classify_marked_tree, ClusterTree.gauss_valuation_of_f
+    monkeypatch.setattr(picard.cover, "classify_marked_tree", lambda t: shapes.append(t) or classify(t))
+    monkeypatch.setattr(
+        ClusterTree, "gauss_valuation_of_f", lambda t, node: gauss.append(t) or gauss_of(t, node)
+    )
+    cover_fiber.cache_clear()
+    needs_cube_twist.cache_clear()
+    trees = [
+        tree_from_depths({}),
+        tree_from_depths({(2, 3): Fraction(1, 2)}),
+        tree_from_depths({(0, 1): 1, (2, 3): Fraction(1, 3)}),
+        tree_from_depths({(1, 2): 1, (1, 3): 1, (2, 3): 1}),
+        tree_from_depths({(1, 2): Fraction(1, 4), (1, 3): Fraction(1, 4), (2, 3): 2}),
+    ]
+    calls = []
+    for _ in range(3):
+        for tree in trees:
+            cover_fiber(tree)
+            for e0 in (1, 2, 3, 4):
+                needs_cube_twist(tree, e0)
+        # an equal tree built anew shares the memo of the first
+        cover_fiber(tree_from_depths({(2, 3): Fraction(1, 2)}))
+        calls.append((len(shapes), len(gauss)))
+    assert shapes == trees
+    assert calls[0] == calls[2] and 0 < calls[0][1] <= 4 * sum(len(t.nodes) for t in trees)

@@ -1427,12 +1427,101 @@ def test_split_starts_from_the_discriminant_valuation(monkeypatch):
 
     monkeypatch.setattr(lf, "lift_over_ring", spy)
     runs = []
-    # x^4 - 5^m: disc = -256 * 5^(3m), split at e = 4 after e = 1, 2, 3
+    # x^4 - 5^m: disc = -256 * 5^(3m), v odd, so the tries are e = 2, 4
     for m in (1, 7):
         started.clear()
         e, sr = lf.split_over_minimal_tame([-(5**m), 0, 0, 0, 1], 5)
         runs.append((e, sr.ring.N, started[:]))
-    assert runs == [(4, 4, [4] * 4), (4, 20, [20] * 4)]
+    assert runs == [(4, 4, [4, 4]), (4, 20, [20, 20])]
+
+
+# tame indices in the order the oracle tries them, none skipped
+EVERY_TAME_E = (1, 2, 3, 4, 6, 8, 12, 24)
+
+
+def _split_trying_every_e(f, p):
+    """Oracle: the first e of EVERY_TAME_E prime to p whose lift splits f, or None."""
+    k = lf._residue_split_degree(f, p) if f[-1] % p else 1
+    n = min(lf.DEFAULT_PI_DIGITS, lf._disc_val(f, p) + 1)
+    for e in EVERY_TAME_E:
+        if gcd(e, p) == 1:
+            try:
+                return e, lf.lift_over_ring(f, p, e, k, n)
+            except lf.NeedsLargerE:
+                continue
+    return None
+
+
+def _split_outcome(split):
+    if split is None:
+        return None
+    e, sr = split
+    return e, (sr.ring.e, sr.ring.k, sr.ring.N), sr.roots
+
+
+def _spy_tries(monkeypatch):
+    """The list of the e that lift_over_ring is called with, from now on."""
+    tried = []
+    real = lf.lift_over_ring
+
+    def spy(f, p, e, *args):
+        tried.append(e)
+        return real(f, p, e, *args)
+
+    monkeypatch.setattr(lf, "lift_over_ring", spy)
+    return tried
+
+
+def _split_or_wild(f, p):
+    try:
+        return lf.split_over_minimal_tame(f, p)
+    except lf.WildSplittingError:
+        return None
+
+
+def test_split_skips_only_tries_that_cannot_split(monkeypatch):
+    # a try of e that is not a multiple of what disc f and the earlier tries
+    # force would end in NeedsLargerE: the split loop that skips it finds the
+    # same e, ring and roots as the loop that tries every candidate in turn
+    rng = random.Random(2121)
+    tried = _spy_tries(monkeypatch)
+    seen = {"wild": 0, "e > 1": 0, "fewer tries": 0}
+    for p in (2, 3, 5, 7, 11, 13, 10007):
+        for i in range(24):
+            f = _seeded_quartic(rng, p) if i % 2 else _clustered_quartic(rng, p)
+            tried.clear()
+            got = _split_outcome(_split_or_wild(f, p))
+            ours = len(tried)
+            tried.clear()
+            want = _split_outcome(_split_trying_every_e(f, p))
+            assert got == want, (f, p)
+            seen["wild"] += want is None
+            seen["e > 1"] += want is not None and want[0] > 1
+            seen["fewer tries"] += ours < len(tried)
+    assert seen["wild"] >= 10 and seen["e > 1"] >= 40 and seen["fewer tries"] >= 50, seen
+
+
+def _tries(f, p, monkeypatch):
+    tried = _spy_tries(monkeypatch)
+    e, _ = lf.split_over_minimal_tame(f, p)
+    return e, tried
+
+
+def test_an_odd_discriminant_valuation_forces_an_even_index(monkeypatch):
+    # x^4 - 5: ord_5(disc) = 3, so sqrt(disc) has valuation 3/2 and e is even
+    assert lf._disc_val([-5, 0, 0, 0, 1], 5) == 3
+    assert _tries([-5, 0, 0, 0, 1], 5, monkeypatch) == (4, [2, 4])
+
+
+def test_a_certified_slope_forces_its_denominator(monkeypatch):
+    # (x^3 - 5)(x - 1): ord_5(disc) = 2, and the try at e = 1 certifies the
+    # slope 1/3 of x^3 - 5, so e = 2 cannot split f and is not tried
+    f = _poly_mul([-5, 0, 0, 1], [-1, 1])
+    assert lf._disc_val(f, 5) == 2
+    with pytest.raises(lf.NeedsLargerE) as ex:
+        lf.lift_over_ring(f, 5, 1)
+    assert ex.value.factor == 3
+    assert _tries(f, 5, monkeypatch) == (3, [1, 3])
 
 
 def test_root_valuation_is_exact_below_the_ball_and_deeper():

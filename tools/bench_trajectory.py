@@ -10,7 +10,10 @@ workload in it, this prints the number of pairs, the parent and change
 medians of ``wall_s`` and ``peak_rss_mb``, and the median number of
 operations attempted on each side: a workload that runs more operations in
 the same time keeps more per-operation data, so its peak RSS drifts with
-the op count.  Only the raw ``pairs`` are read, which every file has.
+the op count.  Two more columns show the rule a claimed gain in ``wall_s``
+must meet: the number of pairs whose change ran faster than its parent,
+and whether the gap between the medians is wider than the parent's
+interquartile range.  Only the raw ``pairs`` are read, which every file has.
 """
 
 import json
@@ -48,12 +51,31 @@ def _median(pairs, side, metric):
     return statistics.median(values) if values else None
 
 
+def _workloads(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["workloads"]
+
+
+def claim_rule(pairs, metric="wall_s"):
+    """(pairs where the change is lower, median gap wider than the parent's IQR).
+
+    The quartiles interpolate linearly between the parent's sorted values;
+    with fewer than two of them there is no spread to compare with (None).
+    """
+    both = [pair for pair in pairs if metric in pair.get("parent", {}) and metric in pair.get("change", {})]
+    lower = sum(pair["change"][metric] < pair["parent"][metric] for pair in both)
+    parent = [pair["parent"][metric] for pair in both]
+    if len(parent) < 2:
+        return lower, None
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gap = statistics.median(parent) - statistics.median(pair["change"][metric] for pair in both)
+    return lower, gap > q3 - q1
+
+
 def trajectory(path):
     """(workload, pairs, {metric: (parent median, change median)}) per workload."""
-    with open(path, encoding="utf-8") as fh:
-        workloads = json.load(fh)["workloads"]
     rows = []
-    for name, data in workloads.items():
+    for name, data in _workloads(path).items():
         pairs = data["pairs"]
         medians = {
             metric: (_median(pairs, "parent", metric), _median(pairs, "change", metric))
@@ -77,12 +99,16 @@ def main(argv=None):
     head = ["file", "workload", "pairs"]
     for metric, _ in COLUMNS:
         head += [f"{metric} parent", f"{metric} change"]
+    head += ["wall_s lower", "gap>iqr"]
     table = [head]
     for path in files:
+        workloads = _workloads(path)
         for name, count, medians in trajectory(path):
             row = [path.stem.removeprefix("BENCH_"), name, str(count)]
             for metric, fmt in COLUMNS:
                 row += [_cell(fmt, value) for value in medians[metric]]
+            lower, wider = claim_rule(workloads[name]["pairs"])
+            row += [str(lower), "-" if wider is None else "yes" if wider else "no"]
             table.append(row)
     widths = [max(len(row[i]) for row in table) for i in range(len(head))]
     for row in table:
