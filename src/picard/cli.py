@@ -129,6 +129,9 @@ def cmd_search(args):
     except CheckpointCorruptError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
+    except OSError as ex:
+        print(f"error: cannot write {args.out}: {ex.strerror or ex}", file=sys.stderr)
+        return 1
     print(f"wrote {written} records to {args.out} (last slice token {token})")
     return 0
 

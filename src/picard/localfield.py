@@ -47,6 +47,15 @@ Costs are kept to one pass of each kind of work:
   what the splitting index is known to contain: 2 when ord_p(disc f) is
   odd, and the denominator of each fractional Newton slope an earlier try
   certified.  No try that must end in NeedsLargerE is made.
+- A single twin is not lifted: at p >= 5, a monic f with f mod p =
+  (x - a)^2 h, h squarefree and h(a) != 0 (every prime with
+  ord_p(disc f) = 1 among them), is factored f = G H over Z/p^(N+v) by
+  Newton on G, and the four roots are (-B +- pi^(e v/2) sqrt(u)) / 2 for
+  G = x^2 + Bx + C, B^2 - 4C = p^v u, and the quadratic formula for H,
+  in the ring and the order the lift would give.  p = 2 and 3, a non-monic
+  f, two double roots, a squared irreducible quadratic, a root of
+  multiplicity 3 or 4, and a closed form that fails certification keep
+  the recursive lift below.
 - Each prime's tries of e share one residue degree k, the lcm of the
   degrees of the factors of f mod p, and each simple residue root of f
   is lifted once, over U = O/p^N, and embedded in every ring of the tries.
@@ -1231,11 +1240,31 @@ def split_over_minimal_tame(f_ints, p):
     f_ints is a separable int quartic, lowest degree first.  Returns (e,
     SplitRoots); raises WildSplittingError if no tame index <= 4 works
     (possible only for p = 2, 3, where the splitting field can be wildly
-    ramified).  The residue degree is fixed once for all tries of e.
+    ramified).
 
-    Every try of e starts at N = min(DEFAULT_PI_DIGITS, v + 1), v = ord_p(disc f).
-    The pairwise distances of the roots sum to v/2, so v(f'(z)) <= e*v/2 at
-    every root z and v + 1 p-digits leave room for _certify's a - 2b >= 1.
+    A monic f at p >= 5 with f mod p = (x - a)^2 h, h squarefree and
+    h(a) != 0, takes _split_single_twin: its roots in closed form from two
+    square roots, in the ring and the order the lift below would give.
+    Every other f, and a single twin whose closed form fails certification,
+    takes _split_by_lifting.
+    """
+    v = _disc_val(f_ints, p)
+    a = _single_twin(f_ints, p) if p >= 5 and f_ints[-1] == 1 else None
+    if a is not None:
+        try:
+            return _split_single_twin(f_ints, p, a, v)
+        except PrecisionStallError:
+            pass  # the lift doubles N
+    return _split_by_lifting(f_ints, p, v)
+
+
+def _split_by_lifting(f_ints, p, v):
+    """split_over_minimal_tame by lift_over_ring, for v = ord_p(disc f).
+
+    The residue degree is fixed once for all tries of e.  Every try of e
+    starts at N = min(DEFAULT_PI_DIGITS, v + 1).  The pairwise distances of
+    the roots sum to v/2, so v(f'(z)) <= e*v/2 at every root z and v + 1
+    p-digits leave room for _certify's a - 2b >= 1.
 
     Only the e that can split f are tried: multiples of `need`, a divisor of
     the splitting index e_s.  The product of the root differences is
@@ -1245,7 +1274,6 @@ def split_over_minimal_tame(f_ints, p):
     e_s / gcd(e, e_s), so need becomes lcm(need, d).
     """
     k = _residue_split_degree(f_ints, p) if f_ints[-1] % p else 1
-    v = _disc_val(f_ints, p)
     n = min(DEFAULT_PI_DIGITS, v + 1)
     need = 2 if v % 2 else 1
     for e in TAME_E_CANDIDATES:
@@ -1256,3 +1284,94 @@ def split_over_minimal_tame(f_ints, p):
         except NeedsLargerE as ex:
             need = lcm(need, ex.factor)
     raise WildSplittingError(f"no tame extension of index <= 4 splits f at {p}")
+
+
+def _single_twin(f_ints, p):
+    """a when the monic f mod p is (x - a)^2 h with h squarefree and h(a) != 0, else None."""
+    repeated = [(g, m) for g, _, m in _fp_factor(p, tuple(c % p for c in f_ints)) if m > 1]
+    if len(repeated) == 1 and repeated[0][1] == 2 and len(repeated[0][0]) == 2:
+        return -repeated[0][0][0] % p
+    return None
+
+
+def _twin_factors(f, p, a, M):
+    """Monic quadratics G = x^2 + Bx + C and H with f = G H mod p^M and G = (x - a)^2 mod p.
+
+    f is monic with f mod p = (x - a)^2 h, h(a) != 0.  Newton on G -> f mod
+    G: with f = G H + R, the step G += R / H mod G squares the error.  H
+    mod G = alpha x + beta is a unit of Z/p^M[x]/(G), inverted through its
+    norm beta^2 - alpha beta B + alpha^2 C, which is h(a)^2 mod p.  The
+    divisions are by monic G, so _fp_divmod serves mod p^M.
+    """
+    q = p**M
+    G = [a * a % q, -2 * a % q, 1]
+    while True:
+        H, R = _fp_divmod(f, G, q)
+        if not R:
+            return G, H
+        C, B = G[0], G[1]
+        al, be = (H[1] - B) % q, (H[0] - C) % q
+        inv = pow(be * be - al * be * B + al * al * C, -1, q)
+        t1, t0 = -al * inv, (be - al * B) * inv  # 1 / (H mod G) = t1 x + t0
+        r0, r1 = R + [0] * (2 - len(R))
+        s = t1 * r1  # (t1 x + t0)(r1 x + r0) mod G, x^2 = -B x - C
+        G = [(C + t0 * r0 - s * C) % q, (B + t1 * r0 + t0 * r1 - s * B) % q, 1]
+
+
+def _split_single_twin(f_ints, p, a, v):
+    """split_over_minimal_tame for a monic f, p >= 5, f mod p = (x - a)^2 h, h squarefree, h(a) != 0.
+
+    Over Z/p^(N+v), N = min(DEFAULT_PI_DIGITS, v + 1), f = G H with
+    G = x^2 + Bx + C = (x - a)^2 and H = x^2 + bx + c = h mod p.  disc f =
+    disc G disc H Res(G, H)^2 and the last two are units, so
+    B^2 - 4C = p^v u with u a unit known mod p^N.  The roots are
+    (-B +- pi^(e v/2) sqrt(u)) / 2 and (-b +- sqrt(b^2 - 4c)) / 2 over the
+    ring the lift would end in: e = 2 when v is odd, else 1, and k = 1 when
+    u and b^2 - 4c are squares mod p, else 2.  Each square root is lifted
+    over U by _newton_lift.
+
+    The order is the lift's: by residue, the zero residue last; inside the
+    twin, an exact integer root a first, else by the residues of the first
+    pi-adic digit where the two differ, nonzero ones sorted and zero last.
+    Raises PrecisionStallError when _certify rejects the roots.
+    """
+    N = min(DEFAULT_PI_DIGITS, v + 1)
+    (C, B, _), (c, b, _) = _twin_factors(list(f_ints), p, a, N + v)
+    u, w = (B * B - 4 * C) % p ** (N + v) // p**v, b * b - 4 * c
+    e = 2 if v % 2 else 1
+
+    def square(x):
+        return pow(x, (p - 1) // 2, p) == 1
+
+    k = 1 if square(u) and square(w) else 2
+    ring = TameRing(TameExtension(p, e), k, N)
+    U = ring.U
+
+    def sqrt(x):
+        if square(x):
+            r = (_fp_sqrt(x, p),) + (0,) * (k - 1)
+        else:  # (2t + h1)^2 = h1^2 - 4 h0 is a non-square of F_p, as x is
+            h0, h1 = ring.h[0], ring.h[1]
+            s = _fp_sqrt(x * pow(h1 * h1 - 4 * h0, -1, p), p)
+            r = (h1 * s % p, 2 * s % p)
+        z = _newton_lift(U, [U.from_int(-x), U.zero, U.one], [U.zero, U.from_int(2)], U.lift_residue(r))
+        return ring.from_unram(z)
+
+    def rank(d):  # nonzero residues sorted, zero last
+        return not any(d), d
+
+    half = ring.from_int(pow(2, -1, p**N))
+    roots = [
+        ring.mul(op(ring.from_int(-lin), root), half)
+        for lin, root in ((B, ring.mul(ring.pi_power(e * v // 2), sqrt(u))), (b, sqrt(w)))
+        for op in (ring.add, ring.sub)
+    ]
+    if _vanishes_at(f_ints, (a,), (0, 1)):  # the integer a is a root of f
+        roots[:2] = sorted(roots[:2], key=lambda z: z != ring.from_int(a))
+    else:  # digit j = i + e m of z is the m-th p-digit of its pi^i block
+        m, i = divmod(ring.val(ring.sub(roots[0], roots[1])), e)
+        roots[:2] = sorted(roots[:2], key=lambda z: rank(tuple(x // p**m % p for x in z[i * k:(i + 1) * k])))
+    roots.sort(key=lambda z: rank(ring.residue(z)))
+    fpoly = [ring.from_int(x) for x in f_ints]
+    cert = _certify(ring, fpoly, rpoly_deriv(ring, fpoly), roots)
+    return e, SplitRoots(ring, roots, cert, tuple(f_ints))

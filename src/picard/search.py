@@ -310,6 +310,8 @@ def run_search(cfg: SearchConfig, out_path):
                 retained = replay_retained(fh)
         except FileNotFoundError:
             raise CheckpointCorruptError(f"cannot resume: {out_path} is missing")
+        except OSError as ex:
+            raise CheckpointCorruptError(f"cannot resume: {out_path} is unreadable ({ex.strerror})")
         mode = "a"
     written = 0
     last_token = cfg.resume_from

@@ -33,10 +33,17 @@ def test_prints_a_row_per_workload_of_every_bench_file():
     for row in rows:
         # pairs, then parent and change medians of wall_s, peak_rss_mb,
         # attempted, then the pairs with a lower change wall_s and whether
-        # the median gap is wider than the parent's interquartile range
-        assert len(row) == 11 and int(row[2]) > 0
+        # the median gap is wider than the parent's interquartile range,
+        # then the peak_rss_mb change in percent and the attempted ratio
+        assert len(row) == 13 and int(row[2]) > 0
         assert all(float(cell) > 0 for cell in row[3:9])
         assert 0 <= int(row[9]) <= int(row[2]) and row[10] in ("yes", "no")
+        rss, ops = row[11], float(row[12])
+        pct = 100 * (float(row[6]) / float(row[5]) - 1)
+        assert rss.rstrip("!").endswith("%") and abs(float(rss.rstrip("%!")) - pct) < 0.1
+        assert rss.endswith("!") == (pct > 10)  # BENCHMARK.json's bound is 0.1
+        # the printed medians are rounded to whole operations
+        assert abs(ops - float(row[8]) / float(row[7])) <= 0.005 + (1 + ops) / float(row[7])
 
 
 def test_medians_come_from_the_raw_pairs(tmp_path):
@@ -73,3 +80,21 @@ def test_claim_rule_counts_lower_pairs_and_compares_the_gap_with_the_spread():
     # every pair lower, but by 0.01 only: inside the parent's spread
     assert tool.claim_rule(pairs(parent, [0.39, 0.40, 0.41, 0.42, 0.43])) == (5, False)
     assert tool.claim_rule(pairs(parent[:1], [0.3])) == (1, None)
+
+
+def test_rss_cost_marks_a_change_past_the_bound(tmp_path):
+    tool = _load_tool()
+    assert tool.rss_bound(tmp_path) is None
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_s", "bound": 0.25}, {"name": "peak_rss_mb", "bound": 0.1}]})
+    )
+    bound = tool.rss_bound(tmp_path)
+    assert bound == 0.1
+
+    def medians(rss, ops):
+        return {"peak_rss_mb": rss, "attempted": ops}
+
+    assert tool.rss_cost(medians((30.0, 31.5), (100, 150)), bound) == ("+5.0%", "1.50")
+    assert tool.rss_cost(medians((30.0, 33.3), (100, 190)), bound) == ("+11.0%!", "1.90")
+    assert tool.rss_cost(medians((30.0, 29.7), (100, 90)), None) == ("-1.0%", "0.90")
+    assert tool.rss_cost(medians((None, None), (None, None)), bound) == ("-", "-")

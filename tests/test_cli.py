@@ -80,6 +80,17 @@ def test_search_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where, resume", [("missing/r.jsonl", None), ("", None), ("", "0")])
+def test_search_unwritable_out_exit_1(tmp_path, capsys, where, resume):
+    # a path in a missing directory, a directory, and a directory to resume
+    # from: one error line and exit 1, no traceback
+    args = ["search", "--set", "2,3", "--height", "1", "--out", str(tmp_path / where)]
+    assert main(args + (["--resume", resume] if resume else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_analyze_rejects_degenerate_inputs(capsys):
     # leading coefficient zero: not a quartic
     assert main(["analyze", "--curve", "[0,1,2,3,4]"]) == 2

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd, inf, lcm
 from pathlib import Path
@@ -1474,7 +1475,7 @@ def _spy_tries(monkeypatch):
 
 def _split_or_wild(f, p):
     try:
-        return lf.split_over_minimal_tame(f, p)
+        return lf._split_by_lifting(f, p, lf._disc_val(f, p))
     except lf.WildSplittingError:
         return None
 
@@ -1483,6 +1484,7 @@ def test_split_skips_only_tries_that_cannot_split(monkeypatch):
     # a try of e that is not a multiple of what disc f and the earlier tries
     # force would end in NeedsLargerE: the split loop that skips it finds the
     # same e, ring and roots as the loop that tries every candidate in turn
+    # (the loop split_over_minimal_tame runs for every f but a single twin)
     rng = random.Random(2121)
     tried = _spy_tries(monkeypatch)
     seen = {"wild": 0, "e > 1": 0, "fewer tries": 0}
@@ -1567,3 +1569,120 @@ def test_multiplicative_order_needs_a_positive_modulus():
     for e in (0, -1, -8):  # -1 looped forever
         with pytest.raises(ValueError):
             lf.multiplicative_order(3, e)
+
+
+def _twin_case(rng, p, v):
+    """(f, exact) with f mod p = (x - a)^2 h, ord_p(disc f) = v, h squarefree and h(a) != 0.
+
+    The twin is (x - s)^2 - p^v u with s = a mod p or, at even v, has two
+    integer roots (exact is True), one of them a itself half the time.  h
+    is split or inert mod p.  f is the product, or the product moved by
+    p^(v+1) times a cubic, which keeps the twin and its depth.
+    """
+    while True:
+        a = rng.choice((0, rng.randrange(p)))
+        s = a + p * rng.randrange(p) * rng.randrange(2)
+        u = rng.randrange(1, p)
+        if v % 2 == 0 and rng.randrange(3) == 0:
+            r = rng.choice((a, s))
+            d = rng.choice((1, -1)) * u * p ** (v // 2)
+            G, exact = [r * (r + d), -2 * r - d, 1], True
+        else:
+            G, exact = [s * s - u * p**v, -2 * s, 1], False
+        if rng.randrange(2):
+            b1, b2 = rng.randrange(p), rng.randrange(p)
+            H = [b1 * b2, -b1 - b2, 1]
+        else:
+            b = rng.randrange(p)
+            c = next(c for c in range(1, p) if pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1)
+            H = [c, b, 1]
+        f = _poly_mul(G, H)
+        if rng.randrange(2) and not exact:
+            f = [x + p ** (v + 1) * rng.randint(-p, p) for x in f[:4]] + [1]
+        if lf._single_twin(f, p) == a and lf._disc_val(f, p) == v:
+            return f, exact
+
+
+def _twin_against_lift(f, p):
+    """The closed-form split of a single twin and the lift's, checked to agree; returns both."""
+    from picard.clusters import Ramification
+    from picard.inertia import analyze_tame
+
+    v = lf._disc_val(f, p)
+    e, sr = lf._split_single_twin(f, p, lf._single_twin(f, p), v)
+    want_e, want = lf._split_by_lifting(f, p, v)
+    ring = want.ring
+    assert (e, sr.ring.e, sr.ring.k, sr.ring.N) == (want_e, ring.e, ring.k, ring.N), (f, p)
+    assert [ring.residue(z) for z in sr.roots] == [ring.residue(z) for z in want.roots], (f, p)
+    ball = min(b for _, b in want.cert)
+    assert all(ring.val(ring.sub(x, y)) >= ball for x, y in zip(sr.roots, want.roots)), (f, p)
+    got = analyze_tame(Ramification(p=p, tame=True, e=e, split=sr))
+    assert got == analyze_tame(Ramification(p=p, tame=True, e=want_e, split=want)), (f, p)
+    return sr, want
+
+
+def test_single_twin_closed_form_matches_the_lift():
+    # the four roots from the Hensel factors (x - a)^2 h by two square roots:
+    # the lift's ring, residue order, roots within its certified balls, and
+    # tame analysis, over p = 1 and 2 mod 3, v = 1..12, h split and inert
+    rng = random.Random(2222)
+    seen = Counter()
+    for p in (5, 7, 11, 13, 10007, 1000003):
+        for v in range(1, 13):
+            for _ in range(5):
+                f, exact = _twin_case(rng, p, v)
+                sr, want = _twin_against_lift(f, p)
+                a = lf._single_twin(f, p)
+                (C, B, _), _ = lf._twin_factors(f, p, a, v + 1)
+                u = (B * B - 4 * C) // p**v
+                seen["p = 1 mod 3" if p % 3 == 1 else "p = 2 mod 3"] += 1
+                seen["h inert" if lf._residue_split_degree(f, p) == 2 else "h split"] += 1
+                seen["u square" if pow(u, (p - 1) // 2, p) == 1 else "u non-square"] += 1
+                seen["a = 0" if a == 0 else "a != 0"] += 1
+                seen["integer twin roots"] += exact
+                seen[_twin_order_rule(f, sr, a)] += 1
+        for _ in range(40):  # the suite's other generators, single twins among them
+            f = rng.choice((_seeded_quartic, _clustered_quartic))(rng, p)
+            if f[-1] == 1 and lf._single_twin(f, p) is not None:
+                _twin_against_lift(f, p)
+                seen["generated"] += 1
+    assert sum(n for k, n in seen.items() if k.startswith("p =")) >= 300
+    assert len(seen) == 13 and min(seen.values()) >= 10, seen
+
+
+def _twin_order_rule(f, sr, a):
+    """Which rule put the two twin roots of sr in their order."""
+    ring = sr.ring
+    z1, z2 = [z for z in sr.roots if ring.residue(z) == ring.residue(ring.from_int(a))]
+    if lf._vanishes_at(f, (a,), (0, 1)):
+        assert z1 == ring.from_int(a)
+        return "exact root a first"
+    m, i = divmod(ring.val(ring.sub(z1, z2)), ring.e)
+    digit = tuple(x // ring.p**m % ring.p for x in z2[i * ring.k:(i + 1) * ring.k])
+    return "nonzero digits sorted" if any(digit) else "zero digit last"
+
+
+def test_a_single_twin_at_v_1_lifts_nothing(monkeypatch):
+    # (x - 1)^2 - 7 times x^2 + 1 at p = 7, ord_7(disc) = 1: no call of
+    # lift_over_ring, and e = 2 with sqrt(-1) outside F_7, so k = 2
+    def no_lift(*args):
+        raise AssertionError("lift_over_ring called")
+
+    monkeypatch.setattr(lf, "lift_over_ring", no_lift)
+    f = _poly_mul([-6, -2, 1], [1, 0, 1])
+    assert lf._disc_val(f, 7) == 1 and lf._single_twin(f, 7) == 1
+    e, sr = lf.split_over_minimal_tame(f, 7)
+    assert (e, sr.ring.e, sr.ring.k, sr.ring.N) == (2, 2, 2, 2)
+
+
+def test_a_deep_single_twin_falls_back_to_the_lift():
+    # at v = 20 the start N = 20 leaves no room for certification: the
+    # closed form stalls, and the lift doubles N
+    f = _poly_mul([1 - 2 * 5**20, -2, 1], [1, 1, 1])
+    v = lf._disc_val(f, 5)
+    assert v == 20 and lf._single_twin(f, 5) == 1
+    with pytest.raises(lf.PrecisionStallError):
+        lf._split_single_twin(f, 5, 1, v)
+    e, sr = lf.split_over_minimal_tame(f, 5)
+    assert _split_outcome((e, sr)) == _split_outcome(lf._split_by_lifting(f, 5, v))
+    assert sr.ring.N == 40

@@ -13,7 +13,11 @@ the same time keeps more per-operation data, so its peak RSS drifts with
 the op count.  Two more columns show the rule a claimed gain in ``wall_s``
 must meet: the number of pairs whose change ran faster than its parent,
 and whether the gap between the medians is wider than the parent's
-interquartile range.  Only the raw ``pairs`` are read, which every file has.
+interquartile range.  The last two show the RSS cost of a faster loop: the
+change in median ``peak_rss_mb`` as a percentage of the parent's, marked
+``!`` when it exceeds the bound ROOT/BENCHMARK.json gives that metric, and
+the ratio of the median operations attempted, change over parent.  Only the
+raw ``pairs`` are read, which every file has.
 """
 
 import json
@@ -85,6 +89,26 @@ def trajectory(path):
     return rows
 
 
+def rss_bound(root):
+    """The bound BENCHMARK.json under root gives peak_rss_mb (a fraction), or None."""
+    try:
+        with open(Path(root) / "BENCHMARK.json", encoding="utf-8") as fh:
+            metrics = json.load(fh)["end_to_end"]
+    except (OSError, ValueError, KeyError):
+        return None
+    return next((m.get("bound") for m in metrics if m.get("name") == "peak_rss_mb"), None)
+
+
+def rss_cost(medians, bound):
+    """(peak_rss_mb change in % of the parent, marked ! past bound; attempted ratio) as cells."""
+    (rss_p, rss_c), (ops_p, ops_c) = medians["peak_rss_mb"], medians["attempted"]
+    rss = "-"
+    if rss_p and rss_c is not None:
+        pct = 100 * (rss_c / rss_p - 1)
+        rss = f"{pct:+.1f}%" + ("!" if bound is not None and pct > 100 * bound else "")
+    return rss, "-" if not ops_p or ops_c is None else f"{ops_c / ops_p:.2f}"
+
+
 def _cell(fmt, value):
     return "-" if value is None else fmt.format(value)
 
@@ -99,7 +123,8 @@ def main(argv=None):
     head = ["file", "workload", "pairs"]
     for metric, _ in COLUMNS:
         head += [f"{metric} parent", f"{metric} change"]
-    head += ["wall_s lower", "gap>iqr"]
+    head += ["wall_s lower", "gap>iqr", "rss change", "ops ratio"]
+    bound = rss_bound(root)
     table = [head]
     for path in files:
         workloads = _workloads(path)
@@ -109,6 +134,7 @@ def main(argv=None):
                 row += [_cell(fmt, value) for value in medians[metric]]
             lower, wider = claim_rule(workloads[name]["pairs"])
             row += [str(lower), "-" if wider is None else "yes" if wider else "no"]
+            row += rss_cost(medians, bound)
             table.append(row)
     widths = [max(len(row[i]) for row in table) for i in range(len(head))]
     for row in table:
