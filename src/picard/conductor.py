@@ -86,24 +86,28 @@ def conductor_tame(curve: PicardCurve, p: int) -> ConductorReport:
     if not ram.tame:
         raise RuntimeError(f"splitting field wildly ramified at {p} >= 5")
     analysis = analyze_tame(ram)
-    eps = analysis.epsilon
+    return _computed_report(p, analysis.epsilon, analysis.fiber.reduction_type, {
+        "e_splitting": analysis.e_splitting,
+        "e_semistable": analysis.e_semistable,
+        "fiber": analysis.fiber.to_dict(),
+        "cluster_depths": [[list(key), str(depth)] for key, depth in analysis.tree.signature()],
+        "quotient_genera": analysis.quotient.quotient_genera,
+        "gamma0": analysis.quotient.gamma0,
+    })
+
+
+def _computed_report(p, eps, reduction_type, detail):
+    """A computed report at a bad prime: f_p = epsilon, delta = 0, exceptional when epsilon = 0."""
     return ConductorReport(
         p=p,
         status="computed",
         f_lo=eps,
         f_hi=eps,
-        reduction_type=analysis.fiber.reduction_type,
+        reduction_type=reduction_type,
         epsilon=eps,
         delta=0,
         exceptional=(eps == 0),
-        detail={
-            "e_splitting": analysis.e_splitting,
-            "e_semistable": analysis.e_semistable,
-            "fiber": analysis.fiber.to_dict(),
-            "cluster_depths": [[list(key), str(depth)] for key, depth in analysis.tree.signature()],
-            "quotient_genera": analysis.quotient.quotient_genera,
-            "gamma0": analysis.quotient.gamma0,
-        },
+        detail=detail,
     )
 
 
@@ -124,23 +128,10 @@ def analyze_p2(curve: PicardCurve) -> ConductorReport:
     ram = splitting_ramification(curve.coeffs, 2) if sqrt_disc_unramified_at_2(curve) else None
     if ram is not None and ram.tame:
         analysis = analyze_tame(ram)
-        eps = analysis.epsilon
-        if eps % 2:
-            raise RuntimeError("epsilon must be even in the tame case")
-        return ConductorReport(
-            p=2,
-            status="computed",
-            f_lo=eps,
-            f_hi=eps,
-            reduction_type=analysis.fiber.reduction_type,
-            epsilon=eps,
-            delta=0,
-            exceptional=(eps == 0),
-            detail={
-                "e_semistable": analysis.e_semistable,
-                "fiber": analysis.fiber.to_dict(),
-            },
-        )
+        return _computed_report(2, analysis.epsilon, analysis.fiber.reduction_type, {
+            "e_semistable": analysis.e_semistable,
+            "fiber": analysis.fiber.to_dict(),
+        })
     return ConductorReport(
         p=2,
         status="unknown-wild",
@@ -175,23 +166,14 @@ def analyze_p3(curve: PicardCurve, witness: WildWitness | None = None) -> Conduc
         )
     f_ints = _witness_equation(curve, witness)
     ver = verify_witness(f_ints, witness)
-    if ver.f3 is not None:
-        return ConductorReport(
-            p=3,
-            status="computed",
-            f_lo=ver.f3,
-            f_hi=ver.f3,
-            reduction_type=ver.reduction_type,
-            epsilon=ver.f3,
-            delta=0,
-            detail={
-                "m": ver.m,
-                "component_genera": ver.etale_genera,
-                "inseparable_components": ver.inseparable_count,
-                "quotient_genera": ver.quotient_genera,
-                "gamma0": ver.gamma0,
-            },
-        )
+    if ver.f3 is not None:  # f_3 >= 4: never exceptional
+        return _computed_report(3, ver.f3, ver.reduction_type, {
+            "m": ver.m,
+            "component_genera": ver.etale_genera,
+            "inseparable_components": ver.inseparable_count,
+            "quotient_genera": ver.quotient_genera,
+            "gamma0": ver.gamma0,
+        })
     return ConductorReport(
         p=3,
         status="bounded",
@@ -211,7 +193,10 @@ def _witness_equation(curve, witness):
     normalize to the same curve.
     """
     if witness.curve is not None:
-        model, _ = normalize(poly_from_ints(list(witness.curve)))
+        try:
+            model, _ = normalize(poly_from_ints(list(witness.curve)))
+        except ValueError as ex:  # not a separable quartic, or its Delta is beyond the budget
+            raise WitnessInvalidError(f"witness curve: {ex}") from None
         if model != curve:
             raise WitnessInvalidError(
                 "witness targets a different curve than the one analyzed"

@@ -57,8 +57,8 @@ Costs are kept to one pass of each kind of work:
   multiplicity 3 or 4, and a closed form that fails certification keep
   the recursive lift below.
 - Each prime's tries of e share one residue degree k, the lcm of the
-  degrees of the factors of f mod p, and each simple residue root of f
-  is lifted once, over U = O/p^N, and embedded in every ring of the tries.
+  degrees of the factors of f mod p, so no try climbs to it through
+  NeedsLargerK at depth 0.
 - Elements are flat tuples of e*k canonical ints mod p^N, so add, sub, val
   and is_zero are one pass over a tuple.  mul is one pass over the nonzero
   entries of both operands into an unreduced array, folded once by
@@ -231,6 +231,17 @@ def _fp_sqrt(a, p):
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
+
+
+def _fp2_sqrt(x, p, h):
+    """A square root in F_p[t]/(h) = F_{p^2}, p odd, of the non-square x of F_p, as a pair.
+
+    With h = t^2 + h1 t + h0, (2t + h1)^2 = h1^2 - 4 h0 is a non-square of
+    F_p, as x is, so (2t + h1) s is a root for s^2 = x / (h1^2 - 4 h0).
+    """
+    h0, h1 = h[0], h[1]
+    s = _fp_sqrt(x * pow(h1 * h1 - 4 * h0, -1, p), p)
+    return h1 * s % p, 2 * s % p
 
 
 def _fp_squarefree(f, p):
@@ -507,15 +518,11 @@ def _residue_roots_fp(p, k, f):
         elif len(g) == 2:
             roots.append(((-g[0] % p,) + pad, m))
         elif k == 2 and D == 2 and len(g) == 3 and p != 2:  # one irreducible quadratic
-            # x^2 + bx + c with h = t^2 + h1 t + h0: (2t + h1)^2 = h1^2 - 4 h0,
-            # so the roots are (-b +- (2t + h1) s) / 2 with s^2 the quotient of
-            # the two discriminants, both non-squares in F_p
-            c, b = g[0], g[1]
-            h0, h1 = F.h[0], F.h[1]
-            s = _fp_sqrt((b * b - 4 * c) * pow(h1 * h1 - 4 * h0, -1, p), p)
+            c, b = g[0], g[1]  # x^2 + bx + c: the roots are (-b +- r) / 2
+            r0, r1 = _fp2_sqrt(b * b - 4 * c, p, F.h)
             half = (p + 1) // 2
-            roots.append((((h1 * s - b) * half % p, s), m))
-            roots.append((((-h1 * s - b) * half % p, -s % p), m))
+            roots.append((((r0 - b) * half % p, r1 * half % p), m))
+            roots.append((((-r0 - b) * half % p, -r1 * half % p), m))
         else:
             rng = rng or random.Random(repr((p, k, f)))  # seeded only where a split draws
             roots += [(r, m) for r in _find_roots_linear_part(F, [F.from_int(c) for c in g], rng)]
@@ -958,8 +965,8 @@ def _newton_budget(ring):
 def _newton_lift(ring, poly, dpoly, z):
     """Lift a simple residue root to ring precision (f'(z) stays a unit).
 
-    The Hensel loop of the package, over a TameRing of any e:
-    _integral_roots and _unramified_root lift the simple roots of f with it.
+    The Hensel loop of the package, over a TameRing of any e: _integral_roots
+    lifts every simple root with it, at every depth in the ring that finds it.
 
     Coupled Newton: w ~ 1/f'(z) starts from the residue-field inverse and
     is refined by w <- w(2 - f'(z) w) alongside z <- z - f(z) w, so no step
@@ -980,25 +987,14 @@ def _newton_lift(ring, poly, dpoly, z):
     raise PrecisionStallError("Newton lift did not converge within its step budget")
 
 
-@lru_cache(maxsize=64)
-def _unramified_root(p, k, N, f, rbar):
-    """The root of the int tuple f over O/p^N of Q_{p^k}^nr at its simple residue root rbar.
-
-    Unique mod p^N, so every ring over U embeds it; the tries of e at one
-    prime share it.  The key holds f, so curves share nothing: the memo is small.
-    """
-    U = _unramified_ring(p, k, N)
-    poly = [U.from_int(c) for c in f]
-    return _newton_lift(U, poly, rpoly_deriv(U, poly), U.lift_residue(rbar))
-
-
 def _integral_roots(ring, poly, prec, depth=0, f=None):
     """All roots of poly with valuation >= 0, as exact ring elements.
 
     Every coefficient of poly is known mod pi^prec: digits at or above prec
-    are invisible, as dividing by pi pulls unknown digits into view.  f is
-    poly's int tuple when poly has integer coefficients (depth 0): its
-    simple residue roots are then lifted over the unramified ring U.
+    are invisible, as dividing by pi pulls unknown digits into view.  Each
+    simple residue root is lifted by _newton_lift in this ring.  f is poly's
+    int tuple when poly has integer coefficients (depth 0): a multiple
+    residue root that is an exact root of f then comes first in its cluster.
     Raises NeedsLargerK when residue factorization leaves the field,
     NeedsLargerE on a certified fractional Newton slope, and
     PrecisionStallError when prec cannot see the digits it needs.
@@ -1016,7 +1012,7 @@ def _integral_roots(ring, poly, prec, depth=0, f=None):
     roots_bar, missing = residue_roots(g, pbar)
     if missing:
         raise NeedsLargerK(ring.k * missing)
-    dpoly = None if f else rpoly_deriv(ring, poly)
+    dpoly = rpoly_deriv(ring, poly)
     out = []
     m0 = 0
     for rbar, mult in roots_bar:
@@ -1024,9 +1020,7 @@ def _integral_roots(ring, poly, prec, depth=0, f=None):
             m0 = mult
             continue
         r = ring.lift_residue(rbar)
-        if mult == 1 and f:
-            out.append(ring.from_unram(_unramified_root(ring.p, ring.k, ring.N, f, rbar)))
-        elif mult == 1:
+        if mult == 1:
             out.append(_newton_lift(ring, poly, dpoly, r))
         else:
             shifted = gcompose_linear(ring, poly, ring.one, r)
@@ -1348,12 +1342,7 @@ def _split_single_twin(f_ints, p, a, v):
     U = ring.U
 
     def sqrt(x):
-        if square(x):
-            r = (_fp_sqrt(x, p),) + (0,) * (k - 1)
-        else:  # (2t + h1)^2 = h1^2 - 4 h0 is a non-square of F_p, as x is
-            h0, h1 = ring.h[0], ring.h[1]
-            s = _fp_sqrt(x * pow(h1 * h1 - 4 * h0, -1, p), p)
-            r = (h1 * s % p, 2 * s % p)
+        r = (_fp_sqrt(x, p),) + (0,) * (k - 1) if square(x) else _fp2_sqrt(x, p, ring.h)
         z = _newton_lift(U, [U.from_int(-x), U.zero, U.one], [U.zero, U.from_int(2)], U.lift_residue(r))
         return ring.from_unram(z)
 

@@ -86,6 +86,8 @@ class WildWitness:
             raise WitnessInvalidError(f"malformed witness: {type(ex).__name__}: {ex}") from None
         if p != 3:
             raise WitnessInvalidError("witnesses are for p = 3")
+        if any(min(ch.x_scale, ch.y_scale, ch.y_codim) < 0 for ch in charts):
+            raise WitnessInvalidError("chart scales must be non-negative: the ring has no pi^-1")
         if m < 1 or gcd(m, 3) != 1:
             raise WitnessInvalidError("tame degree m must be a positive integer prime to 3")
         # the ring needs F_{3^k}, k the order of 3 mod m, and its elements are m*k ints

@@ -163,3 +163,26 @@ def test_analyze_malformed_witness_exit_1(tmp_path, capsys, witness):
 
 def _timeout(signum, frame):
     raise TimeoutError("analyze did not finish")
+
+
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        ({"x_scale": -3}, "error: cannot read witness: "),
+        ({"y_scale": -1}, "error: cannot read witness: "),
+        ({"y_codim": -4}, "error: cannot read witness: "),
+        ({"curve": [1, 0, 0, 0]}, "witness invalid: "),
+        ({"curve": [1, 0, 0, 0, 0]}, "witness invalid: "),
+    ],
+)
+def test_analyze_witness_with_bad_scales_or_curve_exit_1(tmp_path, capsys, change, line):
+    chart = {"x_scale": 3, "x_center": [0], "y_scale": 0, "y_poly": [[1]], "y_codim": 4}
+    witness = {"p": 3, "m": 8, "curve": [1, 0, 0, 0, 1], "charts": [chart]}
+    for key, value in change.items():
+        (witness if key == "curve" else chart)[key] = value
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(witness))
+    code = main(["analyze", "--curve", "[1,0,0,0,1]", "--prime", "3", "--witness", str(wfile)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(line) and err.count("\n") == 1 and "Traceback" not in err, err

@@ -1237,8 +1237,9 @@ def test_lift_from_the_residue_split_degree_matches_lift_from_k_1():
 
 
 def test_depth_0_roots_lifted_once_over_the_unramified_ring():
-    # a simple residue root of f lifts over U and embeds as the root that
-    # _newton_lift finds in the ramified ring itself
+    # a simple residue root of f lifted in the ramified ring itself is the
+    # root lifted over U and embedded: f'(z) is a unit, so the root is unique
+    # mod pi^(eN) and ring elements are canonical
     rng = random.Random(1414)
     lifts = 0
     for p in (5, 7, 11, 13, 1009):
@@ -1252,14 +1253,13 @@ def test_depth_0_roots_lifted_once_over_the_unramified_ring():
                     dpoly = lf.rpoly_deriv(ring, poly)
                     for rbar, mult in lf.residue_roots(ring.gf, lf._residue_poly(ring, poly))[0]:
                         if mult == 1 and not ring.gf.is_zero(rbar):
-                            u = lf._unramified_root(p, ring.k, ring.N, tuple(f), rbar)
+                            U = ring.U
+                            upoly = [U.from_int(c) for c in f]
+                            u = lf._newton_lift(U, upoly, lf.rpoly_deriv(U, upoly), U.lift_residue(rbar))
                             want = lf._newton_lift(ring, poly, dpoly, ring.lift_residue(rbar))
                             assert ring.from_unram(u) == want, (f, p, e, c)
                             lifts += 1
     assert lifts >= 200
-    # the memo holds the lifts of one prime's tries, not of a whole run
-    info = lf._unramified_root.cache_info()
-    assert info.maxsize == 64 and info.currsize == 64
 
 
 def _clustered_quartic(rng, p):

@@ -5,7 +5,7 @@ import pytest
 
 import picard.localfield as lf
 import picard.wild3 as wild3
-from picard.conductor import _witness_equation
+from picard.conductor import _witness_equation, analyze_p3
 from picard.curves import normalize
 from picard.exact import poly_from_ints
 from picard.fixtures import load_fixtures
@@ -172,6 +172,21 @@ def test_witness_rejects_a_ring_wider_than_the_bound():
     assert 20 * 4 <= wild3.MAX_WITNESS_WIDTH < 40 * 4
     with pytest.raises(WitnessInvalidError):
         WildWitness.from_dict({"p": 3, "m": 40, "charts": [chart]})
+
+
+@pytest.mark.parametrize("field", ["x_scale", "y_scale", "y_codim"])
+def test_witness_rejects_negative_scales(field):
+    # the witness ring holds no pi^-1
+    chart = dict(CHART_POTGOOD["charts"][0], **{field: -3})
+    with pytest.raises(WitnessInvalidError, match="non-negative"):
+        WildWitness.from_dict(dict(CHART_POTGOOD, charts=[chart]))
+
+
+@pytest.mark.parametrize("curve", [[1, 0, 0, 0], [1, 0, 0, 0, 0]])
+def test_witness_curve_that_is_no_separable_quartic_is_invalid(curve):
+    target, _ = normalize(poly_from_ints([1, 0, 0, 0, 1]))
+    with pytest.raises(WitnessInvalidError, match="witness curve"):
+        analyze_p3(target, WildWitness.from_dict(dict(CHART_POTGOOD, curve=curve)))
 
 
 def test_witness_roundtrip_serialization():
