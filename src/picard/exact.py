@@ -404,10 +404,12 @@ def factor_integer(n):
     """Complete factorization of a nonzero integer.
 
     Returns (sign, [(p, e), ...]) with primes ascending.  Trial division by
-    small primes first, then Brent rho on any remaining composite cofactor;
-    every reported prime passes is_prime.  The primality tests and rho steps
-    of one call share one FACTOR_BUDGET; FactorizationBudgetError, naming the
-    digit count of the cofactor at hand, is raised when it runs out.
+    small primes first; a remaining composite cofactor that is an exact q-th
+    power, q prime, is split into q copies of its root, and any other goes
+    to Brent rho.  Every reported prime passes is_prime.  The primality
+    tests and rho steps of one call share one FACTOR_BUDGET;
+    FactorizationBudgetError, naming the digit count of the cofactor at
+    hand, is raised when it runs out.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -429,10 +431,29 @@ def factor_integer(n):
         if _is_prime(m, budget):
             factors[m] = factors.get(m, 0) + 1
             continue
+        root = _perfect_power_root(m)
+        if root is not None:
+            stack.extend([root[0]] * root[1])
+            continue
         d = _pollard_rho(m, budget)
         stack.append(d)
         stack.append(m // d)
     return sign, sorted(factors.items())
+
+
+def _perfect_power_root(m):
+    """(r, q) with r^q = m for a prime q, or None; m has no prime factor below 1024.
+
+    Rho needs about sqrt(r) steps on r^2, where one exact root splits it.
+    Every prime factor of m is above 2^10, so q < m.bit_length() / 10.
+    """
+    for q in _TRIAL_PRIMES:
+        if 10 * q >= m.bit_length():
+            return None
+        r = nth_root_exact(m, q)
+        if r is not None:
+            return r, q
+    return None
 
 
 def _iroot(n, k):

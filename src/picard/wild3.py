@@ -11,12 +11,19 @@ AS reduction (jumps h_P prime to 3, 2g - 2 = -6 + sum 2(h_P + 1)), and the
 action of Gamma = Gal(L_m/Q_3^nr) on each component is an affine map on x
 together with z -> eps z + w, from which quotient genera follow by
 Riemann-Hurwitz exactly as in the tame case (inertia.quotient_genera).
-The action is built on the ring once per chart, for the generator of its
-stabilizer; the actions of its powers are composed from it in F_q.
+
+What does not involve f is bound once per witness ring, shared by every
+curve the witness is applied to: the ring itself, each chart's constants
+(c, g, pi^(3b) g^3 and the rows of y1, y1^2, y1^3), the ring-level action of
+the generator of each chart's stabilizer and the permutation of the chart
+disks.  A curve pays for f(c + pi^a x1) and everything after it; the
+actions of the stabilizer's powers are composed from the generator's in F_q.
+A check that fails is never kept, so it fails again for the next curve.
 """
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, lcm
 
 from .inertia import quotient_genera
@@ -40,6 +47,12 @@ INF = "inf"
 # Largest m*k a witness may ask for: a ring product costs (m*k)^2 int products,
 # and the bundled witnesses have m*k = 16 (m = 8) and 8 (m = 4).
 MAX_WITNESS_WIDTH = 128
+# The witness ring is O_L/pi^(m*WITNESS_N): a pi-polynomial longer than m*WITNESS_N
+# digits has terms that vanish there.
+WITNESS_N = 20
+# Longest y_poly a chart may have: the chart substitution costs about its
+# length squared ring products, and the bundled charts have 1 or 2 terms.
+MAX_WITNESS_Y_TERMS = 16
 
 
 class WitnessInvalidError(ValueError):
@@ -98,6 +111,15 @@ class WildWitness:
             raise WitnessInvalidError(
                 f"tame degree m = {m} needs ring elements of m*k = {m * k} > {MAX_WITNESS_WIDTH} entries"
             )
+        for i, ch in enumerate(charts):
+            if len(ch.y_poly) > MAX_WITNESS_Y_TERMS:
+                raise WitnessInvalidError(
+                    f"chart {i}: y_poly has {len(ch.y_poly)} > {MAX_WITNESS_Y_TERMS} terms"
+                )
+            if max(map(len, (ch.x_center, *ch.y_poly))) > m * WITNESS_N:
+                raise WitnessInvalidError(
+                    f"chart {i}: a pi-polynomial is longer than the ring's m*{WITNESS_N} = {m * WITNESS_N} digits"
+                )
         return cls(p=3, m=m, charts=charts, curve=curve)
 
     @classmethod
@@ -379,15 +401,23 @@ def _ringpoly_scale(ring, a, c):
     return [ring.mul(x, c) for x in a]
 
 
-def _chart_reduction(ring, f_ints, chart):
-    """Substitute the chart into y^3 - f(x); return (rows, N0).
+@lru_cache(maxsize=8)
+def _witness_ring(m, k):
+    """O_L/pi^(m*WITNESS_N), L = Q_{3^k}^nr(pi), pi^m = -3, shared by every witness with this (m, k).
 
-    rows[j] is the coefficient of y1^j as a polynomial in x1 over the ring,
-    after dividing out the content pi^N0.
+    Sharing it builds its zeta_powers, which galois_map reads, once.
+    """
+    return TameRing(TameExtension(3, m, c=-1), k, WITNESS_N)
+
+
+@lru_cache(maxsize=64)
+def _chart_constants(ring, chart):
+    """(c, g, rows): the chart's data on the ring that do not involve f.
+
+    rows are the coefficients of y^3 = pi^(3b) (g + pi^d y1)^3 in y1^0 .. y1^3,
+    each a polynomial in x1 over the ring.
     """
     c_elt = _pi_poly_elt(ring, chart.x_center)
-    f = [ring.from_int(coef) for coef in f_ints]
-    fX = gcompose_linear(ring, f, ring.pi_power(chart.x_scale), c_elt)
     G = [_pi_poly_elt(ring, tup) for tup in chart.y_poly]
     pb3 = ring.pi_power(3 * chart.y_scale)
     pd = ring.pi_power(chart.y_codim)
@@ -396,12 +426,25 @@ def _chart_reduction(ring, f_ints, chart):
     three = ring.from_int(3)
     G2 = gmul(ring, G, G)
     G3 = gmul(ring, G2, G)
-    rows = [
-        gadd(ring, _ringpoly_scale(ring, G3, pb3), _ringpoly_scale(ring, fX, ring.from_int(-1))),
+    rows = (
+        _ringpoly_scale(ring, G3, pb3),
         _ringpoly_scale(ring, G2, ring.mul(pb3, ring.mul(three, pd))),
         _ringpoly_scale(ring, G, ring.mul(pb3, ring.mul(three, pd2))),
         [ring.mul(pb3, pd3)],
-    ]
+    )
+    return c_elt, G, rows
+
+
+def _chart_reduction(ring, f_ints, chart):
+    """Substitute the chart into y^3 - f(x); return (rows, N0).
+
+    rows[j] is the coefficient of y1^j as a polynomial in x1 over the ring,
+    after dividing out the content pi^N0.
+    """
+    c_elt, _, (y0, *upper) = _chart_constants(ring, chart)
+    f = [ring.from_int(coef) for coef in f_ints]
+    fX = gcompose_linear(ring, f, ring.pi_power(chart.x_scale), c_elt)
+    rows = [gadd(ring, y0, [ring.neg(c) for c in fX]), *upper]
     n0 = min(ring.val(c) for row in rows for c in row)
     if n0 >= ring.cap:
         raise WitnessInvalidError("chart substitution vanishes at working precision")
@@ -433,7 +476,7 @@ def _analyze_chart(ring, f_ints, idx, chart):
     lead_inv = gf.inv(rbar[3][0])
     rbar = [[gf.mul(c, lead_inv) for c in r] for r in rbar]
     a2, a1, a0 = rbar[2], rbar[1], rbar[0]
-    c_elt = _pi_poly_elt(ring, chart.x_center)
+    c_elt = _chart_constants(ring, chart)[0]
     if not a2 and not a1:
         # y1^3 = -A0: purely inseparable component, provided the right side
         # is not itself a cube (else the reduction is a triple line)
@@ -471,16 +514,21 @@ def _chart_xy_action(ring, comp, j):
     Valid only when tau^j stabilizes the chart's disk.  The point map is
     x1 -> lambda*x1 + gamma, y1 -> zeta^(j(b+d)) y1 + F(x1-image).
     """
-    ch = comp.chart
+    return _chart_action(ring, comp.chart, j)
+
+
+@lru_cache(maxsize=64)
+def _chart_action(ring, ch, j):
+    """_chart_xy_action, which involves only the chart: kept once it has passed its check."""
     a, b, d = ch.x_scale, ch.y_scale, ch.y_codim
     m = ring.e
     gf = ring.gf
     zp = ring.zeta_powers
-    tau_c = ring.galois_map(comp.c_elt, j)
-    gam_elt = ring.div_pi(ring.sub(tau_c, comp.c_elt), a)
+    c_elt, G, _ = _chart_constants(ring, ch)
+    tau_c = ring.galois_map(c_elt, j)
+    gam_elt = ring.div_pi(ring.sub(tau_c, c_elt), a)
     gam = ring.residue(gam_elt)
     lam = ring.residue(zp[j * a % m])
-    G = [_pi_poly_elt(ring, tup) for tup in ch.y_poly]
     Gtau = [ring.galois_map(cf, j) for cf in G]
     zinv = ring.from_unram(zp[-j * a % m])
     inner_gam = ring.mul(zinv, ring.sub(ring.zero, gam_elt))
@@ -595,15 +643,18 @@ def _as_fix_count(gf, cover, lam, gam, eps, w_red):
     return fix
 
 
-def _chart_permutation(ring, comps, j):
+@lru_cache(maxsize=64)
+def _chart_permutation(ring, charts, j):
+    """The permutation of the chart disks by tau^j, kept once it is found."""
+    centers = [_chart_constants(ring, ch)[0] for ch in charts]
     perm = []
-    for comp in comps:
-        image_c = ring.galois_map(comp.c_elt, j)
+    for ch, c_elt in zip(charts, centers):
+        image_c = ring.galois_map(c_elt, j)
         target = None
-        for t, other in enumerate(comps):
-            if other.chart.x_scale != comp.chart.x_scale:
+        for t, (other, other_c) in enumerate(zip(charts, centers)):
+            if other.x_scale != ch.x_scale:
                 continue
-            if ring.val(ring.sub(image_c, other.c_elt)) >= comp.chart.x_scale:
+            if ring.val(ring.sub(image_c, other_c)) >= ch.x_scale:
                 if target is not None:
                     raise WitnessInvalidError("chart disks overlap")
                 target = t
@@ -612,7 +663,7 @@ def _chart_permutation(ring, comps, j):
                 "the Galois action moves a chart disk outside the witness"
             )
         perm.append(target)
-    if sorted(perm) != list(range(len(comps))):
+    if sorted(perm) != list(range(len(charts))):
         raise WitnessInvalidError("Galois action does not permute the chart disks")
     return tuple(perm)
 
@@ -655,7 +706,7 @@ def verify_witness(f_ints, witness: WildWitness):
     m = witness.m
     k = multiplicative_order(3, m)
     while True:
-        ring = TameRing(TameExtension(3, m, c=-1), k, 20)
+        ring = _witness_ring(m, k)
         try:
             return _verify_with_ring(ring, f_ints, witness)
         except NeedsLargerK as ex:
@@ -701,7 +752,7 @@ def _verify_with_ring(ring, f_ints, witness):
             components=comps,
         )
 
-    perm1 = _chart_permutation(ring, comps, 1)
+    perm1 = _chart_permutation(ring, witness.charts, 1)
     gf = ring.gf
     actions = {}  # chart index -> its _stabilizer_actions, built on first use
 

@@ -38,6 +38,15 @@ def test_analyze_with_witness_file(tmp_path, capsys):
     assert data["reports"][0]["f_p"] == 6
 
 
+def test_analyze_curve_whose_discriminant_has_a_large_square_factor(capsys):
+    # (x^2 - 2*5^20)(x^2 + x + 37): Delta = 4 (2*5^20) (-147) R^2, R a 29-digit prime
+    code = main(["analyze", "--curve", "[1,1,-190734863281213,-190734863281250,-7057189941406250]",
+                 "--json"])
+    assert code == 0
+    reports = {r["p"]: r["f_p"] for r in json.loads(capsys.readouterr().out)["per_prime"]}
+    assert reports[5] == reports[7] == reports[36379788070931053161621095119] == 2
+
+
 def test_analyze_normalizes_input(capsys):
     code = main(["analyze", "--curve", "[3,1,0,0,-54]", "--prime", "3", "--json"])
     assert code == 0
@@ -173,6 +182,9 @@ def _timeout(signum, frame):
         ({"y_codim": -4}, "error: cannot read witness: "),
         ({"curve": [1, 0, 0, 0]}, "witness invalid: "),
         ({"curve": [1, 0, 0, 0, 0]}, "witness invalid: "),
+        ({"y_poly": [[1]] + [[0, 0, 0, 0, 0, 0, 0, 0, 1]] * 16}, "error: cannot read witness: "),
+        ({"x_center": [0] * 161}, "error: cannot read witness: "),
+        ({"y_poly": [[1] + [0] * 160]}, "error: cannot read witness: "),
     ],
 )
 def test_analyze_witness_with_bad_scales_or_curve_exit_1(tmp_path, capsys, change, line):

@@ -26,7 +26,7 @@ def _mutate(rng, witness):
     """One malformed or hostile variant of a bundled witness."""
     w = copy.deepcopy(witness)
     chart = rng.choice(w["charts"])
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
     if kind == 0:  # a field of the wrong type
         bad = rng.choice(("3", [3], None, {"a": 1}, 1.5, True))
         target, key = rng.choice(((w, "m"), (w, "charts"), (w, "curve"), (chart, "x_scale"),
@@ -44,9 +44,11 @@ def _mutate(rng, witness):
                                  [1, 0, 0, 0, 2], [], [1, 0, 0, 0, 1, 0]))
     elif kind == 5:  # another m
         w["m"] = rng.choice((0, 2, 3, 5, 7, 10, 16, -4))
-    else:  # shifted chart data
+    elif kind == 6:  # shifted chart data
         chart["x_center"] = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 4))]
         chart["y_poly"] = [[rng.randrange(-3, 4)] for _ in range(rng.randrange(0, 4))]
+    else:  # a long y_poly: the chart substitution costs about its length squared
+        chart["y_poly"] += [[0] * 8 + [rng.randrange(-3, 4)]] * 10 ** rng.randrange(1, 4)
     return w
 
 

@@ -155,6 +155,17 @@ def test_factor_integer_matches_trial_division():
         assert factor_integer(q * q * 1021 * big) == (1, [(1021, 1), (q, 2), (big, 1)])
 
 
+def test_factor_integer_splits_perfect_powers_without_rho():
+    # rho would need about sqrt(R) steps on R^2, far past the budget
+    R = 36379788070931053161621095119
+    assert is_prime(R) and len(str(R)) == 29
+    assert factor_integer(R**2) == (1, [(R, 2)])
+    assert factor_integer(R**3) == (1, [(R, 3)])
+    assert factor_integer(-6 * R**4) == (-1, [(2, 1), (3, 1), (R, 4)])
+    # a power of a composite splits its root further
+    assert factor_integer((1031 * R) ** 2) == (1, [(1031, 2), (R, 2)])
+
+
 def test_factor_integer_budget_names_the_cofactor():
     # 2^61 - 1 and 2^89 - 1 are prime; rho would need about 2^30 steps
     n = (2**61 - 1) * (2**89 - 1)

@@ -174,6 +174,32 @@ def test_witness_rejects_a_ring_wider_than_the_bound():
         WildWitness.from_dict({"p": 3, "m": 40, "charts": [chart]})
 
 
+def test_witness_rejects_a_long_y_poly_before_any_ring(monkeypatch):
+    # the chart substitution costs about len(y_poly)^2 ring products
+    chart = dict(CHART_POTGOOD["charts"][0])
+    long = [[1]] + [[0] * 8 + [1]] * wild3.MAX_WITNESS_Y_TERMS
+    with monkeypatch.context() as patch:
+        patch.setattr(lf.TameRing, "__init__", None)  # building a ring raises TypeError
+        with pytest.raises(WitnessInvalidError, match="y_poly has 17 > 16 terms"):
+            WildWitness.from_dict(dict(CHART_POTGOOD, charts=[dict(chart, y_poly=long)]))
+    ok = WildWitness.from_dict(dict(CHART_POTGOOD, charts=[dict(chart, y_poly=long[:-1])]))
+    assert len(ok.charts[0].y_poly) == wild3.MAX_WITNESS_Y_TERMS
+
+
+@pytest.mark.parametrize("key", ["x_center", "y_poly"])
+def test_witness_rejects_a_pi_polynomial_longer_than_the_ring(key):
+    # at m = 8 the ring holds m * 20 = 160 pi-digits; pi^160 and above vanish there
+    chart = dict(CHART_POTGOOD["charts"][0])
+
+    def witness(digits):
+        tup = [1] + [0] * (digits - 1)
+        return dict(CHART_POTGOOD, charts=[dict(chart, **{key: [tup] if key == "y_poly" else tup})])
+
+    WildWitness.from_dict(witness(160))
+    with pytest.raises(WitnessInvalidError, match="longer than the ring's m\\*20 = 160 digits"):
+        WildWitness.from_dict(witness(161))
+
+
 @pytest.mark.parametrize("field", ["x_scale", "y_scale", "y_codim"])
 def test_witness_rejects_negative_scales(field):
     # the witness ring holds no pi^-1
@@ -206,7 +232,7 @@ def _check_composed_powers(f_ints, witness):
     m = witness.m
     ring = lf.TameRing(lf.TameExtension(3, m, c=-1), lf.multiplicative_order(3, m), 20)
     comps = [wild3._analyze_chart(ring, f_ints, i, ch) for i, ch in enumerate(witness.charts)]
-    perm = wild3._chart_permutation(ring, comps, 1)
+    perm = wild3._chart_permutation(ring, witness.charts, 1)
     lengths = []
     for i, comp in enumerate(comps):
         if comp.inseparable:
@@ -232,16 +258,26 @@ def test_composed_powers_match_direct_action_on_fixtures():
     assert _check_composed_powers([-54, 0, 0, 1, 3], WildWitness.from_dict(CHART_TWO_M4)) == [1, 1]
 
 
-def test_composed_powers_match_direct_action_on_family():
-    # the witness-p3 family x^4 + 3b3 x^3 + 3b2 x^2 + 9b1 x + (1 + 9b0) with
-    # the bundled potgood-p3-f6 chart, untied from its curve
+def _family(n, seed):
+    """n members of the witness-p3 family x^4 + 3b3 x^3 + 3b2 x^2 + 9b1 x + (1 + 9b0)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        b3, b2, b1, b0 = (rng.randint(-20, 20) for _ in range(4))
+        out.append(normalize(poly_from_ints([1, 3 * b3, 3 * b2, 9 * b1, 1 + 9 * b0]))[0])
+    return out
+
+
+def _family_witness():
+    """The bundled potgood-p3-f6 chart, untied from its curve."""
     data = dict(next(f for f in load_fixtures() if f["name"] == "potgood-p3-f6")["witness"])
     data.pop("curve")
-    witness = WildWitness.from_dict(data)
-    rng = random.Random(10)
-    for _ in range(50):
-        b3, b2, b1, b0 = (rng.randint(-20, 20) for _ in range(4))
-        curve, _ = normalize(poly_from_ints([1, 3 * b3, 3 * b2, 9 * b1, 1 + 9 * b0]))
+    return WildWitness.from_dict(data)
+
+
+def test_composed_powers_match_direct_action_on_family():
+    witness = _family_witness()
+    for curve in _family(50, 10):
         assert _check_composed_powers(_witness_equation(curve, witness), witness) == [1]
 
 
@@ -270,3 +306,87 @@ def test_corrupted_generator_action_is_rejected(monkeypatch):
     monkeypatch.setattr(wild3, "_chart_xy_action", shifted)
     with pytest.raises(WitnessInvalidError, match="does not preserve the AS equation"):
         verify_witness([1, 0, 0, 0, 1], WildWitness.from_dict(CHART_POTGOOD))
+
+
+# ---- the data bound once per witness ring ----------------------------------
+
+WITNESS_CACHES = (
+    wild3._witness_ring,
+    wild3._chart_constants,
+    wild3._chart_action,
+    wild3._chart_permutation,
+)
+
+
+def _clear_witness_caches():
+    for cache in WITNESS_CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def cold():
+    _clear_witness_caches()
+    yield
+    _clear_witness_caches()
+
+
+def _outcome(f_ints, witness):
+    try:
+        return verify_witness(f_ints, witness)
+    except WitnessInvalidError as ex:
+        return str(ex)
+
+
+def test_warm_and_cold_caches_give_equal_verifications(cold):
+    cases = []
+    for fix in load_fixtures():
+        if fix.get("witness"):
+            w = WildWitness.from_dict(fix["witness"])
+            cases.append((list(w.curve[::-1]), w))
+    witness = _family_witness()
+    cases += [(_witness_equation(curve, witness), witness) for curve in _family(200, 24)]
+    warm = [_outcome(f, w) for f, w in cases]
+    assert {v.reduction_type for v in warm} == {"a", "b"}
+    warm_again = [_outcome(f, w) for f, w in cases]
+    coldly = []
+    for f, w in cases:
+        _clear_witness_caches()
+        coldly.append(_outcome(f, w))
+    assert warm == warm_again == coldly
+
+
+def test_chart_action_built_once_across_family_curves(cold):
+    witness = _family_witness()
+    for curve in _family(3, 5):
+        assert verify_witness(_witness_equation(curve, witness), witness).f3 == 6
+    # one ring, one set of chart constants, one chart action, one permutation
+    for cache in WITNESS_CACHES:
+        assert cache.cache_info().misses == 1, cache
+
+
+def test_failing_witness_raises_the_same_error_twice(cold, monkeypatch):
+    # tau(c) moved by pi^3 keeps the chart disk (a = 3) but breaks the
+    # equivariance of g (d = 4): the check fails inside the kept chart action
+    witness = WildWitness.from_dict(CHART_POTGOOD)
+    direct = lf.TameRing.galois_map
+
+    def moved(ring, a, j):
+        return ring.add(direct(ring, a, j), ring.pi_power(3))
+
+    monkeypatch.setattr(lf.TameRing, "galois_map", moved)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(WitnessInvalidError) as info:
+            verify_witness([1, 0, 0, 0, 1], witness)
+        errors.append(str(info.value))
+    assert errors == ["chart is not equivariant under its stabilizer"] * 2
+    assert wild3._chart_action.cache_info().currsize == 0
+    # so does a witness that fails in the checks each curve makes
+    bad = WildWitness.from_dict(dict(CHART_POTGOOD, charts=[dict(CHART_POTGOOD["charts"][0], y_codim=3)]))
+    monkeypatch.undo()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(WitnessInvalidError) as info:
+            verify_witness([1, 0, 0, 0, 1], bad)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]

@@ -9,12 +9,13 @@ Usage:
 
     python tools/check_pool_digests.py
 
-Prints one line per pool and the first mismatches, and exits 1 when any
-entry does not match.
+Prints one line per pool, with the seconds its entries took, and the first
+mismatches, and exits 1 when any entry does not match.
 """
 
 import json
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,8 +50,10 @@ def check(name, limit=None):
 def main():
     failed = False
     for name in workloads.POOLS:
+        t0 = time.perf_counter()
         n, bad = check(name)
-        print(f"{name}: {n - len(bad)}/{n} digests match")
+        took = time.perf_counter() - t0
+        print(f"{name}: {n - len(bad)}/{n} digests match in {took:.2f} s")
         for i, curve, want, got in bad[:SHOWN]:
             print(f"  entry {i} {curve}: recorded {want}, got {got}")
         failed |= bool(bad)
