@@ -61,6 +61,67 @@ def test_as_reducible_rejected():
         as_cover(F3, rf(F3, [0, -1, 0, 1]))
 
 
+def random_h(gf, rng):
+    """A seeded h = num/den over gf: poles of order up to 7 at rational points and at infinity.
+
+    One den in ten also has a random quadratic factor, often irreducible, so
+    as_cover asks for a larger field.
+    """
+    elts = list(gf.elements())
+    num = [rng.choice(elts) for _ in range(rng.randrange(9))]
+    den = [gf.one]
+    for _ in range(rng.randrange(4)):
+        lin = [gf.neg(rng.choice(elts)), gf.one]
+        for _ in range(rng.randrange(1, 8)):
+            den = lf.gmul(gf, den, lin)
+    if rng.random() < 0.1:
+        den = lf.gmul(gf, den, [rng.choice(elts), rng.choice(elts), gf.one])
+    return _rf(gf, num, den)
+
+
+def _as_outcome(gf, h):
+    """(genus, ram) of as_cover(gf, h), or the error it raises: its type and message, or its k."""
+    try:
+        cov = as_cover(gf, h)
+    except WitnessInvalidError as ex:
+        return "invalid", str(ex)
+    except lf.NeedsLargerK as ex:
+        return "needs-k", ex.k
+    return cov.genus, cov.ram
+
+
+def _invert(gf, h):
+    """h(1/x): x^dd num(1/x) / (x^dn den(1/x)), dn and dd the degrees of num and den."""
+    num, den = h
+    if not num:
+        return h
+    return _rf(gf, [gf.zero] * (len(den) - 1) + num[::-1], [gf.zero] * (len(num) - 1) + den[::-1])
+
+
+@pytest.mark.parametrize("gf, n", [(F3, 300), (F9, 120)], ids=["F3", "F9"])
+def test_as_cover_is_invariant_under_x_to_1_over_x(gf, n):
+    # x -> 1/x is an automorphism of P^1: the genus stays, the jump at P moves
+    # to 1/P (0 and INF swap), and a cover that fails fails the same way
+    rng = random.Random(f"invert-{gf.k}")
+
+    def image(P):
+        if P == INF:
+            return tuple(gf.zero)
+        return INF if gf.is_zero(P) else tuple(gf.inv(P))
+
+    ramified = 0
+    for _ in range(n):
+        h = random_h(gf, rng)
+        want, got = _as_outcome(gf, h), _as_outcome(gf, _invert(gf, h))
+        if isinstance(want[0], int):
+            genus, ram = want
+            assert got == (genus, {image(P): jump for P, jump in ram.items()}), h
+            ramified += any(P != INF for P in ram) and any(P != INF for P in got[1])
+        else:
+            assert got == want, h
+    assert ramified >= n // 10  # many covers ramify at finite points on both sides
+
+
 def test_poly_sqrt():
     rng = random.Random(3)
     for _ in range(40):
