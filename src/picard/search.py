@@ -34,6 +34,11 @@ from .curves import (
 from .exact import disc_quartic_monic, is_prime, poly_from_ints
 
 
+# Most worker processes a search may start: each is a whole interpreter, and
+# the writer keeps that many slices in flight.
+MAX_WORKERS = 32
+
+
 class CheckpointCorruptError(RuntimeError):
     """An existing output file could not be replayed for resumption."""
 
@@ -56,8 +61,8 @@ class SearchConfig:
         object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
         if self.height < 1:
             raise ValueError("height must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must lie in [1, {MAX_WORKERS}]")
         if self.resume_from is not None and abs(self.resume_from) > self.height:
             raise ValueError(f"resume token must lie in [-{self.height}, {self.height}]")
 

@@ -11,6 +11,9 @@ AS reduction (jumps h_P prime to 3, 2g - 2 = -6 + sum 2(h_P + 1)), and the
 action of Gamma = Gal(L_m/Q_3^nr) on each component is an affine map on x
 together with z -> eps z + w, from which quotient genera follow by
 Riemann-Hurwitz exactly as in the tame case (inertia.quotient_genera).
+A point P of P^1 is a GF element or INF, with local parameter t_P = x - P,
+or 1/x at INF, so the finite poles and infinity share one AS reduction, one
+value and one fixed-point count.
 
 What does not involve f is bound once per witness ring, shared by every
 curve the witness is applied to: the ring itself, each chart's constants
@@ -59,6 +62,13 @@ class WitnessInvalidError(ValueError):
     """A witness chart failed integrality, form, or certification checks."""
 
 
+def _int(v):
+    """v if it is a JSON integer; TypeError for a float, a bool, a string or anything else."""
+    if type(v) is not int:  # bool is a subclass of int
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class WitnessChart:
     """x = c + pi^a x1, y = pi^b (g(x1) + pi^d y1); pi-polynomials as int tuples."""
@@ -79,23 +89,23 @@ class WildWitness:
 
     @classmethod
     def from_dict(cls, data):
-        """The witness in parsed JSON; WitnessInvalidError for any other shape or a bad m."""
+        """The witness in parsed JSON; WitnessInvalidError for any other shape, a non-integer or a bad m."""
         try:
-            p, m = data.get("p", 3), int(data["m"])
+            p, m = _int(data.get("p", 3)), _int(data["m"])
             charts = tuple(
                 WitnessChart(
-                    x_scale=int(ch["x_scale"]),
-                    x_center=tuple(int(v) for v in ch["x_center"]),
-                    y_scale=int(ch["y_scale"]),
-                    y_poly=tuple(tuple(int(v) for v in cf) for cf in ch["y_poly"]),
-                    y_codim=int(ch["y_codim"]),
+                    x_scale=_int(ch["x_scale"]),
+                    x_center=tuple(map(_int, ch["x_center"])),
+                    y_scale=_int(ch["y_scale"]),
+                    y_poly=tuple(tuple(map(_int, cf)) for cf in ch["y_poly"]),
+                    y_codim=_int(ch["y_codim"]),
                 )
                 for ch in data["charts"]
             )
             curve = data.get("curve")
             if curve is not None:
-                curve = tuple(int(v) for v in curve)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as ex:
+                curve = tuple(map(_int, curve))
+        except (AttributeError, KeyError, TypeError) as ex:
             raise WitnessInvalidError(f"malformed witness: {type(ex).__name__}: {ex}") from None
         if p != 3:
             raise WitnessInvalidError("witnesses are for p = 3")
@@ -170,12 +180,13 @@ def _radd(gf, x, y):
     return _rf(gf, gadd(gf, gmul(gf, x[0], y[1]), gmul(gf, y[0], x[1])), gmul(gf, x[1], y[1]))
 
 
-def _rneg(gf, x):
-    return ([gf.neg(c) for c in x[0]], x[1])
+def _rscale(gf, c, x):
+    """c*x for a nonzero constant c: x's denominator and canonical form stay."""
+    return ([gf.mul(c, a) for a in x[0]], x[1])
 
 
 def _rsub(gf, x, y):
-    return _radd(gf, x, _rneg(gf, y))
+    return _radd(gf, x, _rscale(gf, gf.neg(gf.one), y))
 
 
 def _rmul(gf, x, y):
@@ -186,52 +197,53 @@ def _requal(gf, x, y):
     return gtrim(gf, gadd(gf, gmul(gf, x[0], y[1]), [gf.neg(c) for c in gmul(gf, y[0], x[1])])) == []
 
 
-def _rconst(gf, c):
-    return ([c] if not gf.is_zero(c) else [], [gf.one])
-
-
 def _rcompose_affine(gf, x, lam, gam):
-    return _rf(
-        gf,
-        gcompose_linear(gf, x[0], lam, gam),
-        gcompose_linear(gf, x[1], lam, gam),
-    )
+    return _rf(gf, gcompose_linear(gf, x[0], lam, gam), gcompose_linear(gf, x[1], lam, gam))
 
 
 def _ord_at(gf, poly, xi):
-    """Vanishing order of poly at xi."""
-    if not poly:
-        return None  # infinite
-    n = 0
-    lin = [gf.neg(xi), gf.one]
-    while True:
-        q, r = gdivmod(gf, poly, lin)
-        if r:
-            return n
-        poly, n = q, n + 1
+    """Vanishing order at xi of the nonzero polynomial poly."""
+    n, lin = 0, [gf.neg(xi), gf.one]
+    while not (qr := gdivmod(gf, poly, lin))[1]:
+        poly, n = qr[0], n + 1
+    return n
 
 
-def _reval(gf, x, xi):
-    """Value of the rational function at xi; None marks a pole."""
+# ---- points of P^1: a GF element or INF ------------------------------------
+
+
+def _value(gf, x, P):
+    """Value of the rational function x at the point P; None marks a pole."""
     num, den = x
-    dv = geval(gf, den, xi)
+    if P == INF:
+        if len(num) != len(den):
+            return None if len(num) > len(den) else gf.zero
+        return gf.mul(num[-1], gf.inv(den[-1]))
+    dv = geval(gf, den, P)
     if gf.is_zero(dv):
         return None
-    nv = geval(gf, num, xi)
-    return gf.mul(nv, gf.inv(dv))
+    return gf.mul(geval(gf, num, P), gf.inv(dv))
 
 
-def _reval_inf(gf, x):
-    """Value at infinity; None marks a pole there."""
-    num, den = x
-    dn, dd = len(num) - 1, len(den) - 1
+def _pole_order(gf, h, P):
+    """Order of the pole of h at P, negative at a zero, 0 for h = 0."""
+    num, den = h
     if not num:
-        return gf.zero
-    if dn > dd:
-        return None
-    if dn < dd:
-        return gf.zero
-    return gf.mul(num[-1], gf.inv(den[-1]))
+        return 0
+    if P == INF:
+        return len(num) - len(den)
+    return _ord_at(gf, den, P) - _ord_at(gf, num, P)
+
+
+def _tpow(gf, P, n):
+    """t_P^n, n of either sign, for the local parameter t_P = x - P, or 1/x at INF."""
+    if P == INF:
+        mono = [gf.zero] * abs(n) + [gf.one]
+        return ([gf.one], mono) if n > 0 else (mono, [gf.one])
+    mono = [gf.one]
+    for _ in range(abs(n)):
+        mono = gmul(gf, mono, [gf.neg(P), gf.one])
+    return (mono, [gf.one]) if n >= 0 else ([gf.one], mono)
 
 
 def _cube_root(gf, c):
@@ -269,6 +281,7 @@ def as_cover(gf, h):
     the required absolute degree otherwise.
     """
     num, den = h
+    pole_candidates = []
     if len(den) > 1:
         roots, missing = residue_roots(gf, den)
         if missing:
@@ -276,35 +289,21 @@ def as_cover(gf, h):
         if sum(m for _, m in roots) < len(den) - 1:
             raise NeedsLargerK(gf.k * 2)
         pole_candidates = [r for r, _ in roots]
-    else:
-        pole_candidates = []
     h_red = h
-    shift = _rf(gf, [], [gf.one])
+    shift = ([], [gf.one])
     ram = {}
-    for xi in pole_candidates:
-        while True:
-            n = _pole_order_at(gf, h_red, xi)
-            if n <= 0 or n % 3:
-                break
-            c = _leading_coeff_at(gf, h_red, xi, n)
-            u_num, u_den = [_cube_root(gf, c)], _monomial(gf, [gf.neg(xi), gf.one], n // 3)
-            u = _rf(gf, u_num, u_den)
+    for P in pole_candidates + [INF]:
+        # a pole c t_P^-n with 3 | n goes with u = c^(1/3) t_P^(-n/3): h - (u^3 - u)
+        # has a pole of lower order at P and no new pole elsewhere
+        while (n := _pole_order(gf, h_red, P)) > 0 and n % 3 == 0:
+            c = _value(gf, _rmul(gf, h_red, _tpow(gf, P, n)), P)
+            if c is None or gf.is_zero(c):
+                raise WitnessInvalidError("inconsistent pole order in AS reduction")
+            u = _rscale(gf, _cube_root(gf, c), _tpow(gf, P, -n // 3))
             h_red = _rsub(gf, h_red, _rsub(gf, _rcube(gf, u), u))
             shift = _radd(gf, shift, u)
-        n = _pole_order_at(gf, h_red, xi)
         if n > 0:
-            ram[tuple(xi)] = n
-    while True:
-        n = _pole_order_at_inf(gf, h_red)
-        if n <= 0 or n % 3:
-            break
-        c = gf.mul(h_red[0][-1], gf.inv(h_red[1][-1]))
-        u = _rf(gf, [gf.zero] * (n // 3) + [_cube_root(gf, c)], [gf.one])
-        h_red = _rsub(gf, h_red, _rsub(gf, _rcube(gf, u), u))
-        shift = _radd(gf, shift, u)
-    n = _pole_order_at_inf(gf, h_red)
-    if n > 0:
-        ram[INF] = n
+            ram[P] = n
     if not ram:
         raise WitnessInvalidError("cover z^3 - z = h is everywhere unramified, hence split")
     for jump in ram.values():
@@ -318,37 +317,6 @@ def as_cover(gf, h):
 
 def _rcube(gf, x):
     return _rmul(gf, x, _rmul(gf, x, x))
-
-
-def _monomial(gf, lin, n):
-    out = [gf.one]
-    for _ in range(n):
-        out = gmul(gf, out, lin)
-    return out
-
-
-def _pole_order_at(gf, h, xi):
-    num, den = h
-    if not num:
-        return 0
-    return _ord_at(gf, den, xi) - _ord_at(gf, num, xi)
-
-
-def _pole_order_at_inf(gf, h):
-    num, den = h
-    if not num:
-        return 0
-    return (len(num) - 1) - (len(den) - 1)
-
-
-def _leading_coeff_at(gf, h, xi, n):
-    """Value of h*(x - xi)^n at xi (the leading Laurent coefficient)."""
-    num, den = h
-    scaled = _rf(gf, gmul(gf, num, _monomial(gf, [gf.neg(xi), gf.one], n)), den)
-    v = _reval(gf, scaled, xi)
-    if v is None or gf.is_zero(v):
-        raise WitnessInvalidError("inconsistent pole order in AS reduction")
-    return v
 
 
 def _poly_sqrt(gf, B):
@@ -417,7 +385,7 @@ def _chart_constants(ring, chart):
     rows are the coefficients of y^3 = pi^(3b) (g + pi^d y1)^3 in y1^0 .. y1^3,
     each a polynomial in x1 over the ring.
     """
-    c_elt = _pi_poly_elt(ring, chart.x_center)
+    center = _pi_poly_elt(ring, chart.x_center)
     G = [_pi_poly_elt(ring, tup) for tup in chart.y_poly]
     pb3 = ring.pi_power(3 * chart.y_scale)
     pd = ring.pi_power(chart.y_codim)
@@ -432,7 +400,7 @@ def _chart_constants(ring, chart):
         _ringpoly_scale(ring, G, ring.mul(pb3, ring.mul(three, pd2))),
         [ring.mul(pb3, pd3)],
     )
-    return c_elt, G, rows
+    return center, G, rows
 
 
 def _chart_reduction(ring, f_ints, chart):
@@ -441,9 +409,9 @@ def _chart_reduction(ring, f_ints, chart):
     rows[j] is the coefficient of y1^j as a polynomial in x1 over the ring,
     after dividing out the content pi^N0.
     """
-    c_elt, _, (y0, *upper) = _chart_constants(ring, chart)
+    center, _, (y0, *upper) = _chart_constants(ring, chart)
     f = [ring.from_int(coef) for coef in f_ints]
-    fX = gcompose_linear(ring, f, ring.pi_power(chart.x_scale), c_elt)
+    fX = gcompose_linear(ring, f, ring.pi_power(chart.x_scale), center)
     rows = [gadd(ring, y0, [ring.neg(c) for c in fX]), *upper]
     n0 = min(ring.val(c) for row in rows for c in row)
     if n0 >= ring.cap:
@@ -461,7 +429,6 @@ class ChartComponent:
     genus: int
     cover: ASCover | None = None
     tbar: list | None = None
-    c_elt: object = None
     chart: WitnessChart = None
 
 
@@ -476,17 +443,14 @@ def _analyze_chart(ring, f_ints, idx, chart):
     lead_inv = gf.inv(rbar[3][0])
     rbar = [[gf.mul(c, lead_inv) for c in r] for r in rbar]
     a2, a1, a0 = rbar[2], rbar[1], rbar[0]
-    c_elt = _chart_constants(ring, chart)[0]
     if not a2 and not a1:
         # y1^3 = -A0: purely inseparable component, provided the right side
         # is not itself a cube (else the reduction is a triple line)
-        if not a0 or all(
-            gf.is_zero(c) or i % 3 == 0 for i, c in enumerate(a0)
-        ):
+        if not a0 or all(gf.is_zero(c) or i % 3 == 0 for i, c in enumerate(a0)):
             raise WitnessInvalidError(
                 f"chart {idx}: reduction y1^3 = cube is not a reduced curve"
             )
-        return ChartComponent(index=idx, inseparable=True, genus=0, c_elt=c_elt, chart=chart)
+        return ChartComponent(index=idx, inseparable=True, genus=0, chart=chart)
     if a2:
         raise WitnessInvalidError(
             f"chart {idx}: reduction is not invariant under the deck translation"
@@ -500,33 +464,28 @@ def _analyze_chart(ring, f_ints, idx, chart):
     h = _rf(gf, [gf.neg(c) for c in a0], t3)
     cover = as_cover(gf, h)
     return ChartComponent(
-        index=idx, inseparable=False, genus=cover.genus, cover=cover,
-        tbar=tbar, c_elt=c_elt, chart=chart,
+        index=idx, inseparable=False, genus=cover.genus, cover=cover, tbar=tbar, chart=chart
     )
 
 
 # ---- the Galois action on chart components ---------------------------------
 
 
-def _chart_xy_action(ring, comp, j):
+@lru_cache(maxsize=64)
+def _chart_action(ring, ch, j):
     """(lambda, gamma, F): x-affine map and the y1 correction of tau^j.
 
     Valid only when tau^j stabilizes the chart's disk.  The point map is
-    x1 -> lambda*x1 + gamma, y1 -> zeta^(j(b+d)) y1 + F(x1-image).
+    x1 -> lambda*x1 + gamma, y1 -> zeta^(j(b+d)) y1 + F(x1-image).  It
+    involves only the chart, so it is kept once it has passed its check.
     """
-    return _chart_action(ring, comp.chart, j)
-
-
-@lru_cache(maxsize=64)
-def _chart_action(ring, ch, j):
-    """_chart_xy_action, which involves only the chart: kept once it has passed its check."""
     a, b, d = ch.x_scale, ch.y_scale, ch.y_codim
     m = ring.e
     gf = ring.gf
     zp = ring.zeta_powers
-    c_elt, G, _ = _chart_constants(ring, ch)
-    tau_c = ring.galois_map(c_elt, j)
-    gam_elt = ring.div_pi(ring.sub(tau_c, c_elt), a)
+    center, G, _ = _chart_constants(ring, ch)
+    tau_c = ring.galois_map(center, j)
+    gam_elt = ring.div_pi(ring.sub(tau_c, center), a)
     gam = ring.residue(gam_elt)
     lam = ring.residue(zp[j * a % m])
     Gtau = [ring.galois_map(cf, j) for cf in G]
@@ -551,7 +510,7 @@ def _as_automorphism(ring, comp, j):
     gf = ring.gf
     m = ring.e
     ch = comp.chart
-    lam, gam, F = _chart_xy_action(ring, comp, j)
+    lam, gam, F = _chart_action(ring, ch, j)
     zbd = ring.residue(ring.zeta_powers[j * (ch.y_scale + ch.y_codim) % m])
     tbar = comp.tbar
     tA = gcompose_linear(gf, tbar, lam, gam)
@@ -566,11 +525,11 @@ def _as_automorphism(ring, comp, j):
     w = _rf(gf, gcompose_linear(gf, F, lam, gam), tA)
     cover = comp.cover
     shift_a = _rcompose_affine(gf, cover.shift, lam, gam)
-    w_red = _rsub(gf, _radd(gf, _rmul(gf, _rconst(gf, eps), cover.shift), w), shift_a)
+    w_red = _rsub(gf, _radd(gf, _rscale(gf, eps, cover.shift), w), shift_a)
     # consistency: eps*h_red + (w_red^3 - w_red) must equal h_red(A(x))
     lhs = _radd(
         gf,
-        _rmul(gf, _rconst(gf, eps), cover.h_red),
+        _rscale(gf, eps, cover.h_red),
         _rsub(gf, _rcube(gf, w_red), w_red),
     )
     rhs = _rcompose_affine(gf, cover.h_red, lam, gam)
@@ -592,14 +551,13 @@ def _stabilizer_actions(ring, comp, ell):
     gf = ring.gf
     lam, gam, eps, w = act = _as_automorphism(ring, comp, ell)
     out = {ell: act}
-    eps_r = _rconst(gf, eps)
     for j in range(2 * ell, ring.e, ell):
         lam_t, gam_t, eps_t, w_t = act
         act = (
             gf.mul(lam, lam_t),
             gf.add(gf.mul(lam, gam_t), gam),
             gf.mul(eps, eps_t),
-            _radd(gf, _rmul(gf, eps_r, w_t), _rcompose_affine(gf, w, lam_t, gam_t)),
+            _radd(gf, _rscale(gf, eps, w_t), _rcompose_affine(gf, w, lam_t, gam_t)),
         )
         out[j] = act
     return out
@@ -613,33 +571,25 @@ def _as_fix_count(gf, cover, lam, gam, eps, w_red):
             raise WitnessInvalidError("orientation-reversing vertical action on AS cover")
         if not w_red[0]:
             return None  # identity
-        wconst = _reval(gf, w_red, gf.zero) if len(w_red[0]) <= 1 and len(w_red[1]) == 1 else None
+        wconst = _value(gf, w_red, gf.zero) if len(w_red[0]) <= 1 and len(w_red[1]) == 1 else None
         if wconst is None or gf.mul(gf.mul(wconst, wconst), wconst) != wconst:
             raise WitnessInvalidError("vertical AS action with non-F3 translation")
         return len(cover.ram)
+    # the fixed points of x -> lam x + gam: x* = gam / (1 - lam) when lam != 1, and INF
+    points = [gf.mul(gam, gf.inv(gf.sub(gf.one, lam)))] if lam != gf.one else []
     fix = 0
-    if lam != gf.one:
-        x_star = gf.mul(gam, gf.inv(gf.sub(gf.one, lam)))
-        if tuple(x_star) in cover.ram:
+    for P in points + [INF]:
+        if P in cover.ram:
             fix += 1
-        else:
-            val = _reval(gf, w_red, x_star)
-            if val is None:
-                raise WitnessInvalidError("AS action singular at a fixed point")
-            if eps == gf.one:
-                fix += 3 if gf.is_zero(val) else 0
-            else:
-                fix += 1
-    if INF in cover.ram:
-        fix += 1
-    else:
-        val = _reval_inf(gf, w_red)
+            continue
+        val = _value(gf, w_red, P)
         if val is None:
-            raise WitnessInvalidError("AS action singular above infinity")
-        if eps == gf.one:
-            fix += 3 if gf.is_zero(val) else 0
-        else:
-            fix += 1
+            raise WitnessInvalidError(
+                "AS action singular above infinity" if P == INF else "AS action singular at a fixed point"
+            )
+        # eps = 1: P's fibre is fixed pointwise when w(P) = 0, else permuted freely;
+        # eps = -1: z -> w(P) - z fixes exactly one of the three points
+        fix += (3 if gf.is_zero(val) else 0) if eps == gf.one else 1
     return fix
 
 
@@ -648,8 +598,8 @@ def _chart_permutation(ring, charts, j):
     """The permutation of the chart disks by tau^j, kept once it is found."""
     centers = [_chart_constants(ring, ch)[0] for ch in charts]
     perm = []
-    for ch, c_elt in zip(charts, centers):
-        image_c = ring.galois_map(c_elt, j)
+    for ch, center in zip(charts, centers):
+        image_c = ring.galois_map(center, j)
         target = None
         for t, (other, other_c) in enumerate(zip(charts, centers)):
             if other.x_scale != ch.x_scale:
@@ -718,9 +668,7 @@ def verify_witness(f_ints, witness: WildWitness):
 
 def _verify_with_ring(ring, f_ints, witness):
     m = witness.m
-    comps = [
-        _analyze_chart(ring, f_ints, i, ch) for i, ch in enumerate(witness.charts)
-    ]
+    comps = [_analyze_chart(ring, f_ints, i, ch) for i, ch in enumerate(witness.charts)]
     etale = sorted(c.genus for c in comps if not c.inseparable)
     insep = sum(1 for c in comps if c.inseparable)
     rtype = P3_TAXONOMY.get(tuple(etale))

@@ -1,10 +1,12 @@
 import json
+import multiprocessing
 import signal
 
 import pytest
 
 from picard import localfield as lf
 from picard.cli import main
+from picard.search import MAX_WORKERS
 
 
 def test_analyze_single_prime_json(capsys):
@@ -79,10 +81,12 @@ def test_search_cli_and_verify_examples(tmp_path, capsys):
     assert "FAIL" not in text and "PASS" in text
 
 
-def test_search_rejects_bad_config(tmp_path, capsys):
+def test_search_rejects_bad_config(tmp_path, capsys, monkeypatch):
     out = tmp_path / "r.jsonl"
-    # a composite in S, no worker, a resume token outside [-3, 3]
-    for extra in (["--set", "4"], ["--workers", "0"], ["--resume", "99"]):
+    monkeypatch.setattr(multiprocessing, "Pool", None)  # starting a pool raises TypeError
+    # a composite in S, no worker, too many workers, a resume token outside [-3, 3]
+    bad = (["--set", "4"], ["--workers", "0"], ["--workers", str(MAX_WORKERS + 1)], ["--resume", "99"])
+    for extra in bad:
         args = ["search", "--set", "3", "--height", "3", "--out", str(out)] + extra
         assert main(args) == 2, extra
     assert not out.exists()
@@ -153,6 +157,8 @@ _WITNESS_CHART = {"x_scale": 3, "x_center": [0], "y_scale": 0, "y_poly": [[-1]],
         {"p": 3, "m": 1e999, "charts": [_WITNESS_CHART]},  # json.dumps writes Infinity
         {"p": 3, "m": -1, "charts": [_WITNESS_CHART]},  # the order of 3 mod -1 was searched forever
         {"p": 3, "m": 1000003, "charts": [_WITNESS_CHART]},  # 3 has order 333334: F_(3^333334)
+        {"p": 3, "m": 8.9, "charts": [_WITNESS_CHART]},  # int() read it as m = 8
+        {"p": 3, "m": 8, "charts": [dict(_WITNESS_CHART, y_poly=[[True]])]},  # int() read True as 1
     ],
 )
 def test_analyze_malformed_witness_exit_1(tmp_path, capsys, witness):

@@ -12,6 +12,7 @@ import picard
 from picard.curves import PicardCurve, disc_quartic_monic, equivalent, normalize
 from picard.exact import poly_from_ints
 from picard.search import (
+    MAX_WORKERS,
     CheckpointCorruptError,
     SearchConfig,
     SearchRecord,
@@ -74,8 +75,10 @@ def test_config_validation():
         SearchConfig(primes=(), height=3)
     with pytest.raises(ValueError):
         SearchConfig(primes=(3,), height=0)
-    with pytest.raises(ValueError):
-        SearchConfig(primes=(3,), height=3, workers=0)
+    for workers in (0, MAX_WORKERS + 1):
+        with pytest.raises(ValueError, match="workers must lie in"):
+            SearchConfig(primes=(3,), height=3, workers=workers)
+    assert SearchConfig(primes=(3,), height=3, workers=MAX_WORKERS).workers == MAX_WORKERS
     # S holds primes only: 0 and 1 would loop forever building S-units, 4
     # keeps the powers of 4, a negative prime keeps nothing
     for primes in [(1,), (0,), (2, 1), (4,), (-3,), (2.0,)]:

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 
@@ -269,6 +270,39 @@ def test_witness_rejects_negative_scales(field):
         WildWitness.from_dict(dict(CHART_POTGOOD, charts=[chart]))
 
 
+def _potgood_with(path, value):
+    """CHART_POTGOOD with its curve, the entry at path (keys and indices) set to value."""
+    data = copy.deepcopy(dict(CHART_POTGOOD, curve=[1, 0, 0, 0, 1]))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("m",), 8.9),
+        (("m",), 8.0),
+        (("m",), "8"),
+        (("p",), 3.0),
+        (("charts", 0, "x_scale"), 3.9),
+        (("charts", 0, "y_scale"), False),
+        (("charts", 0, "y_codim"), "4"),
+        (("charts", 0, "x_center", 0), 0.0),
+        (("charts", 0, "y_poly", 0, 0), 1.5),
+        (("charts", 0, "y_poly", 0, 0), True),
+        (("curve", 4), 1.0),
+        (("curve", 0), "1"),
+    ],
+)
+def test_witness_numbers_must_be_json_integers(path, value):
+    # int() would read 8.9 as 8, True as 1 and "8" as 8: another witness than the file's
+    with pytest.raises(WitnessInvalidError, match="^malformed witness: TypeError: expected an integer, got "):
+        WildWitness.from_dict(_potgood_with(path, value))
+
+
 @pytest.mark.parametrize("curve", [[1, 0, 0, 0], [1, 0, 0, 0, 0]])
 def test_witness_curve_that_is_no_separable_quartic_is_invalid(curve):
     target, _ = normalize(poly_from_ints([1, 0, 0, 0, 1]))
@@ -344,13 +378,13 @@ def test_composed_powers_match_direct_action_on_family():
 
 def test_one_chart_action_per_stabilizer(monkeypatch):
     calls = []
-    direct = wild3._chart_xy_action
+    direct = wild3._chart_action
 
-    def counted(ring, comp, j):
+    def counted(ring, chart, j):
         calls.append(j)
-        return direct(ring, comp, j)
+        return direct(ring, chart, j)
 
-    monkeypatch.setattr(wild3, "_chart_xy_action", counted)
+    monkeypatch.setattr(wild3, "_chart_action", counted)
     assert verify_witness([1, 0, 0, 0, 1], WildWitness.from_dict(CHART_POTGOOD)).f3 == 6
     assert calls == [1]
 
@@ -358,13 +392,13 @@ def test_one_chart_action_per_stabilizer(monkeypatch):
 def test_corrupted_generator_action_is_rejected(monkeypatch):
     # the generator's action is checked against the AS equation; its powers
     # are composed from it, so a wrong generator must still be caught
-    direct = wild3._chart_xy_action
+    direct = wild3._chart_action
 
-    def shifted(ring, comp, j):
-        lam, gam, F = direct(ring, comp, j)
+    def shifted(ring, chart, j):
+        lam, gam, F = direct(ring, chart, j)
         return lam, ring.gf.add(gam, ring.gf.one), F
 
-    monkeypatch.setattr(wild3, "_chart_xy_action", shifted)
+    monkeypatch.setattr(wild3, "_chart_action", shifted)
     with pytest.raises(WitnessInvalidError, match="does not preserve the AS equation"):
         verify_witness([1, 0, 0, 0, 1], WildWitness.from_dict(CHART_POTGOOD))
 
