@@ -7,7 +7,6 @@ component.  Depths are exact rationals in (1/e)Z.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -19,21 +18,29 @@ from .localfield import (
     WildSplittingError,
     split_over_minimal_tame,
 )
+from .record import Record
 
 INF_MARK = "inf"
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-@dataclass
-class ClusterNode:
-    """One component of the marked model: a cluster of root indices."""
+class ClusterNode(Record):
+    """One component of the marked model: a cluster of root indices.
 
-    indices: frozenset
-    depth: Fraction
-    parent: "ClusterNode | None" = None
-    children: tuple = ()
-    immediate: tuple = ()  # root indices marking this component directly
-    key: tuple = ()  # the sorted indices: the cluster's name in fibers and reports
+    ``immediate`` holds the root indices marking this component directly;
+    ``key``, the sorted indices, is the cluster's name in fibers and reports.
+    """
+
+    __slots__ = ("indices", "depth", "parent", "children", "immediate", "key")
+
+    def __init__(self, indices: frozenset, depth: Fraction, parent: "ClusterNode | None" = None,
+                 children: tuple = (), immediate: tuple = (), key: tuple = ()):
+        self.indices = indices
+        self.depth = depth
+        self.parent = parent
+        self.children = children
+        self.immediate = immediate
+        self.key = key
 
     @property
     def is_root(self):
@@ -133,14 +140,16 @@ class ClusterTree:
         return f"ClusterTree{self.top!r}"
 
 
-@dataclass
-class Ramification:
-    """Outcome of the splitting-field analysis at one prime."""
+class Ramification(Record):
+    """Outcome of the splitting-field analysis at one prime: e and split are None when wild."""
 
-    p: int
-    tame: bool
-    e: int | None = None
-    split: SplitRoots | None = None
+    __slots__ = ("p", "tame", "e", "split")
+
+    def __init__(self, p: int, tame: bool, e: int | None = None, split: SplitRoots | None = None):
+        self.p = p
+        self.tame = tame
+        self.e = e
+        self.split = split
 
 
 def inertia_permutation(sr: SplitRoots, j=1):

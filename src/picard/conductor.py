@@ -8,12 +8,11 @@ delta = 0.  p = 3 is always bad; without a witness the report is the bound
 2 <= f_2 <= 28 and f_2 != 1.
 """
 
-from dataclasses import dataclass, field, replace
-
 from .clusters import splitting_ramification
 from .curves import PicardCurve, normalize
 from .exact import MR_DETERMINISTIC_BOUND, is_prime, poly_from_ints
 from .inertia import analyze_tame
+from .record import FrozenRecord
 from .wild3 import WildWitness, WitnessInvalidError, verify_witness
 
 P3_BOUND_HI_DEFAULT = 21
@@ -21,28 +20,30 @@ P2_WILD_HI = 28  # genus-3 abelian-variety bound at p = 2
 PROBABLE_PRIME_NOTE = "p is a probable prime: Miller-Rabin is not a proof at or above 3.3e24"
 
 
-@dataclass(frozen=True)
-class ConductorReport:
-    """Per-prime conductor data; f_lo == f_hi iff status == "computed"."""
+class ConductorReport(FrozenRecord):
+    """Per-prime conductor data; f_lo == f_hi iff status == "computed".
 
-    p: int
-    status: str  # "computed" | "bounded" | "unknown-wild"
-    f_lo: int
-    f_hi: int
-    reduction_type: str | None = None
-    epsilon: int | None = None
-    delta: int | None = None
-    exceptional: bool = False
-    notes: tuple = ()
-    detail: dict = field(default_factory=dict, compare=False)
+    status is "computed", "bounded" or "unknown-wild".  detail is left out
+    of eq and hash.
+    """
 
-    def __post_init__(self):
-        if self.status == "computed" and self.f_lo != self.f_hi:
+    __slots__ = (
+        "p", "status", "f_lo", "f_hi", "reduction_type", "epsilon", "delta",
+        "exceptional", "notes", "detail",
+    )
+    _compare = __slots__[:-1]
+
+    def __init__(self, p: int, status: str, f_lo: int, f_hi: int, reduction_type: str | None = None,
+                 epsilon: int | None = None, delta: int | None = None, exceptional: bool = False,
+                 notes: tuple = (), detail: dict | None = None):
+        if status == "computed" and f_lo != f_hi:
             raise ValueError("computed report needs a single f_p value")
-        if self.p == 3 and self.f_lo < 4:
+        if p == 3 and f_lo < 4:
             raise ValueError("f_3 >= 4 for every Picard curve over Q")
-        if self.p == 2 and self.f_lo == self.f_hi == 1:
+        if p == 2 and f_lo == f_hi == 1:
             raise ValueError("f_2 = 1 is impossible")
+        self._set(p, status, f_lo, f_hi, reduction_type, epsilon, delta, exceptional,
+                  notes, {} if detail is None else detail)
 
     @property
     def f_p(self):
@@ -212,19 +213,22 @@ def analyze_prime(curve, p, witness=None):
         return analyze_p2(curve)
     if p == 3:
         return analyze_p3(curve, witness)
-    report = conductor_tame(curve, p)
-    if p >= MR_DETERMINISTIC_BOUND:
-        report = replace(report, notes=report.notes + (PROBABLE_PRIME_NOTE,))
-    return report
+    r = conductor_tame(curve, p)
+    if p < MR_DETERMINISTIC_BOUND:
+        return r
+    return ConductorReport(
+        r.p, r.status, r.f_lo, r.f_hi, r.reduction_type, r.epsilon, r.delta, r.exceptional,
+        r.notes + (PROBABLE_PRIME_NOTE,), r.detail,
+    )
 
 
-@dataclass(frozen=True)
-class GlobalConductor:
+class GlobalConductor(FrozenRecord):
     """Interval for N = prod p^(f_p), exact iff every report is computed."""
 
-    n_lo: int
-    n_hi: int
-    reports: tuple
+    __slots__ = ("n_lo", "n_hi", "reports")
+
+    def __init__(self, n_lo: int, n_hi: int, reports: tuple):
+        self._set(n_lo, n_hi, reports)
 
     @property
     def exact(self):

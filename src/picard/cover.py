@@ -13,10 +13,10 @@ on the top cluster, where |s| = 4).  It has genus B - 2; with four roots
 B >= 2 always holds.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .clusters import ClusterTree
+from .record import FrozenRecord
 
 
 class ImpossibleFiberError(RuntimeError):
@@ -46,8 +46,7 @@ def classify_marked_tree(tree: ClusterTree):
     raise ImpossibleFiberError(f"not a stable 5-marked quartic tree: {tree!r}")
 
 
-@dataclass(frozen=True)
-class SpecialFiber:
+class SpecialFiber(FrozenRecord):
     """Components, dual graph and loop count of the stable reduction.
 
     components: ((key, genus, copies), ...); edges: ((points, key_child,
@@ -55,10 +54,10 @@ class SpecialFiber:
     that node of the tree.  gamma = edges - vertices + 1 on the dual graph.
     """
 
-    reduction_type: str
-    components: tuple
-    edges: tuple
-    gamma: int
+    __slots__ = ("reduction_type", "components", "edges", "gamma")
+
+    def __init__(self, reduction_type: str, components: tuple, edges: tuple, gamma: int):
+        self._set(reduction_type, components, edges, gamma)
 
     def genera(self):
         return sorted((g for _, g, copies in self.components for _ in range(copies)), reverse=True)

@@ -13,7 +13,6 @@ computes one Delta and one factorization per curve (again only after a
 descale); Fractions appear only for non-monic or non-integral input.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -25,10 +24,10 @@ from .exact import (
     poly_from_ints,
     valuation,
 )
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(FrozenRecord):
     """Substitution x -> (u^-3 x + shift)/lc, y -> u^-4 y / lc.
 
     ``apply`` sends the source quartic to the target: for lc = 1 this is
@@ -37,9 +36,10 @@ class EquivalenceWitness:
     step divides out the leading coefficient.
     """
 
-    u: Fraction
-    shift: Fraction
-    lc: Fraction = Fraction(1)
+    __slots__ = ("u", "shift", "lc")
+
+    def __init__(self, u: Fraction, shift: Fraction, lc: Fraction = Fraction(1)):
+        self._set(u, shift, lc)
 
     def apply(self, f):
         a = Fraction(1) / (self.u**3 * self.lc)

@@ -23,42 +23,57 @@ zeta_e^(j*(n - m*mult)/3) is trivial.  Quotient genera follow from
 Riemann-Hurwitz over the effective stabilizer.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .clusters import ClusterTree, cluster_tree, inertia_permutation
 from .cover import SpecialFiber, cover_fiber
 from .localfield import lift_over_ring  # noqa: F401  (bench/tracing.py wraps this name)
+from .record import ComparedRecord, Record
 
 
 class UnsupportedActionError(RuntimeError):
     """The induced inertia action violated an internal invariant."""
 
 
-@dataclass
-class ComponentChart:
-    """Residue data of one base component needed for the action."""
+class ComponentChart(Record):
+    """Residue data of one base component needed for the action.
 
-    key: tuple
-    size: int
-    m: int  # e * depth, pi' units
-    n: int  # e * v_Z(f), pi' units, divisible by 3
-    center: int  # root index used as chart origin
-    mult_at: dict  # finite chart coordinate (GF element) -> multiplicity
-    genus: int
-    branches: int
+    m = e * depth and n = e * v_Z(f) (divisible by 3) are in pi' units;
+    center is the root index used as chart origin; mult_at maps a finite
+    chart coordinate (GF element) to its multiplicity.
+    """
+
+    __slots__ = ("key", "size", "m", "n", "center", "mult_at", "genus", "branches")
+
+    def __init__(self, key: tuple, size: int, m: int, n: int, center: int, mult_at: dict,
+                 genus: int, branches: int):
+        self.key = key
+        self.size = size
+        self.m = m
+        self.n = n
+        self.center = center
+        self.mult_at = mult_at
+        self.genus = genus
+        self.branches = branches
 
 
-@dataclass
-class InertiaQuotientData:
-    """Everything about Y^0 = Y/Gamma needed for the conductor."""
+class InertiaQuotientData(ComparedRecord):
+    """Everything about Y^0 = Y/Gamma needed for the conductor.
 
-    e: int
-    component_orbits: list  # lists of cluster keys
-    quotient_genera: list  # genus of W/stab per orbit
-    gamma0: int
-    h1_dim: int
-    epsilon: int
+    component_orbits lists the cluster keys of each orbit, and
+    quotient_genera the genus of W/stab per orbit.
+    """
+
+    __slots__ = ("e", "component_orbits", "quotient_genera", "gamma0", "h1_dim", "epsilon")
+
+    def __init__(self, e: int, component_orbits: list, quotient_genera: list, gamma0: int,
+                 h1_dim: int, epsilon: int):
+        self.e = e
+        self.component_orbits = component_orbits
+        self.quotient_genera = quotient_genera
+        self.gamma0 = gamma0
+        self.h1_dim = h1_dim
+        self.epsilon = epsilon
 
 
 @lru_cache(maxsize=256)
@@ -294,16 +309,19 @@ def inertia_quotient(tree: ClusterTree, fiber: SpecialFiber, sr):
     )
 
 
-@dataclass
-class TameAnalysis:
+class TameAnalysis(ComparedRecord):
     """Full tame pipeline output at one prime p != 3."""
 
-    p: int
-    e_splitting: int
-    e_semistable: int
-    tree: ClusterTree
-    fiber: SpecialFiber
-    quotient: InertiaQuotientData
+    __slots__ = ("p", "e_splitting", "e_semistable", "tree", "fiber", "quotient")
+
+    def __init__(self, p: int, e_splitting: int, e_semistable: int, tree: ClusterTree,
+                 fiber: SpecialFiber, quotient: InertiaQuotientData):
+        self.p = p
+        self.e_splitting = e_splitting
+        self.e_semistable = e_semistable
+        self.tree = tree
+        self.fiber = fiber
+        self.quotient = quotient
 
     @property
     def epsilon(self):

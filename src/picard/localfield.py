@@ -87,7 +87,6 @@ Costs are kept to one pass of each kind of work:
   outside F_p take the tuple route over F_{p^k}.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, inf, lcm
@@ -95,6 +94,7 @@ import random
 
 from .exact import disc_quartic_monic
 from .exact import valuation as q_valuation
+from .record import FrozenRecord
 
 DEFAULT_PI_DIGITS = 20  # per unit of e; ring precision N in p-digits
 HARD_K_CAP = 24
@@ -575,19 +575,17 @@ def _residue_roots_tuple(F, poly):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TameExtension:
+class TameExtension(FrozenRecord):
     """L = Q_p^nr(pi), pi^e = c*p with gcd(e, p) = 1 and c in {1, -1}."""
 
-    p: int
-    e: int
-    c: int = 1
+    __slots__ = ("p", "e", "c")
 
-    def __post_init__(self):
-        if gcd(self.e, self.p) != 1:
+    def __init__(self, p: int, e: int, c: int = 1):
+        if gcd(e, p) != 1:
             raise ValueError("ramification index must be prime to p")
-        if self.c not in (1, -1):
+        if c not in (1, -1):
             raise ValueError("uniformizer convention wants c = 1 or -1")
+        self._set(p, e, c)
 
 
 class TameRing:
@@ -890,18 +888,20 @@ def rpoly_deriv(ring, poly):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(FrozenRecord):
     """Lower convex hull of {(i, ord_p(a_i))} for a polynomial.
 
     Each slope -lambda of horizontal length l predicts exactly l roots of
     valuation lambda (with multiplicity); zero roots of f show up as a
     leading slope of -infinity so that lengths always sum to deg(f).
+    vertices are the hull's ((i, v), ...), i ascending, and slopes are
+    ((slope, length), ...), weakly increasing.
     """
 
-    prime: int
-    vertices: tuple  # hull vertices ((i, v), ...), i ascending
-    slopes: tuple  # ((slope, length), ...) weakly increasing
+    __slots__ = ("prime", "vertices", "slopes")
+
+    def __init__(self, prime: int, vertices: tuple, slopes: tuple):
+        self._set(prime, vertices, slopes)
 
     def root_valuations(self):
         out = []

@@ -22,7 +22,6 @@ counts.
 import json
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 
 from .conductor import analyze_prime
@@ -32,6 +31,7 @@ from .curves import (
     normalize,
 )
 from .exact import disc_quartic_monic, is_prime, poly_from_ints
+from .record import FrozenRecord, Record
 
 
 # Most worker processes a search may start: each is a whole interpreter, and
@@ -43,40 +43,45 @@ class CheckpointCorruptError(RuntimeError):
     """An existing output file could not be replayed for resumption."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """A validated search: S is stored sorted and without repeats."""
+class SearchConfig(FrozenRecord):
+    """A validated search: the prime set S is stored sorted and without repeats.
 
-    primes: tuple  # the prime set S
-    height: int
-    workers: int = 1
-    resume_from: int | None = None  # last completed a3 slice
+    resume_from is the last completed a3 slice, or None.
+    """
 
-    def __post_init__(self):
-        if not self.primes:
+    __slots__ = ("primes", "height", "workers", "resume_from")
+
+    def __init__(self, primes: tuple, height: int, workers: int = 1, resume_from: int | None = None):
+        if not primes:
             raise ValueError("S must be nonempty")
-        for p in self.primes:
+        for p in primes:
             if not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"S must hold primes only, not {p}")
-        object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
-        if self.height < 1:
+        if height < 1:
             raise ValueError("height must be >= 1")
-        if not 1 <= self.workers <= MAX_WORKERS:
+        if not 1 <= workers <= MAX_WORKERS:
             raise ValueError(f"workers must lie in [1, {MAX_WORKERS}]")
-        if self.resume_from is not None and abs(self.resume_from) > self.height:
-            raise ValueError(f"resume token must lie in [-{self.height}, {self.height}]")
+        if resume_from is not None and abs(resume_from) > height:
+            raise ValueError(f"resume token must lie in [-{height}, {height}]")
+        self._set(tuple(sorted(set(primes))), height, workers, resume_from)
 
 
-@dataclass
-class SearchRecord:
-    """One retained curve with its per-prime reports and conductor interval."""
+class SearchRecord(Record):
+    """One retained curve with its per-prime reports and conductor interval.
 
-    curve: PicardCurve
-    source: tuple  # the enumerated (1, a3, a2, a1, a0)
-    reports: tuple
-    conductor_lo: int
-    conductor_hi: int
-    dedup_class: str
+    source is the enumerated (1, a3, a2, a1, a0).
+    """
+
+    __slots__ = ("curve", "source", "reports", "conductor_lo", "conductor_hi", "dedup_class")
+
+    def __init__(self, curve: PicardCurve, source: tuple, reports: tuple, conductor_lo: int,
+                 conductor_hi: int, dedup_class: str):
+        self.curve = curve
+        self.source = source
+        self.reports = reports
+        self.conductor_lo = conductor_lo
+        self.conductor_hi = conductor_hi
+        self.dedup_class = dedup_class
 
     def to_dict(self):
         return {

@@ -25,7 +25,6 @@ A check that fails is never kept, so it fails again for the next curve.
 """
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -45,6 +44,7 @@ from .localfield import (
     multiplicative_order,
     residue_roots,
 )
+from .record import ComparedRecord, FrozenRecord
 
 INF = "inf"
 # Largest m*k a witness may ask for: a ring product costs (m*k)^2 int products,
@@ -69,23 +69,26 @@ def _int(v):
     return v
 
 
-@dataclass(frozen=True)
-class WitnessChart:
-    """x = c + pi^a x1, y = pi^b (g(x1) + pi^d y1); pi-polynomials as int tuples."""
+class WitnessChart(FrozenRecord):
+    """x = c + pi^a x1, y = pi^b (g(x1) + pi^d y1); pi-polynomials as int tuples.
 
-    x_scale: int  # a
-    x_center: tuple  # c, coefficients of powers of pi
-    y_scale: int  # b
-    y_poly: tuple  # g, coefficients in x1, each a pi-polynomial tuple
-    y_codim: int  # d
+    x_center is c, coefficients of powers of pi; y_poly is g, coefficients
+    in x1, each a pi-polynomial tuple.
+    """
+
+    __slots__ = ("x_scale", "x_center", "y_scale", "y_poly", "y_codim")
+
+    def __init__(self, x_scale: int, x_center: tuple, y_scale: int, y_poly: tuple, y_codim: int):
+        self._set(x_scale, x_center, y_scale, y_poly, y_codim)
 
 
-@dataclass(frozen=True)
-class WildWitness:
-    p: int
-    m: int  # pi^m = -3, gcd(m, 3) = 1
-    charts: tuple
-    curve: tuple | None = None  # [a4..a0] of the model the charts target
+class WildWitness(FrozenRecord):
+    """Charts over pi^m = -3, gcd(m, 3) = 1; curve is [a4..a0] of the model they target."""
+
+    __slots__ = ("p", "m", "charts", "curve")
+
+    def __init__(self, p: int, m: int, charts: tuple, curve: tuple | None = None):
+        self._set(p, m, charts, curve)
 
     @classmethod
     def from_dict(cls, data):
@@ -257,8 +260,7 @@ def _cube_root(gf, c):
 # ---- Artin-Schreier covers -----------------------------------------------
 
 
-@dataclass
-class ASCover:
+class ASCover(ComparedRecord):
     """z^3 - z = h, irreducible, with AS-reduced data.
 
     h_red has poles exactly at the ramified points; shift is the rational
@@ -266,12 +268,15 @@ class ASCover:
     point (a GF element or "inf") to its jump.
     """
 
-    gf: object
-    h: tuple
-    h_red: tuple
-    shift: tuple
-    ram: dict
-    genus: int
+    __slots__ = ("gf", "h", "h_red", "shift", "ram", "genus")
+
+    def __init__(self, gf: object, h: tuple, h_red: tuple, shift: tuple, ram: dict, genus: int):
+        self.gf = gf
+        self.h = h
+        self.h_red = h_red
+        self.shift = shift
+        self.ram = ram
+        self.genus = genus
 
 
 def as_cover(gf, h):
@@ -420,16 +425,19 @@ def _chart_reduction(ring, f_ints, chart):
     return rows, n0
 
 
-@dataclass
-class ChartComponent:
+class ChartComponent(ComparedRecord):
     """Analysis of one chart: the component it certifies."""
 
-    index: int
-    inseparable: bool
-    genus: int
-    cover: ASCover | None = None
-    tbar: list | None = None
-    chart: WitnessChart = None
+    __slots__ = ("index", "inseparable", "genus", "cover", "tbar", "chart")
+
+    def __init__(self, index: int, inseparable: bool, genus: int, cover: ASCover | None = None,
+                 tbar: list | None = None, chart: WitnessChart | None = None):
+        self.index = index
+        self.inseparable = inseparable
+        self.genus = genus
+        self.cover = cover
+        self.tbar = tbar
+        self.chart = chart
 
 
 def _analyze_chart(ring, f_ints, idx, chart):
@@ -630,19 +638,30 @@ P3_TAXONOMY = {
 P3_GAMMA = {"a": 0, "b": 0, "c": 0, "d": 2, "e": 2}
 
 
-@dataclass
-class WitnessVerification:
-    """Certified stable-reduction data extracted from a valid witness."""
+class WitnessVerification(ComparedRecord):
+    """Certified stable-reduction data extracted from a valid witness.
 
-    m: int
-    reduction_type: str
-    etale_genera: list
-    inseparable_count: int
-    quotient_genera: list | None
-    gamma0: int | None
-    f3: int | None  # None when only bounded (types d, e)
-    f3_range: tuple  # (lo, hi) always set; (f3, f3) when computed
-    components: list = field(default_factory=list)
+    f3 is None when only bounded (types d, e); f3_range is always set, to
+    (f3, f3) when computed.
+    """
+
+    __slots__ = (
+        "m", "reduction_type", "etale_genera", "inseparable_count",
+        "quotient_genera", "gamma0", "f3", "f3_range", "components",
+    )
+
+    def __init__(self, m: int, reduction_type: str, etale_genera: list, inseparable_count: int,
+                 quotient_genera: list | None, gamma0: int | None, f3: int | None, f3_range: tuple,
+                 components: list | None = None):
+        self.m = m
+        self.reduction_type = reduction_type
+        self.etale_genera = etale_genera
+        self.inseparable_count = inseparable_count
+        self.quotient_genera = quotient_genera
+        self.gamma0 = gamma0
+        self.f3 = f3
+        self.f3_range = f3_range
+        self.components = [] if components is None else components
 
 
 def verify_witness(f_ints, witness: WildWitness):

@@ -1,6 +1,6 @@
 import random
 
-from picard.clusters import cluster_tree, splitting_ramification
+from picard.clusters import Ramification, cluster_tree, splitting_ramification
 from picard.curves import normalize
 from picard.exact import Poly, discriminant, poly_from_ints
 from picard.inertia import (
@@ -336,8 +336,6 @@ def _relabel_cases():
 
 def test_tame_analysis_invariant_under_root_relabelling():
     """Cluster tree, epsilon, quotient genera and gamma0 ignore the order of the roots."""
-    from dataclasses import replace
-
     from picard.localfield import SplitRoots
 
     rng = random.Random(7)
@@ -348,7 +346,7 @@ def test_tame_analysis_invariant_under_root_relabelling():
         while perm == sorted(perm):
             rng.shuffle(perm)
         moved = SplitRoots(sr.ring, [sr.roots[i] for i in perm], [sr.cert[i] for i in perm], sr.f)
-        got = analyze_tame(replace(ram, split=moved))
+        got = analyze_tame(Ramification(ram.p, ram.tame, ram.e, moved))
         want = analyze_tame(ram)
         # root j of the relabelled split is root perm[j] of the original
         relabelled = sorted(
@@ -360,3 +358,106 @@ def test_tame_analysis_invariant_under_root_relabelling():
         ), (ints, p, perm)
         cases += 1
     assert cases >= 25
+
+
+def _lefschetz_cases(pool_sample):
+    """(curve, ram) at each tame bad prime of the golden corpus, a seeded pool slice and swapped pairs.
+
+    No tame entry of the golden corpus or of the slice has a cluster that
+    inertia moves, so the last family adds two pairs centred at +-sqrt(p*u),
+    of radius p^k, which tau swaps: (x^2 + c)^2 - 4*p*u*x^2, c = p*u - p^(2k).
+    """
+    import json
+    from pathlib import Path
+
+    from picard.conductor import sqrt_disc_unramified_at_2
+    from picard.curves import parse_curve_text
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "tests" / "golden_corpus.json", encoding="utf-8") as fh:
+        keys = sorted(json.load(fh)["digests"])
+    pairs = []
+    for key in keys:
+        text, p = key.split()
+        pairs.append((normalize(parse_curve_text(text))[0], [int(p)]))
+    with open(root / "bench" / "reference" / "analyze-pool.jsonl", encoding="utf-8") as fh:
+        pool = [json.loads(line)["curve"] for line in fh if line.strip()]
+    for coeffs in random.Random(26).sample(pool, pool_sample):
+        c, _ = normalize(poly_from_ints(coeffs))
+        pairs.append((c, [p for p, _ in c.disc_factors if p != 3]))
+    for p in (5, 7, 11, 13):
+        for u in (1, 2):
+            for k in (1, 2):
+                c = p * u - p ** (2 * k)
+                pairs.append((normalize(poly_from_ints([1, 0, 2 * c - 4 * p * u, 0, c * c]))[0], [p]))
+    for c, primes in pairs:
+        for p in primes:
+            if c.ord_disc(p) == 0 or (p == 2 and not sqrt_disc_unramified_at_2(c)):
+                continue
+            ram = splitting_ramification(c.coeffs, p)
+            if ram.tame:
+                yield c, ram
+
+
+def _lefschetz_h1(fiber, charts, perm, e, genus, signature, fixed_points):
+    """(1/e) sum_j Tr(tau^j | H^1(Y)) over the inertia of order e, by the Lefschetz formula.
+
+    H^1 of the special fiber Y is the H^1 of its components plus that of its
+    dual graph.  tau^j adds nothing from a component it moves; on one it
+    stabilizes it adds 2g when it acts trivially there, else 2 - #fixed
+    points.  On the graph it adds 1 - #fixed vertices + #fixed edges: the
+    one point above a node is fixed with its component, the three points
+    are all fixed or rotated.
+    """
+    from picard.inertia import _mu_trivial
+
+    total = 0
+    power = {key: key for key in charts}  # tau^j on components
+    for j in range(e):
+        fixed = [key for key in charts if power[key] == key]
+        for key in fixed:
+            sig = signature(key, j)
+            total += 2 * genus(key) if sig is None else 2 - fixed_points(key, j, sig)
+        total += 1 - len(fixed)
+        for points, child, _ in fiber.edges:
+            if power[child] == child:
+                chart = charts[child]
+                total += 1 if points == 1 else 3 * _mu_trivial(e, j, chart, chart.size)
+        power = {key: perm[image] for key, image in power.items()}
+    assert total % e == 0
+    return total // e
+
+
+def test_lefschetz_trace_formula_matches_h1_dim(monkeypatch):
+    """dim H^1(Y)^I = (1/e) sum_j Tr(tau^j) agrees with inertia_quotient's h1_dim.
+
+    The oracle is independent in aggregation only: it reuses the charts, the
+    signatures and the fixed-point counts of inertia_quotient, and replaces
+    its orbits, Riemann-Hurwitz over each stabilizer and quotient-graph loop
+    count by an average of traces over the whole group.
+    """
+    import picard.inertia as inertia
+
+    seen = {}
+
+    def build_charts(*args):
+        seen["charts"] = charts = build_charts_orig(*args)
+        return charts
+
+    def quotient_genera(*args):
+        seen["quotient"] = args[1:6]
+        return quotient_genera_orig(*args)
+
+    build_charts_orig, quotient_genera_orig = inertia._build_charts, inertia.quotient_genera
+    monkeypatch.setattr(inertia, "_build_charts", build_charts)
+    monkeypatch.setattr(inertia, "quotient_genera", quotient_genera)
+    twisted = moved = checked = 0
+    for curve, ram in _lefschetz_cases(pool_sample=40):
+        a = analyze_tame(ram)
+        perm, e = seen["quotient"][:2]
+        got = _lefschetz_h1(a.fiber, seen["charts"], *seen["quotient"])
+        assert got == a.quotient.h1_dim, (curve, ram.p)
+        twisted += e > ram.e
+        moved += any(perm[key] != key for key in perm)
+        checked += 1
+    assert checked >= 500 and twisted >= 300 and moved >= 16, (checked, twisted, moved)
