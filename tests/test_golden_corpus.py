@@ -124,6 +124,16 @@ def corpus():
             if (curve.coeffs, p) not in seen:
                 seen.add((curve.coeffs, p))
                 out.append((family, curve, p))
+    # inertia swaps the two pairs centred at +-sqrt(p u), of radius p^k; drawn
+    # from no stream, so the entries above keep their digests
+    for p in (5, 7, 11, 13):
+        for u in (1, 2):
+            for k in (1, 2):
+                c = p * u - p ** (2 * k)
+                curve, _ = normalize(poly_from_ints([1, 0, 2 * c - 4 * p * u, 0, c * c]))
+                if (curve.coeffs, p) not in seen:
+                    seen.add((curve.coeffs, p))
+                    out.append(("(x^2 + c)^2 - 4pux^2", curve, p))
     return out
 
 
@@ -163,6 +173,12 @@ def test_golden_corpus_covers_the_rare_pictures():
     semistable = {rep.detail.get("e_semistable") for _, _, rep in tame}
     assert {9, 12} <= semistable
     assert any(rep.exceptional and not rep.detail.get("good_reduction") for _, _, rep in tame)
+    # inertia moves a component: an orbit of length > 1
+    moved = [
+        rep for _, _, rep in tame
+        if "quotient_genera" in rep.detail and len(rep.detail["quotient_genera"]) < len(rep.detail["fiber"]["components"])
+    ]
+    assert len(moved) >= 16, len(moved)
     at2 = [rep for _, _, p, rep in reports if p == 2]
     assert any(rep.status == "unknown-wild" for rep in at2)
     assert any(rep.status == "computed" and not rep.detail.get("good_reduction") for rep in at2)

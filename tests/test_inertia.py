@@ -361,11 +361,11 @@ def test_tame_analysis_invariant_under_root_relabelling():
 
 
 def _lefschetz_cases(pool_sample):
-    """(curve, ram) at each tame bad prime of the golden corpus, a seeded pool slice and swapped pairs.
+    """(curve, ram) at each tame bad prime of the golden corpus and a seeded pool slice.
 
-    No tame entry of the golden corpus or of the slice has a cluster that
-    inertia moves, so the last family adds two pairs centred at +-sqrt(p*u),
-    of radius p^k, which tau swaps: (x^2 + c)^2 - 4*p*u*x^2, c = p*u - p^(2k).
+    The clusters inertia moves come from the corpus's swapped pairs: two
+    pairs centred at +-sqrt(p*u), of radius p^k, which tau swaps:
+    (x^2 + c)^2 - 4*p*u*x^2, c = p*u - p^(2k).
     """
     import json
     from pathlib import Path
@@ -385,11 +385,6 @@ def _lefschetz_cases(pool_sample):
     for coeffs in random.Random(26).sample(pool, pool_sample):
         c, _ = normalize(poly_from_ints(coeffs))
         pairs.append((c, [p for p, _ in c.disc_factors if p != 3]))
-    for p in (5, 7, 11, 13):
-        for u in (1, 2):
-            for k in (1, 2):
-                c = p * u - p ** (2 * k)
-                pairs.append((normalize(poly_from_ints([1, 0, 2 * c - 4 * p * u, 0, c * c]))[0], [p]))
     for c, primes in pairs:
         for p in primes:
             if c.ord_disc(p) == 0 or (p == 2 and not sqrt_disc_unramified_at_2(c)):
