@@ -7,7 +7,7 @@ sources); documentation is echoed, never asserted.
 """
 
 import json
-from importlib import resources
+import os
 
 from .conductor import analyze_prime, global_conductor
 from .curves import normalize
@@ -16,11 +16,13 @@ from .wild3 import WildWitness
 
 
 def load_fixtures():
-    root = resources.files("picard").joinpath("fixtures")
+    # picard is installed as files, never as a zip: the JSON sits next to this module
+    root = os.path.join(os.path.dirname(__file__), "fixtures")
     out = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out.append(json.loads(entry.read_text(encoding="utf-8")))
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".json"):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                out.append(json.load(fh))
     return out
 
 

@@ -60,10 +60,15 @@ Costs are kept to one pass of each kind of work:
   degrees of the factors of f mod p, so no try climbs to it through
   NeedsLargerK at depth 0.
 - Elements are flat tuples of e*k canonical ints mod p^N, so add, sub, val
-  and is_zero are one pass over a tuple.  mul is one pass over the nonzero
-  entries of both operands into an unreduced array, folded once by
-  pi^e = c*p and once by h(t), with one reduction mod p^N per entry; at
-  e = 1 it multiplies the k-tuples directly, with nothing to fold.
+  and is_zero are one pass over a tuple.  mul is straight-line code, one
+  kernel generated and compiled per shape (e, k) on first use (see
+  TameRing.mul for the one at (2, 1)): it unpacks both factors, sums each
+  unreduced pi^s t^d cell, folds pi^e -> c*p, reduces t^(k+i) by the rows
+  of h and takes one % p^N per entry.  cp = c*p, m = p^N and the rows
+  change with the prime, so they are closure constants bound once per
+  ring, and kernels are keyed by (e, k) alone.  A kernel makes (e*k)^2
+  products: e <= 4 and k <= 12 on the tame path, e*k <= MAX_WITNESS_WIDTH
+  (wild3) in a p = 3 witness ring.
 - One Newton routine, _newton_lift, lifts the simple residue roots of f.
   It carries w ~ 1/f'(z) along with z (coupled Newton), so a lift pays
   for one inverse in F_{p^k} and none in the ring; no ring inverts its
@@ -344,7 +349,7 @@ def _fp_tuples(p, k, start=0):
         yield tuple(code // p**i % p for i in range(k))
 
 
-# polynomials over GF: lists of elements, index = degree
+# polynomials over GF or a TameRing: lists of elements, index = degree
 
 
 def gtrim(F, u):
@@ -446,6 +451,12 @@ def geval(F, a, x):
     for c in a[-2::-1]:
         acc = F.add(F.mul(acc, x), c)
     return acc
+
+
+def gderiv(F, a):
+    """a', not trimmed: coefficient i - 1 is i*a_i, entry by entry mod F.mod."""
+    m = F.mod
+    return [tuple([i * x % m for x in a[i]]) for i in range(1, len(a))]
 
 
 def _find_roots_linear_part(F, R, rng):
@@ -615,26 +626,18 @@ class TameRing:
         if e == 1:
             self.U = self
             self.gf = self if isinstance(self, GF) else _residue_field(p, k)
-            # reduction rows: t^(k+i) mod h for i in [0, k-2]
-            rows, cur = [], [-x % m for x in h[:k]]
+            # reduction rows t^(k+i) mod h for i in [0, k-2], flattened
+            red, cur = [], [-x % m for x in h[:k]]
             for _ in range(k - 1):
-                rows.append(tuple(cur))
+                red += cur
                 top = cur.pop()
-                cur = [0] + cur
-                if top:
-                    cur = [(a - top * x) % m for a, x in zip(cur, h)]
-            self._red = rows
+                cur = [(a - top * x) % m for a, x in zip([0] + cur, h)]
+            self._red = tuple(red)
         else:
             self.U = U = _unramified_ring(p, k, N)
             self.gf = U.gf
             self._red = U._red
-            # mul accumulates coefficient (i, j) of the unreduced product, i < 2e - 1
-            # and j < 2k - 1, at i*w + j; _pos[i*k + j] = i*w + j for i < e, j < k
-            self._w = w = 2 * k - 1
-            self._pos = [i * w + j for i in range(e) for j in range(k)]
-            self._tred = [
-                (i * w + j, i * w, U._red[j - k]) for i in range(e) for j in range(k, w)
-            ]
+        self._kmul = _mul_kernel(e, k)(c * p, m, *self._red)
 
     def from_int(self, n):
         return (n % self.mod,) + (0,) * (self.e * self.k - 1)
@@ -662,46 +665,16 @@ class TameRing:
         return tuple([-x % m for x in a])
 
     def mul(self, a, b):
-        """a*b, reduced by t^k -> h with one mod p^N per entry.
+        """a*b by the ring's kernel from _mul_kernel, at (e, k) = (2, 1) with cp = c*p and m = p^N:
 
-        At e = 1 the k-tuples are multiplied directly.  Otherwise one pass
-        over the nonzero entries fills the unreduced array, and pi^e -> c*p
-        folds it before the t-reduction.
+            def mul(a, b):
+                a0, a1 = a
+                b0, b1 = b
+                return ((a0*b0 + cp*(a1*b1)) % m, (a0*b1 + a1*b0) % m)
+
+        Factors of another length raise ValueError.
         """
-        if len(a) == 1:
-            return (a[0] * b[0] % self.mod,)
-        m = self.mod
-        if self.e == 1:
-            k, red = len(a), self._red
-            out = [0] * (2 * k - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            for i in range(k, 2 * k - 1):
-                x = out[i] % m
-                if x:
-                    for j, r in enumerate(red[i - k]):
-                        out[j] += x * r
-            return tuple([x % m for x in out[:k]])
-        pos = self._pos
-        bs = [(pos[t], y) for t, y in enumerate(b) if y]
-        out = [0] * ((2 * self.e - 1) * self._w)
-        for s, x in enumerate(a):
-            if x:
-                ps = pos[s]
-                for pt, y in bs:
-                    out[ps + pt] += x * y
-        cp, wrap = self.c * self.p, self.e * self._w
-        for s in range(wrap, len(out)):
-            if out[s]:
-                out[s - wrap] += cp * out[s]
-        for s, base, row in self._tred:
-            x = out[s] % m
-            if x:
-                for j, r in enumerate(row):
-                    out[base + j] += x * r
-        return tuple([out[s] % m for s in pos])
+        return self._kmul(a, b)
 
     def pow(self, a, n):
         """a^n for n >= 0."""
@@ -752,9 +725,7 @@ class TameRing:
         p = self.p
         return tuple([x % p for x in a[: self.k]])
 
-    def lift_residue(self, r):
-        # an F_{p^k} element, entries in [0, p), is already canonical mod p^N
-        return self.from_unram(r)
+    lift_residue = from_unram  # an F_{p^k} element, entries in [0, p), is canonical mod p^N
 
     def zeta(self, order):
         """Primitive order-th root of unity in U (needs order | p^k - 1), lifted as a root of x^order - 1.
@@ -780,6 +751,43 @@ class TameRing:
         for i in range(1, e):
             out += U.mul(a[i * k:(i + 1) * k], zp[i * j % e])
         return out
+
+
+@lru_cache(maxsize=64)
+def _mul_kernel(e, k):
+    """make(cp, m, *red) -> mul(a, b) for e*k-entry elements, red the flattened rows t^(k+i) mod h.
+
+    The source is written from loop indices alone, so no input reaches it.
+    """
+
+    def cell(s, d):  # the terms a_x b_y of pi^s t^d
+        return " + ".join(
+            f"a{i * k + j}*b{(s - i) * k + d - j}"
+            for i in range(max(0, s - e + 1), min(s, e - 1) + 1)
+            for j in range(max(0, d - k + 1), min(d, k - 1) + 1)
+        )
+
+    def folded(s, d):  # pi^s t^d, s < e, after pi^e -> cp
+        return f"{cell(s, d)} + cp*({cell(s + e, d)})" if s + e <= 2 * e - 2 else cell(s, d)
+
+    def entry(s, j):
+        return " + ".join([folded(s, j)] + [f"x{s}_{d}*r{d - k}_{j}" for d in range(k, 2 * k - 1)])
+
+    def items(names):  # a tuple display, or its target list
+        return ", ".join(names) + ("," if len(names) == 1 else "")
+
+    lines = [
+        f"def make({', '.join(['cp', 'm'] + [f'r{i}_{j}' for i in range(k - 1) for j in range(k)])}):",
+        "    def mul(a, b):",
+        f"        {items([f'a{x}' for x in range(e * k)])} = a",
+        f"        {items([f'b{x}' for x in range(e * k)])} = b",
+    ]
+    lines += [f"        x{s}_{d} = ({folded(s, d)}) % m" for s in range(e) for d in range(k, 2 * k - 1)]
+    lines.append(f"        return ({items([f'({entry(s, j)}) % m' for s in range(e) for j in range(k)])})")
+    lines += ["    return mul", ""]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<mul kernel e={e} k={k}>", "exec"), namespace)
+    return namespace["make"]
 
 
 # the cyclotomic polynomials of degree <= 2, lowest degree first
@@ -871,16 +879,6 @@ def _residue_field(p, k):
 def _unramified_ring(p, k, N):
     """The e = 1 ring O/p^N of Q_{p^k}^nr, shared as U by every ring with this (p, k, N)."""
     return TameRing(TameExtension(p, 1), k, N)
-
-
-# polynomials over a TameRing: list of elements, index = degree
-
-
-def rpoly_deriv(ring, poly):
-    out = []
-    for i in range(1, len(poly)):
-        out.append(ring.mul(ring.from_int(i), poly[i]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1012,7 +1010,7 @@ def _integral_roots(ring, poly, prec, depth=0, f=None):
     roots_bar, missing = residue_roots(g, pbar)
     if missing:
         raise NeedsLargerK(ring.k * missing)
-    dpoly = rpoly_deriv(ring, poly)
+    dpoly = gderiv(ring, poly)
     out = []
     m0 = 0
     for rbar, mult in roots_bar:
@@ -1180,7 +1178,7 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
         fpoly = [ring.from_int(c) for c in f_ints]
         try:
             roots = _integral_roots(ring, fpoly, ring.cap, f=tuple(f_ints))
-            cert = _certify(ring, fpoly, rpoly_deriv(ring, fpoly), roots)
+            cert = _certify(ring, fpoly, gderiv(ring, fpoly), roots)
             return SplitRoots(ring, roots, cert, tuple(f_ints))
         except NeedsLargerK as ex:
             if ex.k > HARD_K_CAP:
@@ -1362,5 +1360,5 @@ def _split_single_twin(f_ints, p, a, v):
         roots[:2] = sorted(roots[:2], key=lambda z: rank(tuple(x // p**m % p for x in z[i * k:(i + 1) * k])))
     roots.sort(key=lambda z: rank(ring.residue(z)))
     fpoly = [ring.from_int(x) for x in f_ints]
-    cert = _certify(ring, fpoly, rpoly_deriv(ring, fpoly), roots)
+    cert = _certify(ring, fpoly, gderiv(ring, fpoly), roots)
     return e, SplitRoots(ring, roots, cert, tuple(f_ints))

@@ -839,7 +839,7 @@ def test_coupled_newton_matches_exact_inverse_oracle():
             for k in (1, 2, 3):
                 ring = lf.TameRing(lf.TameExtension(p, e, rng.choice((1, -1))), k, 5)
                 poly, simple = _simple_residue_roots(rng, ring)
-                dpoly = lf.rpoly_deriv(ring, poly)
+                dpoly = lf.gderiv(ring, poly)
                 for rbar in simple:
                     r = ring.lift_residue(rbar)
                     want = _exact_inverse_newton(ring, poly, dpoly, r)
@@ -857,7 +857,7 @@ def test_coupled_newton_matches_exact_inverse_oracle():
                 for e in rng.sample([e for e in (2, 3, 4, 6, 8, 12, 24) if (p**k - 1) % e == 0], 2):
                     poly = [U.neg(U.one)] + [U.zero] * (e - 1) + [U.one]
                     rbar = lf.residue_roots(U.gf, _cyclotomic_mod(e, p, k))[0][0][0]
-                    want = _exact_inverse_newton(U, poly, lf.rpoly_deriv(U, poly), U.lift_residue(rbar))
+                    want = _exact_inverse_newton(U, poly, lf.gderiv(U, poly), U.lift_residue(rbar))
                     assert U.pow(want, e) == U.one
                     assert U.zeta(e) == want, (p, k, N, e)
                     zetas += 1
@@ -867,7 +867,7 @@ def test_coupled_newton_matches_exact_inverse_oracle():
 def test_newton_lift_stalls_when_its_step_budget_runs_out(monkeypatch):
     ring = lf.TameRing(lf.TameExtension(5, 2), 1, 10)
     poly = [ring.from_int(c) for c in (-6, 0, 1)]  # x^2 - 6: simple roots 1 and 4 mod 5
-    dpoly = lf.rpoly_deriv(ring, poly)
+    dpoly = lf.gderiv(ring, poly)
     r = ring.lift_residue((1,))
     root = lf._newton_lift(ring, poly, dpoly, r)
     assert ring.is_zero(lf.geval(ring, poly, root))
@@ -1038,6 +1038,97 @@ def test_tame_ring_matches_nested_oracle():
             assert len(r) == e * k and all(0 <= x < ring.mod for x in r)
 
 
+def _loop_mul(ring, a, b):
+    """The interpreted product that the generated kernels replaced: the reference.
+
+    The reduction rows t^(k+i) mod h are rebuilt from h.  One pass over the
+    nonzero entries fills the unreduced array, pi^e -> c*p folds it, and
+    the rows reduce it, with one mod p^N per entry.
+    """
+    p, e, k, m = ring.p, ring.e, ring.k, ring.mod
+    red, cur = [], [-x % m for x in ring.h[:k]]
+    for _ in range(k - 1):
+        red.append(tuple(cur))
+        top = cur.pop()
+        cur = [0] + cur
+        if top:
+            cur = [(x - top * y) % m for x, y in zip(cur, ring.h)]
+    if len(a) == 1:
+        return (a[0] * b[0] % m,)
+    if e == 1:
+        out = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for i in range(k, 2 * k - 1):
+            x = out[i] % m
+            if x:
+                for j, r in enumerate(red[i - k]):
+                    out[j] += x * r
+        return tuple([x % m for x in out[:k]])
+    w = 2 * k - 1
+    pos = [i * w + j for i in range(e) for j in range(k)]
+    tred = [(i * w + j, i * w, red[j - k]) for i in range(e) for j in range(k, w)]
+    bs = [(pos[t], y) for t, y in enumerate(b) if y]
+    out = [0] * ((2 * e - 1) * w)
+    for s, x in enumerate(a):
+        if x:
+            ps = pos[s]
+            for pt, y in bs:
+                out[ps + pt] += x * y
+    cp, wrap = ring.c * p, e * w
+    for s in range(wrap, len(out)):
+        if out[s]:
+            out[s - wrap] += cp * out[s]
+    for s, base, row in tred:
+        x = out[s] % m
+        if x:
+            for j, r in enumerate(row):
+                out[base + j] += x * r
+    return tuple([out[s] % m for s in pos])
+
+
+def _kernel_rings():
+    """(p, e, k, N, c): the tame shapes at five primes, and p = 3 witness rings, one wider than 64 entries."""
+    for p in (2, 5, 7, 10007, 1000003):
+        for e in range(1, 5):
+            for k in range(1, 7):
+                for N in (1, 2, 3):
+                    for c in (1, -1):
+                        if e % p:
+                            yield p, e, k, N, c
+    for m, k in ((4, 2), (8, 2), (20, 4)):
+        assert pow(3, k, m) == 1  # k is the witness ring's residue degree
+        yield 3, m, k, 20, -1
+
+
+def test_generated_mul_matches_the_loop_reference():
+    rng = random.Random(27)
+    shapes = set()
+    for p, e, k, N, c in _kernel_rings():
+        ring = lf.TameRing(lf.TameExtension(p, e, c), k, N)
+        mod, n = ring.mod, e * k
+        elts = [ring.zero, ring.one, ring.pi_power(rng.randrange(ring.cap))]
+        for _ in range(2):
+            elts.append(tuple(rng.randrange(mod) for _ in range(n)))
+            sparse = [0] * n
+            for _ in range(rng.randrange(1, 3)):
+                sparse[rng.randrange(n)] = rng.randrange(1, mod)
+            elts.append(tuple(sparse))
+        for a in elts:
+            for b in elts:
+                assert ring.mul(a, b) == _loop_mul(ring, a, b), (p, e, k, N, c, a, b)
+        # gderiv's entrywise multiples are the ring products i*a_i
+        assert lf.gderiv(ring, elts) == [ring.mul(ring.from_int(i), a) for i, a in enumerate(elts)][1:]
+        shapes.add((e, k))
+        with pytest.raises(ValueError):
+            ring.mul(ring.one, ring.one[:-1] if n > 1 else ring.one + (0,))
+        with pytest.raises(ValueError):
+            ring.mul(ring.one + (0,), ring.one)
+    assert len(shapes) == 4 * 6 + 2  # (4, 2) is a tame shape too
+
+
 # --- root lifting once per prime ------------------------------------------
 
 
@@ -1101,7 +1192,7 @@ def test_zeta_residue_root_is_the_least_of_its_order():
         else:
             rbar = _least_primitive_power(U.gf, order)
         poly = [U.neg(U.one)] + [U.zero] * (order - 1) + [U.one]
-        want = lf._newton_lift(U, poly, lf.rpoly_deriv(U, poly), U.lift_residue(rbar))
+        want = lf._newton_lift(U, poly, lf.gderiv(U, poly), U.lift_residue(rbar))
         assert U.zeta(order) == want, (p, k, N, order)
         checked += 1
     assert checked >= 1000 and brute >= 100
@@ -1250,12 +1341,12 @@ def test_depth_0_roots_lifted_once_over_the_unramified_ring():
                 for c in (1, -1):
                     ring = lf.TameRing(lf.TameExtension(p, e, c), lcm(k_top, lf.multiplicative_order(p, e)), 5)
                     poly = [ring.from_int(c) for c in f]
-                    dpoly = lf.rpoly_deriv(ring, poly)
+                    dpoly = lf.gderiv(ring, poly)
                     for rbar, mult in lf.residue_roots(ring.gf, lf._residue_poly(ring, poly))[0]:
                         if mult == 1 and not ring.gf.is_zero(rbar):
                             U = ring.U
                             upoly = [U.from_int(c) for c in f]
-                            u = lf._newton_lift(U, upoly, lf.rpoly_deriv(U, upoly), U.lift_residue(rbar))
+                            u = lf._newton_lift(U, upoly, lf.gderiv(U, upoly), U.lift_residue(rbar))
                             want = lf._newton_lift(ring, poly, dpoly, ring.lift_residue(rbar))
                             assert ring.from_unram(u) == want, (f, p, e, c)
                             lifts += 1

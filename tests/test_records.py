@@ -128,15 +128,28 @@ def test_record_checks_keep_their_messages(make, message):
     assert str(info.value) == message
 
 
-def test_import_does_not_load_dataclasses():
-    # importing dataclasses pulls in inspect, ast and dis: most of picard's import time
+def _fresh_import(flags, probe):
+    """The words `probe` prints in a fresh interpreter run with `flags`, after import picard and load_fixtures()."""
     src = str(Path(picard.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "import picard; from picard.fixtures import load_fixtures; load_fixtures(); "
-        "print('dataclasses' in sys.modules)"
+        f"print({probe})"
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, *flags, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.split() == ["False"]
+    return out.stdout.split()
+
+
+def test_import_does_not_load_dataclasses():
+    # importing dataclasses pulls in inspect, ast and dis: most of picard's import time;
+    # and no ring product kernel is compiled before the first ring is built
+    probe = "'dataclasses' in sys.modules, picard.localfield._mul_kernel.cache_info().currsize"
+    assert _fresh_import(["-I"], probe) == ["False", "0"]
+
+
+def test_fixtures_load_without_importlib_resources():
+    # without site (-S), nothing else imports importlib.resources or zipfile for picard
+    probe = "'importlib.resources' in sys.modules, 'zipfile' in sys.modules"
+    assert _fresh_import(["-I", "-S"], probe) == ["False", "False"]
