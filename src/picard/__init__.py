@@ -33,12 +33,7 @@ from .exact import (
     valuation,
 )
 from .inertia import TameAnalysis, analyze_tame, inertia_quotient
-from .localfield import (
-    NewtonPolygon,
-    PrecisionStallError,
-    TameExtension,
-    newton_polygon,
-)
+from .localfield import PrecisionStallError, TameExtension
 from .search import SearchConfig, SearchRecord, enumerate_search, rank, run_search
 from .wild3 import WildWitness, WitnessInvalidError, verify_witness
 
@@ -49,7 +44,6 @@ __all__ = [
     "FactorizationBudgetError",
     "GlobalConductor",
     "InseparableCurveError",
-    "NewtonPolygon",
     "PicardCurve",
     "Poly",
     "PrecisionStallError",
@@ -78,7 +72,6 @@ __all__ = [
     "good_reduction_at",
     "inertia_quotient",
     "is_prime",
-    "newton_polygon",
     "normalize",
     "parse_curve_text",
     "poly_from_ints",

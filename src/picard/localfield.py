@@ -94,11 +94,10 @@ Costs are kept to one pass of each kind of work:
 
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 import random
 
 from .exact import disc_quartic_monic
-from .exact import valuation as q_valuation
 from .record import FrozenRecord
 
 DEFAULT_PI_DIGITS = 20  # per unit of e; ring precision N in p-digits
@@ -613,7 +612,6 @@ class TameRing:
     """
 
     def __init__(self, ext, k, N):
-        self.ext = ext
         self.p, self.e, self.c = p, e, c = ext.p, ext.e, ext.c
         self.k = k
         self.N = N
@@ -882,67 +880,6 @@ def _unramified_ring(p, k, N):
 
 
 # ---------------------------------------------------------------------------
-# Newton polygons
-# ---------------------------------------------------------------------------
-
-
-class NewtonPolygon(FrozenRecord):
-    """Lower convex hull of {(i, ord_p(a_i))} for a polynomial.
-
-    Each slope -lambda of horizontal length l predicts exactly l roots of
-    valuation lambda (with multiplicity); zero roots of f show up as a
-    leading slope of -infinity so that lengths always sum to deg(f).
-    vertices are the hull's ((i, v), ...), i ascending, and slopes are
-    ((slope, length), ...), weakly increasing.
-    """
-
-    __slots__ = ("prime", "vertices", "slopes")
-
-    def __init__(self, prime: int, vertices: tuple, slopes: tuple):
-        self._set(prime, vertices, slopes)
-
-    def root_valuations(self):
-        out = []
-        for s, length in self.slopes:
-            out.extend([-s if s != -inf else inf] * length)
-        return out
-
-
-def lower_convex_hull(points):
-    """Monotone-chain lower hull; input sorted by x, distinct x values."""
-    hull = []
-    for x, y in points:
-        while len(hull) >= 2:
-            x1, y1 = hull[-2]
-            x2, y2 = hull[-1]
-            if (x2 - x1) * (y - y1) <= (y2 - y1) * (x - x1):
-                hull.pop()
-            else:
-                break
-        hull.append((x, y))
-    return hull
-
-
-def newton_polygon(f, p):
-    """Exact Newton polygon of a nonzero rational polynomial at p."""
-    if f.is_zero():
-        raise ValueError("Newton polygon of the zero polynomial")
-    pts = [(i, q_valuation(f[i], p)) for i in range(f.degree + 1) if f[i] != 0]
-    ord0 = pts[0][0]
-    hull = lower_convex_hull(pts)
-    slopes = []
-    if ord0:
-        slopes.append((-inf, ord0))
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = Fraction(y2 - y1, x2 - x1)
-        if slopes and slopes[-1][0] == s:
-            slopes[-1] = (s, slopes[-1][1] + (x2 - x1))
-        else:
-            slopes.append((s, x2 - x1))
-    return NewtonPolygon(prime=p, vertices=tuple(hull), slopes=tuple(slopes))
-
-
-# ---------------------------------------------------------------------------
 # root lifting over a TameRing
 # ---------------------------------------------------------------------------
 
@@ -1133,31 +1070,10 @@ def multiplicative_order(p, e):
 class SplitRoots:
     """Roots of the int polynomial f over the tame ring, with certification data."""
 
-    def __init__(self, ring, roots, cert, f):
+    def __init__(self, ring, roots, cert):
         self.ring = ring
         self.roots = roots
         self.cert = cert
-        self.f = f
-
-    def pairwise_val(self, i, j):
-        """Exact v(alpha_i - alpha_j) in p units (Fraction)."""
-        d = self.ring.val(self.ring.sub(self.roots[i], self.roots[j]))
-        return Fraction(d, self.ring.e)
-
-    def root_val(self, i):
-        """Exact v(alpha_i) in p units (Fraction, or inf for the root 0).
-
-        A candidate's own valuation is exact below its ball.  The roots are
-        separated below the least ball, so at most one lies deeper; as f's
-        leading coefficient is a unit, its valuation is v(f(0)) less the others'.
-        """
-        v = self.ring.val(self.roots[i])
-        if v < self.cert[i][1]:
-            return Fraction(v, self.ring.e)
-        if self.f[0] == 0:
-            return inf
-        others = sum(self.root_val(j) for j in range(len(self.roots)) if j != i)
-        return q_valuation(self.f[0], self.ring.p) - others
 
 
 def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
@@ -1179,7 +1095,7 @@ def lift_over_ring(f_ints, p, e, k=1, n_digits=DEFAULT_PI_DIGITS):
         try:
             roots = _integral_roots(ring, fpoly, ring.cap, f=tuple(f_ints))
             cert = _certify(ring, fpoly, gderiv(ring, fpoly), roots)
-            return SplitRoots(ring, roots, cert, tuple(f_ints))
+            return SplitRoots(ring, roots, cert)
         except NeedsLargerK as ex:
             if ex.k > HARD_K_CAP:
                 raise RuntimeError(f"residue degree {ex.k} out of range for quartics")
@@ -1361,4 +1277,4 @@ def _split_single_twin(f_ints, p, a, v):
     roots.sort(key=lambda z: rank(ring.residue(z)))
     fpoly = [ring.from_int(x) for x in f_ints]
     cert = _certify(ring, fpoly, gderiv(ring, fpoly), roots)
-    return e, SplitRoots(ring, roots, cert, tuple(f_ints))
+    return e, SplitRoots(ring, roots, cert)

@@ -249,14 +249,6 @@ def _tpow(gf, P, n):
     return (mono, [gf.one]) if n >= 0 else ([gf.one], mono)
 
 
-def _cube_root(gf, c):
-    """Unique cube root in characteristic 3 (inverse Frobenius)."""
-    out = c
-    for _ in range(gf.k - 1):
-        out = gf.mul(gf.mul(out, out), out)
-    return out
-
-
 # ---- Artin-Schreier covers -----------------------------------------------
 
 
@@ -299,12 +291,13 @@ def as_cover(gf, h):
     ram = {}
     for P in pole_candidates + [INF]:
         # a pole c t_P^-n with 3 | n goes with u = c^(1/3) t_P^(-n/3): h - (u^3 - u)
-        # has a pole of lower order at P and no new pole elsewhere
+        # has a pole of lower order at P and no new pole elsewhere; c^(1/3) = c^(3^(k-1))
+        # is the inverse Frobenius
         while (n := _pole_order(gf, h_red, P)) > 0 and n % 3 == 0:
             c = _value(gf, _rmul(gf, h_red, _tpow(gf, P, n)), P)
             if c is None or gf.is_zero(c):
                 raise WitnessInvalidError("inconsistent pole order in AS reduction")
-            u = _rscale(gf, _cube_root(gf, c), _tpow(gf, P, -n // 3))
+            u = _rscale(gf, gf.pow(c, 3 ** (gf.k - 1)), _tpow(gf, P, -n // 3))
             h_red = _rsub(gf, h_red, _rsub(gf, _rcube(gf, u), u))
             shift = _radd(gf, shift, u)
         if n > 0:
@@ -363,11 +356,8 @@ def _field_sqrt(gf, c):
 
 
 def _pi_poly_elt(ring, tup):
-    acc = ring.zero
-    for i, coef in enumerate(tup):
-        if coef:
-            acc = ring.add(acc, ring.mul(ring.from_int(coef), ring.pi_power(i)))
-    return acc
+    """The ring element sum(tup[i] * pi^i), by Horner in pi."""
+    return geval(ring, [ring.from_int(c) for c in tup], ring.pi_power(1))
 
 
 def _ringpoly_scale(ring, a, c):

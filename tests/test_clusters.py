@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_localfield import _pairwise
 
 import picard.clusters
 from picard.clusters import (
@@ -123,7 +124,7 @@ def test_inertia_preserves_cluster_depths_random():
         sr = ram.split
         perm = inertia_permutation(sr)
         for i, j in itertools.combinations(range(4), 2):
-            assert sr.pairwise_val(i, j) == sr.pairwise_val(perm[i], perm[j])
+            assert _pairwise(sr, i, j) == _pairwise(sr, perm[i], perm[j])
 
 
 def test_inertia_permutation_has_order_dividing_e():
@@ -178,7 +179,7 @@ def test_one_valuation_pattern_gives_one_shared_tree():
     # the same roots at two precisions, and roots moved by a unit multiple of
     # the cluster's diameter: other rings and roots, one valuation pattern
     splits = [_lift_split((1, 6, 2, 3), 5, 2), _lift_split((1, 6, 2, 3), 5, 30), _lift_split((1, 11, 2, 3), 5)]
-    patterns = {tuple(sr.pairwise_val(i, j) for i, j in itertools.combinations(range(4), 2)) for sr in splits}
+    patterns = {tuple(_pairwise(sr, i, j) for i, j in itertools.combinations(range(4), 2)) for sr in splits}
     assert len(patterns) == 1 and len({sr.ring.N for sr in splits}) == 3
     tree = cluster_tree(splits[0])
     assert all(cluster_tree(sr) is tree for sr in splits)

@@ -17,6 +17,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -109,6 +110,26 @@ def _mutations(chart):
         yield f"y_poly+pi^{d}x1^{j}", dict(chart, y_poly=g[:j] + [_plus_pi(g[j], d)] + chart["y_poly"][j + 1 :])
 
 
+def _witness_inputs():
+    """(key, f_ints, witness) for each verify_witness case: bundled, family and mutated."""
+    bundled = [(fix["name"], fix["witness"]) for fix in load_fixtures() if fix.get("witness")]
+    for name, data in bundled:
+        w = WildWitness.from_dict(data)
+        yield f"fixture {name}", list(w.curve[::-1]), w
+    family = dict(next(data for name, data in bundled if name == "potgood-p3-f6"))
+    family.pop("curve")
+    family = WildWitness.from_dict(family)
+    for i, curve in enumerate(_family_curves()):
+        yield f"family {i}", _witness_equation(curve, family), family
+    for name, data in bundled:
+        f_ints = data["curve"][::-1]
+        for i, chart in enumerate(data["charts"]):
+            for mutation, changed in _mutations(chart):
+                charts = [changed if j == i else ch for j, ch in enumerate(data["charts"])]
+                w = WildWitness.from_dict(dict(data, charts=charts))
+                yield f"mutated {name} chart {i} {mutation}", f_ints, w
+
+
 @cache
 def cases():
     """{key: outcome} over the whole corpus, outcomes as plain JSON values."""
@@ -122,22 +143,8 @@ def cases():
     def verified(f_ints, witness):
         return _verification(verify_witness(f_ints, witness))
 
-    bundled = [(fix["name"], fix["witness"]) for fix in load_fixtures() if fix.get("witness")]
-    for name, data in bundled:
-        w = WildWitness.from_dict(data)
-        out[f"fixture {name}"] = _outcome(verified, list(w.curve[::-1]), w)
-    family = dict(next(data for name, data in bundled if name == "potgood-p3-f6"))
-    family.pop("curve")
-    family = WildWitness.from_dict(family)
-    for i, curve in enumerate(_family_curves()):
-        out[f"family {i}"] = _outcome(verified, _witness_equation(curve, family), family)
-    for name, data in bundled:
-        f_ints = data["curve"][::-1]
-        for i, chart in enumerate(data["charts"]):
-            for mutation, changed in _mutations(chart):
-                charts = [changed if j == i else ch for j, ch in enumerate(data["charts"])]
-                w = WildWitness.from_dict(dict(data, charts=charts))
-                out[f"mutated {name} chart {i} {mutation}"] = _outcome(verified, f_ints, w)
+    for key, f_ints, w in _witness_inputs():
+        out[key] = _outcome(verified, f_ints, w)
     return out
 
 
@@ -167,6 +174,53 @@ def test_golden_witness_corpus_reaches_every_path():
     # a finite jump on a verified component: the witness path away from INF
     assert any(c["cover"] and any(P != INF for P, _ in c["cover"]["ram"]) for o in verified for c in o["components"])
     assert sum(key.startswith("mutated ") and "error" in o for key, o in outcomes.items()) >= 10
+
+
+def test_lefschetz_trace_formula_matches_witness_quotients(monkeypatch):
+    """(1/m) sum_j Tr(tau^j | H^1) equals 2 * sum(quotient_genera) + gamma0 on every computed f3.
+
+    The special fiber of types (a)-(c) is a tree, so H^1 is the sum of its
+    components' H^1, and an inseparable component (genus 0) adds 0.  An
+    etale component in an orbit of length ell is fixed by tau^j exactly
+    when ell | j; there tau^j adds 2g when it acts as the identity, else
+    2 - #fixed points.  The oracle shares the actions (_stabilizer_actions)
+    and fixed-point counts (_as_fix_count) of verify_witness, so it is
+    independent in aggregation only: it replaces the orbits, the kernel
+    count and Riemann-Hurwitz over each stabilizer of quotient_genera by an
+    average of traces over the whole group.  No input here has type (c),
+    which stays unchecked.
+    """
+    import picard.wild3 as wild3
+
+    seen = {}
+
+    def quotient_genera(*args):
+        seen["quotient"] = args[:6]
+        return quotient_genera_orig(*args)
+
+    quotient_genera_orig = wild3.quotient_genera
+    monkeypatch.setattr(wild3, "quotient_genera", quotient_genera)
+    checked = Counter()
+    for key, f_ints, w in _witness_inputs():
+        try:
+            v = verify_witness(f_ints, w)
+        except (WitnessInvalidError, lf.NeedsLargerK):
+            continue
+        if v.f3 is None:
+            continue
+        items, perm, m, genus, signature, fixed_points = seen.pop("quotient")
+        total = 0
+        for i in items:
+            ell, cur = 1, perm[i]
+            while cur != i:
+                ell, cur = ell + 1, perm[cur]
+            for j in range(0, m, ell):
+                sig = signature(i, j) if j else None
+                total += 2 * genus(i) if sig is None else 2 - fixed_points(i, j, sig)
+        assert total % m == 0 and total // m == 2 * sum(v.quotient_genera) + v.gamma0, key
+        checked[v.reduction_type, m] += 1
+    # the bundled witnesses, the 200 family curves and the mutated charts that still verify
+    assert checked == {("a", 8): 212, ("b", 4): 6}
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

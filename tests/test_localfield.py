@@ -4,13 +4,14 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
 import picard.localfield as lf
-from picard.exact import discriminant, poly_from_ints
+from picard.clusters import cluster_tree
+from picard.exact import discriminant, poly_from_ints, valuation
 
 
 def test_gf_field_axioms_random():
@@ -108,71 +109,57 @@ def test_galois_map_is_ring_automorphism():
         assert lhs == rhs
 
 
-def test_newton_polygon_pinned():
-    # all unit roots
-    np1 = lf.newton_polygon(poly_from_ints([1, 0, 14, 72, -41]), 5)
-    assert np1.slopes == ((Fraction(0), 4),)
-    # Eisenstein: slope -1/4
-    np2 = lf.newton_polygon(poly_from_ints([1, 0, 0, 0, -5]), 5)
-    assert np2.slopes == ((Fraction(-1, 4), 4),)
-    # zero root plus three unit roots (oracle: lifting mod 3^20 over e = 3
-    # shows the cubic factor has three valuation-0 roots)
-    np3 = lf.newton_polygon(poly_from_ints([1, -3, -24, -1, 0]), 3)
-    assert np3.slopes == ((-inf, 1), (Fraction(0), 3))
-    assert sorted(np3.root_valuations(), key=str) == sorted([inf, 0, 0, 0], key=str)
+def _vieta_margin(sr, f):
+    """The pi digits past the least ball to which the product of the x - z_i matches f.
+
+    f is monic, its int coefficients low to high.  Vieta: every coefficient
+    of the product, taken in the ring, must equal f's to within pi^ball, so
+    a consistent lift has a margin >= 0.
+    """
+    ring = sr.ring
+    prod = [ring.one]
+    for z in sr.roots:
+        prod = lf.gmul(ring, prod, [ring.neg(z), ring.one])
+    assert len(prod) == len(f)
+    ball = min(b for _, b in sr.cert)
+    return min(ring.val(ring.sub(c, ring.from_int(a))) for c, a in zip(prod, f)) - ball
 
 
-def test_newton_polygon_lengths_sum_to_degree():
-    rng = random.Random(19)
-    for _ in range(200):
-        f = poly_from_ints([1] + [rng.randint(-100, 100) for _ in range(4)])
-        np_ = lf.newton_polygon(f, rng.choice([2, 3, 5, 7]))
-        assert sum(length for _, length in np_.slopes) == 4
-        ss = [s for s, _ in np_.slopes]
-        assert ss == sorted(ss)
-
-
-def test_lift_roots_certification_and_np_match():
+def test_lift_roots_certification_and_vieta_match():
     rng = random.Random(23)
     checked = 0
     while checked < 40:
         coeffs = [1] + [rng.randint(-30, 30) for _ in range(4)]
-        f = poly_from_ints(coeffs)
-        from picard.exact import discriminant
-
-        if discriminant(f) == 0:
+        if discriminant(poly_from_ints(coeffs)) == 0:
             continue
         p = rng.choice([5, 7])
+        f = list(reversed(coeffs))
         try:
-            e, sr = lf.split_over_minimal_tame(list(reversed(coeffs)), p)
+            e, sr = lf.split_over_minimal_tame(f, p)
         except lf.WildSplittingError:
             continue
         checked += 1
-        np_vals = sorted(
-            lf.newton_polygon(f, p).root_valuations(), key=lambda v: (v is inf, v)
-        )
-        got = sorted(
-            (sr.root_val(i) for i in range(4)), key=lambda v: (v is inf, v)
-        )
-        # root_val is exact at any N: inf for an exact zero root
-        assert got == np_vals
+        assert _vieta_margin(sr, f) >= 0, (f, p)
         for i in range(4):
             fv, ball = sr.cert[i]
             assert fv >= 2 * (fv - ball) + 1  # a - 2b >= 1
+
+
+def _pairwise(sr, i, j):
+    """v(alpha_i - alpha_j) in p units, read off the ring without the cluster tree."""
+    ring = sr.ring
+    return Fraction(ring.val(ring.sub(sr.roots[i], sr.roots[j])), ring.e)
 
 
 def test_lift_roots_example_unit_pair():
     # f = x^4+14x^2+72x-41 mod 5 = (x+3)^2 (x^2+4x+1): two unit Hensel roots
     # and two roots congruent to -3, splitting at depth 3
     sr = lf.lift_over_ring([-41, 72, 14, 0, 1], 5, 1)
-    deep = [
-        (i, j)
-        for i, j in itertools.combinations(range(4), 2)
-        if sr.pairwise_val(i, j) > 0
-    ]
+    pairwise = cluster_tree(sr).pairwise
+    deep = [(i, j) for i, j in itertools.combinations(range(4), 2) if pairwise[i, j] > 0]
     assert len(deep) == 1
     i, j = deep[0]
-    assert sr.pairwise_val(i, j) == 3
+    assert pairwise[i, j] == 3
     ring = sr.ring
     for t in (i, j):
         # alpha = -58 mod 5^3
@@ -183,10 +170,7 @@ def test_lift_roots_example_unit_pair():
 def test_lift_roots_quarter_valuation():
     e, sr = lf.split_over_minimal_tame([-5, 0, 0, 0, 1], 5)
     assert e == 4
-    assert all(sr.root_val(i) == Fraction(1, 4) for i in range(4))
-    assert {
-        sr.pairwise_val(i, j) for i, j in itertools.combinations(range(4), 2)
-    } == {Fraction(1, 4)}
+    assert set(cluster_tree(sr).pairwise.values()) == {Fraction(1, 4)}
 
 
 def test_lift_roots_double_cluster_derived():
@@ -195,8 +179,7 @@ def test_lift_roots_double_cluster_derived():
     p = 5
     e, sr = lf.split_over_minimal_tame([2 * p * p, 0, -3 * p, 0, 1], p)
     assert e == 2
-    vals = {sr.pairwise_val(i, j) for i, j in itertools.combinations(range(4), 2)}
-    assert vals == {Fraction(1, 2)}
+    assert set(cluster_tree(sr).pairwise.values()) == {Fraction(1, 2)}
 
 
 def test_wild_detection():
@@ -244,7 +227,7 @@ def test_lift_roots_public_api_half_valuation():
     p = 5
     sr = lf.lift_over_ring([2 * p * p, 0, -3 * p, 0, 1], p, 2)
     assert min(_precisions(sr)) >= 6
-    assert all(sr.root_val(i) == Fraction(1, 2) for i in range(len(sr.roots)))
+    assert set(cluster_tree(sr).pairwise.values()) == {Fraction(1, 2)}
 
 
 def test_lift_roots_insufficient_extension():
@@ -255,8 +238,6 @@ def test_lift_roots_insufficient_extension():
 
 
 def test_cluster_tree_from_approx_roots():
-    from picard.clusters import cluster_tree
-
     sr = lf.lift_over_ring([-41, 72, 14, 0, 1], 5, 1)
     assert min(_precisions(sr)) >= 8
     t = cluster_tree(sr)
@@ -1454,7 +1435,7 @@ def _tries_of_e(f, p, n_digits):
                 out.append((e, "NeedsLargerE"))
                 continue
             pairs = itertools.combinations(range(4), 2)
-            return out + [(e, tuple(sr.pairwise_val(i, j) for i, j in pairs))]
+            return out + [(e, tuple(_pairwise(sr, i, j) for i, j in pairs))]
     return out
 
 
@@ -1482,7 +1463,7 @@ def test_needs_larger_e_at_low_precision_was_a_truncated_hull():
     assert sr.ring.e == 1 and sr.ring.N > 6
     hi = lf.lift_over_ring(f, 2, 1, n_digits=80)
     pairs = list(itertools.combinations(range(4), 2))
-    assert [sr.pairwise_val(i, j) for i, j in pairs] == [hi.pairwise_val(i, j) for i, j in pairs]
+    assert [_pairwise(sr, i, j) for i, j in pairs] == [_pairwise(hi, i, j) for i, j in pairs]
 
 
 def test_exact_roots_inside_clusters_keep_their_place_at_every_precision():
@@ -1617,16 +1598,6 @@ def test_a_certified_slope_forces_its_denominator(monkeypatch):
     assert _tries(f, 5, monkeypatch) == (3, [1, 3])
 
 
-def test_root_valuation_is_exact_below_the_ball_and_deeper():
-    # (x - 5)(x - 1)(x - 2)(x - 3) and x (x - 1)(x - 2)(x - 3) from N = 1:
-    # the root near 0 is known only mod 5, yet its valuation is exact
-    for r, want in ((5, 1), (0, inf)):
-        f = [6 * r, -6 - 11 * r, 11 + 6 * r, -6 - r, 1]
-        sr = lf.lift_over_ring(f, 5, 1, n_digits=1)
-        assert sr.ring.N == 1
-        assert sorted(sr.root_val(i) for i in range(4)) == [0, 0, 0, want]
-
-
 def test_discriminant_valuation_of_a_quartic_with_unit_leading_coefficient():
     rng = random.Random(5)
     for _ in range(60):
@@ -1638,7 +1609,7 @@ def test_discriminant_valuation_of_a_quartic_with_unit_leading_coefficient():
             with pytest.raises(ValueError):
                 lf._disc_val(f, p)
         else:
-            assert lf._disc_val(f, p) == lf.q_valuation(d, p), (f, p)
+            assert lf._disc_val(f, p) == valuation(d, p), (f, p)
 
 
 def test_residue_factorization_and_zeta_caches():

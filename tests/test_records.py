@@ -13,8 +13,7 @@ import picard
 from picard.conductor import ConductorReport, GlobalConductor
 from picard.cover import SpecialFiber
 from picard.curves import EquivalenceWitness
-from picard.exact import poly_from_ints
-from picard.localfield import NewtonPolygon, TameExtension, newton_polygon
+from picard.localfield import TameExtension
 from picard.search import SearchConfig
 from picard.wild3 import WildWitness, WitnessChart
 
@@ -30,11 +29,6 @@ def _report(detail=None):
 # (make, a field to assign, the repr that dataclasses gave the same object)
 FROZEN = [
     (lambda: TameExtension(3, 8, -1), "e", "TameExtension(p=3, e=8, c=-1)"),
-    (
-        lambda: newton_polygon(poly_from_ints([1, 0, 0, 25, 5]), 5),
-        "slopes",
-        "NewtonPolygon(prime=5, vertices=((0, 1), (4, 0)), slopes=((Fraction(-1, 4), 4),))",
-    ),
     (
         lambda: SpecialFiber("b", (((0, 1), 1, 1), ((0, 1, 2, 3), 1, 1)), ((1, (0, 1), (0, 1, 2, 3)),), 0),
         "gamma",
@@ -96,7 +90,7 @@ def test_frozen_records_are_values(make, field, text):
 def test_records_with_different_fields_differ():
     assert TameExtension(3, 8, 1) != TameExtension(3, 8, -1)
     assert SearchConfig((2, 3), 4) == SearchConfig((3, 2, 2), 4) != SearchConfig((2, 3), 5)
-    assert NewtonPolygon(5, (), ()) != TameExtension(5, 1)
+    assert SearchConfig((5,), 1) != TameExtension(5, 1)
 
 
 def test_conductor_report_eq_ignores_detail():
