@@ -2,8 +2,9 @@
 
 The cases are seeded Artin-Schreier covers z^3 - z = h over F_3 and F_9,
 with poles at rational points and at infinity; the bundled witnesses on
-their curves; the potgood-p3-f6 chart on a seeded family of curves; and
-the bundled charts with one field changed.  An outcome is the full
+their curves; the potgood-p3-f6 chart on a seeded family of curves; the
+bundled charts with one field changed; and the bundled charts lowered,
+duplicated or moved to another m.  An outcome is the full
 result, each component's cover included (h, h_red, shift, the jumps in
 their order, tbar), or the type and message of the error it raises.
 golden_witness.json holds the sha256 of each outcome's compact JSON; a
@@ -128,6 +129,33 @@ def _witness_inputs():
                 charts = [changed if j == i else ch for j, ch in enumerate(data["charts"])]
                 w = WildWitness.from_dict(dict(data, charts=charts))
                 yield f"mutated {name} chart {i} {mutation}", f_ints, w
+    yield from _inseparable_inputs(bundled)
+
+
+def _inseparable_inputs(bundled):
+    """(key, f_ints, witness) for the bundled charts changed so that components turn inseparable.
+
+    A lower y_codim makes y1^3 = cube; a duplicated chart 0 gives genera no
+    type has; at m = 10 the m = 8 charts certify an inseparable component,
+    and at m = 16 with every scale doubled they certify type (a) again.
+    """
+    for name, data in bundled:
+        f_ints = data["curve"][::-1]
+        for i, chart in enumerate(data["charts"]):
+            for drop in (1, 2):
+                charts = [dict(ch, y_codim=ch["y_codim"] - drop) if j == i else ch for j, ch in enumerate(data["charts"])]
+                w = WildWitness.from_dict(dict(data, charts=charts))
+                yield f"lowered {name} chart {i} y_codim-{drop}", f_ints, w
+        w = WildWitness.from_dict(dict(data, charts=data["charts"][:1] + data["charts"]))
+        yield f"duplicated {name} chart 0", f_ints, w
+    for name, data in bundled:
+        if data["m"] != 8:
+            continue
+        f_ints = data["curve"][::-1]
+        yield f"retuned {name} m=10", f_ints, WildWitness.from_dict(dict(data, m=10))
+        scaled = [dict(ch, x_scale=2 * ch["x_scale"], y_scale=2 * ch["y_scale"], y_codim=2 * ch["y_codim"])
+                  for ch in data["charts"]]
+        yield f"retuned {name} m=16", f_ints, WildWitness.from_dict(dict(data, m=16, charts=scaled))
 
 
 @cache
@@ -174,6 +202,11 @@ def test_golden_witness_corpus_reaches_every_path():
     # a finite jump on a verified component: the witness path away from INF
     assert any(c["cover"] and any(P != INF for P, _ in c["cover"]["ram"]) for o in verified for c in o["components"])
     assert sum(key.startswith("mutated ") and "error" in o for key, o in outcomes.items()) >= 10
+    # both ends of the inseparable branch: a triple line is refused, and a
+    # reduced y1^3 = -A0 is accepted, here as the only component
+    messages = {o["message"] for o in outcomes.values() if "message" in o}
+    assert any(msg.endswith("reduction y1^3 = cube is not a reduced curve") for msg in messages)
+    assert "etale component genera [] match no reduction type" in messages
 
 
 def test_lefschetz_trace_formula_matches_witness_quotients(monkeypatch):
@@ -219,8 +252,9 @@ def test_lefschetz_trace_formula_matches_witness_quotients(monkeypatch):
                 total += 2 * genus(i) if sig is None else 2 - fixed_points(i, j, sig)
         assert total % m == 0 and total // m == 2 * sum(v.quotient_genera) + v.gamma0, key
         checked[v.reduction_type, m] += 1
-    # the bundled witnesses, the 200 family curves and the mutated charts that still verify
-    assert checked == {("a", 8): 212, ("b", 4): 6}
+    # the bundled witnesses, the 200 family curves, the mutated charts that
+    # still verify and the m = 8 charts retuned to m = 16
+    assert checked == {("a", 8): 212, ("b", 4): 6, ("a", 16): 2}
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
