@@ -67,7 +67,7 @@ class PicardCurve:
 
     __slots__ = ("coeffs", "disc", "disc_sign", "disc_factors", "label")
 
-    def __init__(self, f, label=None):
+    def __init__(self, f):
         if f.degree != 4 or f.lc != 1 or not f.is_integral():
             raise ValueError("PicardCurve wants a monic integral quartic")
         self.coeffs = f.int_coeffs()
@@ -75,7 +75,7 @@ class PicardCurve:
         if self.disc == 0:
             raise InseparableCurveError("quartic is inseparable")
         self.disc_sign, self.disc_factors = factor_integer(self.disc)
-        self.label = label if label is not None else curve_text(self.coeffs)
+        self.label = curve_text(self.coeffs)
 
     @property
     def f(self):
@@ -146,7 +146,7 @@ def _descale_shift(coeffs, p):
     return None
 
 
-def normalize(f_raw, label=None):
+def normalize(f_raw):
     """Normalize a separable rational quartic to its canonical minimal model.
 
     Returns (PicardCurve, EquivalenceWitness) with the witness mapping f_raw
@@ -179,7 +179,7 @@ def normalize(f_raw, label=None):
 
     # per-prime maximal descaling, ord_p(Delta) -36 each time: u = 1/p is a
     # unit away from p, so no other prime's exponent or descale moves
-    curve = PicardCurve(f, label=label)
+    curve = PicardCurve(f)
     coeffs = curve.coeffs
     for p, e in curve.disc_factors:
         while e >= 36 and (descaled := _descale_shift(coeffs, p)) is not None:
@@ -187,7 +187,7 @@ def normalize(f_raw, label=None):
             wit = wit.compose_scale_shift(Fraction(1, p), Fraction(t))
             e -= 36
     if coeffs != curve.coeffs:
-        curve = PicardCurve(Poly(coeffs), label=label)
+        curve = PicardCurve(Poly(coeffs))
     return curve, wit
 
 

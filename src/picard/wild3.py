@@ -17,10 +17,12 @@ value and one fixed-point count.
 
 What does not involve f is bound once per witness ring, shared by every
 curve the witness is applied to: the ring itself, each chart's constants
-(c, g, pi^(3b) g^3 and the rows of y1, y1^2, y1^3), the ring-level action of
-the generator of each chart's stabilizer and the permutation of the chart
-disks.  A curve pays for f(c + pi^a x1) and everything after it; the
-actions of the stabilizer's powers are composed from the generator's in F_q.
+(c, g, pi^(3b) g^3, the content of the rows of y1, y1^2, y1^3 and tbar),
+the action of the generator of each chart's stabilizer on the AS generator
+z = y1/tbar and the permutation of the chart disks.  A curve pays for
+f(c + pi^a x1), the content and reduction of the y1^0 row, the AS cover and
+the shift of the action to the AS-reduced z; the actions of the
+stabilizer's powers are composed from the generator's in F_q.
 A check that fails is never kept, so it fails again for the next curve.
 """
 
@@ -317,51 +319,12 @@ def _rcube(gf, x):
     return _rmul(gf, x, _rmul(gf, x, x))
 
 
-def _poly_sqrt(gf, B):
-    """Square root of a polynomial over F_{3^k}, or None."""
-    if not B:
-        return []
-    d = len(B) - 1
-    if d % 2:
-        return None
-    half = d // 2
-    lead = _field_sqrt(gf, B[-1])
-    if lead is None:
-        return None
-    t = [gf.zero] * (half + 1)
-    t[half] = lead
-    inv2lead = gf.inv(gf.add(lead, lead))
-    for i in range(half - 1, -1, -1):
-        acc = gf.zero
-        for j in range(i + 1, half + 1):
-            kk = half + i - j
-            if i < kk <= half:
-                acc = gf.add(acc, gf.mul(t[j], t[kk]))
-        target = B[half + i] if half + i < len(B) else gf.zero
-        t[i] = gf.mul(gf.sub(target, acc), inv2lead)
-    if gtrim(gf, gadd(gf, gmul(gf, t, t), [gf.neg(c) for c in B])) != []:
-        return None
-    return gtrim(gf, t)
-
-
-def _field_sqrt(gf, c):
-    """Deterministic square root in F_{3^k} by ascending scan (tiny fields)."""
-    for s in gf.elements():
-        if gf.mul(s, s) == c:
-            return s
-    return None
-
-
 # ---- chart substitution and reduction --------------------------------------
 
 
 def _pi_poly_elt(ring, tup):
     """The ring element sum(tup[i] * pi^i), by Horner in pi."""
     return geval(ring, [ring.from_int(c) for c in tup], ring.pi_power(1))
-
-
-def _ringpoly_scale(ring, a, c):
-    return [ring.mul(x, c) for x in a]
 
 
 @lru_cache(maxsize=8)
@@ -375,44 +338,48 @@ def _witness_ring(m, k):
 
 @lru_cache(maxsize=64)
 def _chart_constants(ring, chart):
-    """(c, g, rows): the chart's data on the ring that do not involve f.
+    """(c, g, y0, upper, tbar): the chart's data on the ring that do not involve f.
 
-    rows are the coefficients of y^3 = pi^(3b) (g + pi^d y1)^3 in y1^0 .. y1^3,
-    each a polynomial in x1 over the ring.
+    y^3 = pi^(3b) (g + pi^d y1)^3 has the y1^0 row y0 = pi^(3b) g^3.  As
+    3 = -pi^m, its other rows are pi^(3b+3d) y1^3 - pi^(3b+2d+m) g y1^2 -
+    pi^(3b+d+m) g^2 y1; with g = pi^s g', g' primitive, upper is their
+    content min(3b+3d, 3b+2d+m+s, 3b+d+m+2s), capped.  Divided by the only
+    content that leaves y1^3 a nonzero constant, pi^(3b+3d), the y1^2 row
+    reduces to 0 (m+s-d > 0 there), and the y1 row to -tbar^2 with tbar =
+    +-g'bar when m + 2s = 2d, else to 0 (tbar None: the component is
+    inseparable).  The sign puts first in gf.elements() order the leading
+    coefficient of tbar among the two square roots of its square.
     """
+    b, d, m = chart.y_scale, chart.y_codim, ring.e
+    gf = ring.gf
     center = _pi_poly_elt(ring, chart.x_center)
     G = [_pi_poly_elt(ring, tup) for tup in chart.y_poly]
-    pb3 = ring.pi_power(3 * chart.y_scale)
-    pd = ring.pi_power(chart.y_codim)
-    pd2 = ring.mul(pd, pd)
-    pd3 = ring.mul(pd2, pd)
-    three = ring.from_int(3)
-    G2 = gmul(ring, G, G)
-    G3 = gmul(ring, G2, G)
-    rows = (
-        _ringpoly_scale(ring, G3, pb3),
-        _ringpoly_scale(ring, G2, ring.mul(pb3, ring.mul(three, pd))),
-        _ringpoly_scale(ring, G, ring.mul(pb3, ring.mul(three, pd2))),
-        [ring.mul(pb3, pd3)],
-    )
-    return center, G, rows
+    pb3 = ring.pi_power(3 * b)
+    y0 = [ring.mul(c, pb3) for c in gmul(ring, G, gmul(ring, G, G))]
+    s = min([ring.val(c) for c in G], default=ring.cap)
+    upper = min(3 * (b + d), 3 * b + 2 * d + m + s, 3 * b + d + m + 2 * s, ring.cap)
+    tbar = None
+    if s < ring.cap and m + 2 * s == 2 * d:
+        tbar = gtrim(gf, [ring.residue(ring.div_pi(c, s)) for c in G])
+        lead = tbar[-1]
+        if next(x for x in gf.elements() if x in (lead, gf.neg(lead))) != lead:
+            tbar = [gf.neg(c) for c in tbar]
+    return center, G, y0, upper, tbar
 
 
 def _chart_reduction(ring, f_ints, chart):
-    """Substitute the chart into y^3 - f(x); return (rows, N0).
+    """(a0, N0): the content pi^N0 of y^3 - f(x) in the chart, and its y1^0 row divided by it, reduced.
 
-    rows[j] is the coefficient of y1^j as a polynomial in x1 over the ring,
-    after dividing out the content pi^N0.
+    The other rows enter only through their content, a chart constant.
     """
-    center, _, (y0, *upper) = _chart_constants(ring, chart)
+    center, _, y0, upper, _ = _chart_constants(ring, chart)
     f = [ring.from_int(coef) for coef in f_ints]
     fX = gcompose_linear(ring, f, ring.pi_power(chart.x_scale), center)
-    rows = [gadd(ring, y0, [ring.neg(c) for c in fX]), *upper]
-    n0 = min(ring.val(c) for row in rows for c in row)
+    row = gadd(ring, y0, [ring.neg(c) for c in fX])
+    n0 = min([upper] + [ring.val(c) for c in row])
     if n0 >= ring.cap:
         raise WitnessInvalidError("chart substitution vanishes at working precision")
-    rows = [[ring.div_pi(c, n0) for c in row] for row in rows]
-    return rows, n0
+    return gtrim(ring.gf, [ring.residue(ring.div_pi(c, n0)) for c in row]), n0
 
 
 class ChartComponent(ComparedRecord):
@@ -432,16 +399,13 @@ class ChartComponent(ComparedRecord):
 
 def _analyze_chart(ring, f_ints, idx, chart):
     gf = ring.gf
-    rows, _ = _chart_reduction(ring, f_ints, chart)
-    rbar = [gtrim(gf, [ring.residue(c) for c in row]) for row in rows]
-    if not rbar[3] or len(rbar[3]) != 1:
+    a0, n0 = _chart_reduction(ring, f_ints, chart)
+    if n0 != 3 * (chart.y_scale + chart.y_codim):
         raise WitnessInvalidError(
             f"chart {idx}: y1^3 coefficient does not reduce to a nonzero constant"
         )
-    lead_inv = gf.inv(rbar[3][0])
-    rbar = [[gf.mul(c, lead_inv) for c in r] for r in rbar]
-    a2, a1, a0 = rbar[2], rbar[1], rbar[0]
-    if not a2 and not a1:
+    tbar = _chart_constants(ring, chart)[4]
+    if tbar is None:
         # y1^3 = -A0: purely inseparable component, provided the right side
         # is not itself a cube (else the reduction is a triple line)
         if not a0 or all(gf.is_zero(c) or i % 3 == 0 for i, c in enumerate(a0)):
@@ -449,15 +413,7 @@ def _analyze_chart(ring, f_ints, idx, chart):
                 f"chart {idx}: reduction y1^3 = cube is not a reduced curve"
             )
         return ChartComponent(index=idx, inseparable=True, genus=0, chart=chart)
-    if a2:
-        raise WitnessInvalidError(
-            f"chart {idx}: reduction is not invariant under the deck translation"
-        )
-    tbar = _poly_sqrt(gf, [gf.neg(c) for c in a1])
-    if tbar is None or not tbar:
-        raise WitnessInvalidError(
-            f"chart {idx}: y1 coefficient is not minus a square; no AS form"
-        )
+    # y1^3 - tbar^2 y1 + A0 = 0 is z^3 - z = h in z = y1/tbar
     t3 = gmul(gf, tbar, gmul(gf, tbar, tbar))
     h = _rf(gf, [gf.neg(c) for c in a0], t3)
     cover = as_cover(gf, h)
@@ -471,56 +427,45 @@ def _analyze_chart(ring, f_ints, idx, chart):
 
 @lru_cache(maxsize=64)
 def _chart_action(ring, ch, j):
-    """(lambda, gamma, F): x-affine map and the y1 correction of tau^j.
+    """(lam, gam, eps, w): tau^j on a separable chart, x1 -> lam*x1 + gam, z -> eps*z + w(x1).
 
-    Valid only when tau^j stabilizes the chart's disk.  The point map is
-    x1 -> lambda*x1 + gamma, y1 -> zeta^(j(b+d)) y1 + F(x1-image).  It
-    involves only the chart, so it is kept once it has passed its check.
+    Valid only when tau^j stabilizes the chart's disk.  With A the map on
+    x1, tau^j sends y1 to zeta^(j(b+d)) y1 + F(A x1), where F∘A is the
+    reduction of (zeta^(jb) tau^j(g) - g(zeta^(ja) x1 + gamma)) / pi^d; so
+    z = y1/tbar goes to eps z + w with tbar∘A = kappa tbar, eps =
+    zeta^(j(b+d))/kappa and w = F∘A / tbar∘A.  It involves only the chart,
+    so it is kept once it has passed its checks.
     """
     a, b, d = ch.x_scale, ch.y_scale, ch.y_codim
     m = ring.e
     gf = ring.gf
     zp = ring.zeta_powers
-    center, G, _ = _chart_constants(ring, ch)
-    tau_c = ring.galois_map(center, j)
-    gam_elt = ring.div_pi(ring.sub(tau_c, center), a)
-    gam = ring.residue(gam_elt)
-    lam = ring.residue(zp[j * a % m])
-    Gtau = [ring.galois_map(cf, j) for cf in G]
-    zinv = ring.from_unram(zp[-j * a % m])
-    inner_gam = ring.mul(zinv, ring.sub(ring.zero, gam_elt))
-    composed = gcompose_linear(ring, Gtau, zinv, inner_gam)
+    center, G, _, _, tbar = _chart_constants(ring, ch)
+    gam_elt = ring.div_pi(ring.sub(ring.galois_map(center, j), center), a)
+    lam, gam = ring.residue(zp[j * a % m]), ring.residue(gam_elt)
     zb = ring.from_unram(zp[j * b % m])
-    H = gadd(
-        ring,
-        _ringpoly_scale(ring, composed, zb),
-        _ringpoly_scale(ring, G, ring.from_int(-1)),
-    )
+    moved = gcompose_linear(ring, G, ring.from_unram(zp[j * a % m]), gam_elt)
+    H = gadd(ring, [ring.mul(zb, ring.galois_map(cf, j)) for cf in G], [ring.neg(c) for c in moved])
     for c in H:
         if ring.val(c) < d:
             raise WitnessInvalidError("chart is not equivariant under its stabilizer")
-    F = gtrim(gf, [ring.residue(ring.div_pi(c, d)) for c in H])
-    return lam, gam, F
-
-
-def _as_automorphism(ring, comp, j):
-    """(lam, gam, eps, w_red): the induced automorphism in AS coordinates."""
-    gf = ring.gf
-    m = ring.e
-    ch = comp.chart
-    lam, gam, F = _chart_action(ring, ch, j)
-    zbd = ring.residue(ring.zeta_powers[j * (ch.y_scale + ch.y_codim) % m])
-    tbar = comp.tbar
+    FA = gtrim(gf, [ring.residue(ring.div_pi(c, d)) for c in H])
     tA = gcompose_linear(gf, tbar, lam, gam)
     if len(tA) != len(tbar):
         raise WitnessInvalidError("translation function not projectively invariant")
     kappa = gf.mul(tA[-1], gf.inv(tbar[-1]))
     if gtrim(gf, gadd(gf, tA, [gf.neg(gf.mul(kappa, c)) for c in tbar])) != []:
         raise WitnessInvalidError("translation function not scaled by the action")
-    eps = gf.mul(zbd, gf.inv(kappa))
+    eps = gf.mul(ring.residue(zp[j * (b + d) % m]), gf.inv(kappa))
     if eps != gf.one and eps != gf.neg(gf.one):
         raise WitnessInvalidError("deck conjugation is not +/-1 on the AS generator")
-    w = _rf(gf, gcompose_linear(gf, F, lam, gam), tA)
+    return lam, gam, eps, _rf(gf, FA, tA)
+
+
+def _as_automorphism(ring, comp, j):
+    """(lam, gam, eps, w_red): the chart action of tau^j on the AS-reduced z_red = z - shift."""
+    gf = ring.gf
+    lam, gam, eps, w = _chart_action(ring, comp.chart, j)
     cover = comp.cover
     shift_a = _rcompose_affine(gf, cover.shift, lam, gam)
     w_red = _rsub(gf, _radd(gf, _rscale(gf, eps, cover.shift), w), shift_a)

@@ -14,9 +14,9 @@ from picard.conductor import analyze_p2, analyze_p3, conductor_tame, global_cond
 from picard.curves import equivalent, normalize
 from picard.exact import discriminant, poly_from_ints
 from picard.inertia import analyze_tame
-from picard.localfield import TameExtension, TameRing, gtrim, lift_over_ring
+from picard.localfield import TameExtension, TameRing, lift_over_ring
 from picard.search import SearchConfig, run_search
-from picard.wild3 import WildWitness, _chart_reduction, verify_witness
+from picard.wild3 import WildWitness, _chart_constants, _chart_reduction, verify_witness
 
 
 def _report(n, label):
@@ -69,16 +69,13 @@ def test_criterion_3_p3_witnesses():
     comp = v1.components[0]
     gf = comp.cover.gf
     ring = TameRing(TameExtension(3, 8, -1), gf.k, 20)
-    rows, _ = _chart_reduction(ring, [1, 0, 0, 0, 1], comp.chart)
-    rbar = [gtrim(gf, [ring.residue(c) for c in row]) for row in rows]
-    lead_inv = gf.inv(rbar[3][0])
-    a0, a1, a2, a3 = [[gf.mul(c, lead_inv) for c in r] for r in rbar]
-    # smooth reduction y^3 - y = x^4 (as coefficients: A3=1, A2=0, A1=-1,
-    # A0 = -x^4)
-    assert list(a3) == [gf.one]
-    assert list(a2) == []
-    assert list(a1) == [gf.neg(gf.one)]
-    assert list(a0) == [gf.zero] * 4 + [gf.neg(gf.one)]
+    a0, n0 = _chart_reduction(ring, [1, 0, 0, 0, 1], comp.chart)
+    tbar = _chart_constants(ring, comp.chart)[4]
+    # smooth reduction y^3 - y = x^4: content pi^(3(b+d)), so A3 = 1 and
+    # A2 = 0; A1 = -tbar^2 = -1 and A0 = -x^4
+    assert n0 == 12
+    assert tbar == [gf.one]
+    assert a0 == [gf.zero] * 4 + [gf.neg(gf.one)]
     t1 = time.perf_counter()
     assert t1 - t0 < 5.0
 

@@ -209,6 +209,65 @@ def test_golden_witness_corpus_reaches_every_path():
     assert "etale component genera [] match no reduction type" in messages
 
 
+def _four_row_reduction(ring, f_ints, chart):
+    """(rows, N0): y^3 - f(x) in the chart with every row substituted, divided by the content pi^N0, reduced.
+
+    rows[j] is the coefficient of y1^j in x1 over the residue field.  The
+    reference the chart constants replace: y^3 = pi^(3b) (g + pi^d y1)^3
+    expanded with 3 as a ring element, nothing derived.
+    """
+    gf = ring.gf
+    pi_elt = lambda tup: lf.geval(ring, [ring.from_int(c) for c in tup], ring.pi_power(1))  # noqa: E731
+    G = [pi_elt(tup) for tup in chart.y_poly]
+    G2 = lf.gmul(ring, G, G)
+    b, d = chart.y_scale, chart.y_codim
+    three = ring.from_int(3)
+    fX = lf.gcompose_linear(ring, [ring.from_int(c) for c in f_ints], ring.pi_power(chart.x_scale), pi_elt(chart.x_center))
+    rows = [
+        lf.gadd(ring, [ring.mul(c, ring.pi_power(3 * b)) for c in lf.gmul(ring, G2, G)], [ring.neg(c) for c in fX]),
+        [ring.mul(c, ring.mul(three, ring.pi_power(3 * b + d))) for c in G2],
+        [ring.mul(c, ring.mul(three, ring.pi_power(3 * b + 2 * d))) for c in G],
+        [ring.pi_power(3 * b + 3 * d)],
+    ]
+    n0 = min(ring.val(c) for row in rows for c in row)
+    if n0 >= ring.cap:
+        return None, n0
+    return [lf.gtrim(gf, [ring.residue(ring.div_pi(c, n0)) for c in row]) for row in rows], n0
+
+
+def test_chart_constants_match_the_four_row_reduction():
+    """On every chart of the corpus whose y1^3 row reduces to a nonzero constant: A3 = 1, A2 = 0, A1 = -tbar^2.
+
+    tbar None stands for A1 = 0, the inseparable case; A0 and N0 are those
+    of wild3._chart_reduction, and the content check passes exactly there.
+    """
+    import picard.wild3 as wild3
+
+    checked = Counter()
+    for key, f_ints, w in _witness_inputs():
+        ring = wild3._witness_ring(w.m, lf.multiplicative_order(3, w.m))
+        gf = ring.gf
+        for chart in w.charts:
+            rows, n0 = _four_row_reduction(ring, f_ints, chart)
+            if rows is None:
+                continue
+            a0, got_n0 = wild3._chart_reduction(ring, f_ints, chart)
+            assert (a0, got_n0) == (rows[0], n0), key
+            passes = len(rows[3]) == 1  # gtrim left a nonzero constant
+            assert passes == (n0 == 3 * (chart.y_scale + chart.y_codim)), key
+            if not passes:
+                continue
+            tbar = wild3._chart_constants(ring, chart)[4]
+            assert rows[3] == [gf.one] and rows[2] == [], key
+            minus_t2 = [] if tbar is None else [gf.neg(c) for c in lf.gmul(gf, tbar, tbar)]
+            assert rows[1] == minus_t2, key
+            checked[tbar is None] += 1
+    print(checked)
+    # separable: the bundled, family, mutated and m = 16 charts; inseparable:
+    # the lowered and the m = 10 ones
+    assert checked == {False: 254, True: 10}
+
+
 def test_lefschetz_trace_formula_matches_witness_quotients(monkeypatch):
     """(1/m) sum_j Tr(tau^j | H^1) equals 2 * sum(quotient_genera) + gamma0 on every computed f3.
 

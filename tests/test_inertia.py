@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from picard.clusters import Ramification, cluster_tree, splitting_ramification
 from picard.curves import normalize
 from picard.exact import Poly, discriminant, poly_from_ints
@@ -7,6 +9,7 @@ from picard.inertia import (
     analyze_tame,
     inertia_quotient,
     needs_cube_twist,
+    quotient_genera,
 )
 
 
@@ -26,6 +29,26 @@ def test_trivial_action_quotient_is_fiber():
     assert q.quotient_genera == [g for _, g, _ in a.fiber.components]
     assert q.gamma0 == a.fiber.gamma
     assert q.epsilon == 6 - (sum(2 * g for g in q.quotient_genera) + q.gamma0)
+
+
+@pytest.mark.parametrize("genus, fixed, want", [(4, 0, 2), (2, 4, 0)])
+def test_quotient_genus_divides_by_the_effective_stabilizer(genus, fixed, want):
+    # order 6 on one component fixed by tau, tau^3 acting trivially: the
+    # kernel has 2 elements and the effective stabilizer m_eff = 3, so
+    # Riemann-Hurwitz reads 2g - 2 = 3 (2 g0 - 2) + sum of the fixed points
+    # of the two nontrivial powers (tau^4 acts as tau, tau^5 as tau^2)
+    asked = []
+
+    def fixed_points(item, j, sig):
+        asked.append(sig)
+        return fixed
+
+    orbits, genera = quotient_genera(
+        [0], {0: 0}, 6, lambda item: genus, lambda item, j: None if j % 3 == 0 else j % 3, fixed_points, ValueError
+    )
+    assert orbits == [[0]]
+    assert genera == [want]
+    assert sorted(asked) == [1, 2]
 
 
 def test_cube_twist_detection():

@@ -1,6 +1,8 @@
 import copy
+import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,6 @@ from picard.wild3 import (
     INF,
     WildWitness,
     WitnessInvalidError,
-    _poly_sqrt,
     _rf,
     as_cover,
     verify_witness,
@@ -121,21 +122,6 @@ def test_as_cover_is_invariant_under_x_to_1_over_x(gf, n):
         else:
             assert got == want, h
     assert ramified >= n // 10  # many covers ramify at finite points on both sides
-
-
-def test_poly_sqrt():
-    rng = random.Random(3)
-    for _ in range(40):
-        t = [F9.from_int(rng.randrange(3)) for _ in range(rng.randint(1, 4))]
-        t = lf.gtrim(F9, t)
-        if not t:
-            continue
-        sq = lf.gmul(F9, t, t)
-        s = _poly_sqrt(F9, sq)
-        assert s is not None
-        assert lf.gtrim(F9, lf.gadd(F9, lf.gmul(F9, s, s), [F9.neg(c) for c in sq])) == []
-    # x is not a square
-    assert _poly_sqrt(F9, [F9.zero, F9.one]) is None
 
 
 CHART_POTGOOD = {
@@ -389,18 +375,134 @@ def test_one_chart_action_per_stabilizer(monkeypatch):
     assert calls == [1]
 
 
+def _inverse_map_action(ring, ch, j):
+    """(lam, gam, eps, w) of tau^j on a separable chart, or the message of the check that fails.
+
+    The reference for wild3._chart_action: H = zeta^(jb) tau^j(g)(A^-1 x1) -
+    g(x1), A^-1 x1 = zeta^(-ja) (x1 - gamma), reduces to F after division by
+    pi^d, and F is composed with A only in the residue field.
+    """
+    a, b, d, m = ch.x_scale, ch.y_scale, ch.y_codim, ring.e
+    gf, zp = ring.gf, ring.zeta_powers
+    center, G, _, _, tbar = wild3._chart_constants(ring, ch)
+    gam_elt = ring.div_pi(ring.sub(ring.galois_map(center, j), center), a)
+    lam, gam = ring.residue(zp[j * a % m]), ring.residue(gam_elt)
+    zinv = ring.from_unram(zp[-j * a % m])
+    inverse = lf.gcompose_linear(ring, [ring.galois_map(c, j) for c in G], zinv, ring.mul(zinv, ring.neg(gam_elt)))
+    zb = ring.from_unram(zp[j * b % m])
+    H = lf.gadd(ring, [ring.mul(c, zb) for c in inverse], [ring.neg(c) for c in G])
+    if any(ring.val(c) < d for c in H):
+        return "chart is not equivariant under its stabilizer"
+    F = lf.gtrim(gf, [ring.residue(ring.div_pi(c, d)) for c in H])
+    tA = lf.gcompose_linear(gf, tbar, lam, gam)
+    if len(tA) != len(tbar):
+        return "translation function not projectively invariant"
+    kappa = gf.mul(tA[-1], gf.inv(tbar[-1]))
+    if lf.gtrim(gf, lf.gadd(gf, tA, [gf.neg(gf.mul(kappa, c)) for c in tbar])):
+        return "translation function not scaled by the action"
+    eps = gf.mul(ring.residue(zp[j * (b + d) % m]), gf.inv(kappa))
+    if eps not in (gf.one, gf.neg(gf.one)):
+        return "deck conjugation is not +/-1 on the AS generator"
+    return lam, gam, eps, _rf(gf, lf.gcompose_linear(gf, F, lam, gam), tA)
+
+
+def test_chart_action_matches_the_inverse_map_reference():
+    # charts x = pi^a (kappa + x1), y = pi^b ((x1 + kappa)^2 + pi^d r(x1)) with
+    # d = m/2 (separable) and b = 2a mod m: tau^j moves the center by
+    # gamma = kappa (zeta^(ja) - 1), so both compositions with A are tested,
+    # and eps = zeta^(jd) = (-1)^j; b + 1 breaks the equivariance
+    outcomes = Counter()
+    for m in (4, 8):
+        ring = wild3._witness_ring(m, lf.multiplicative_order(3, m))
+        d = m // 2
+        for a, kappa, r in itertools.product((1, 2, 3, 5), (1, 2), ([], [[0] * d + [1]], [[], [], [0] * d + [1, 1]])):
+            for b in (2 * a % m, 2 * a % m + 1):
+                y_poly = [[kappa * kappa], [2 * kappa], [1]]
+                for i, tup in enumerate(r):
+                    y_poly[i] = [x + y for x, y in itertools.zip_longest(y_poly[i], tup, fillvalue=0)]
+                ch = wild3.WitnessChart(a, (0,) * a + (kappa,), b, tuple(map(tuple, y_poly)), d)
+                for j in range(1, m):
+                    want = _inverse_map_action(ring, ch, j)
+                    try:
+                        got = wild3._chart_action(ring, ch, j)
+                    except WitnessInvalidError as ex:
+                        got = str(ex)
+                    assert got == want, (ch, j)
+                    outcomes[want if isinstance(want, str) else (want[2], bool(want[3][0]))] += 1
+    one = ring.gf.one
+    print(outcomes)
+    assert {(one, True), (ring.gf.neg(one), True), "chart is not equivariant under its stabilizer"} <= set(outcomes)
+
+
 def test_corrupted_generator_action_is_rejected(monkeypatch):
     # the generator's action is checked against the AS equation; its powers
     # are composed from it, so a wrong generator must still be caught
     direct = wild3._chart_action
 
     def shifted(ring, chart, j):
-        lam, gam, F = direct(ring, chart, j)
-        return lam, ring.gf.add(gam, ring.gf.one), F
+        lam, gam, eps, w = direct(ring, chart, j)
+        return lam, ring.gf.add(gam, ring.gf.one), eps, w
 
     monkeypatch.setattr(wild3, "_chart_action", shifted)
     with pytest.raises(WitnessInvalidError, match="does not preserve the AS equation"):
         verify_witness([1, 0, 0, 0, 1], WildWitness.from_dict(CHART_POTGOOD))
+
+
+def _field_free(v):
+    """The fields of a verification that do not name the residue field."""
+    return (v.m, v.reduction_type, v.etale_genera, v.inseparable_count, v.quotient_genera, v.gamma0, v.f3,
+            v.f3_range, [(c.index, c.inseparable, c.genus, c.cover and sorted(c.cover.ram.values())) for c in v.components])
+
+
+def test_needs_larger_k_retries_on_a_larger_ring(monkeypatch):
+    witness = WildWitness.from_dict(CHART_POTGOOD)
+    want = verify_witness([1, 0, 0, 0, 1], witness)
+    direct = wild3.as_cover
+    fields = []
+
+    def once(gf, h):
+        fields.append(gf.k)
+        if len(fields) == 1:
+            raise lf.NeedsLargerK(4)
+        return direct(gf, h)
+
+    monkeypatch.setattr(wild3, "as_cover", once)
+    got = verify_witness([1, 0, 0, 0, 1], witness)
+    # m = 8 starts at k = 2, the order of 3 mod 8, and grows to lcm(4, 2)
+    assert fields == [2, 4]
+    assert got.components[0].cover.gf.k == 4
+    assert _field_free(got) == _field_free(want)
+    monkeypatch.undo()
+    assert got == wild3._verify_with_ring(wild3._witness_ring(8, 4), [1, 0, 0, 0, 1], witness)
+
+
+def test_needs_larger_k_beyond_the_cap_is_invalid(monkeypatch):
+    def oversized(gf, h):
+        raise lf.NeedsLargerK(lf.HARD_K_CAP + 1)
+
+    monkeypatch.setattr(wild3, "as_cover", oversized)
+    with pytest.raises(WitnessInvalidError, match="^witness needs an oversized residue field$"):
+        verify_witness([1, 0, 0, 0, 1], WildWitness.from_dict(CHART_POTGOOD))
+
+
+def test_vertical_as_action_fix_count():
+    # x -> x with z -> eps z + w: the identity, a deck translation by a
+    # constant in F_3 (fixing the ramified points), or no automorphism
+    cover = as_cover(F9, rf(F9, [0, 0, 0, 0, 1]))
+    one, zero = F9.one, F9.zero
+
+    def fix(eps, w):
+        return wild3._as_fix_count(F9, cover, one, zero, eps, w)
+
+    assert fix(one, ([], [one])) is None
+    with pytest.raises(WitnessInvalidError, match="orientation-reversing"):
+        fix(F9.neg(one), ([], [one]))
+    for c in (one, F9.neg(one)):
+        assert fix(one, ([c], [one])) == len(cover.ram) == 1
+    # a constant of F_9 outside F_3, x and 1/x
+    for w in (([(0, 1)], [one]), rf(F9, [0, 1]), rf(F9, [1], [0, 1])):
+        with pytest.raises(WitnessInvalidError, match="non-F3 translation"):
+            fix(one, w)
 
 
 # ---- the data bound once per witness ring ----------------------------------
