@@ -343,12 +343,13 @@ def _chart_constants(ring, chart):
     y^3 = pi^(3b) (g + pi^d y1)^3 has the y1^0 row y0 = pi^(3b) g^3.  As
     3 = -pi^m, its other rows are pi^(3b+3d) y1^3 - pi^(3b+2d+m) g y1^2 -
     pi^(3b+d+m) g^2 y1; with g = pi^s g', g' primitive, upper is their
-    content min(3b+3d, 3b+2d+m+s, 3b+d+m+2s), capped.  Divided by the only
-    content that leaves y1^3 a nonzero constant, pi^(3b+3d), the y1^2 row
-    reduces to 0 (m+s-d > 0 there), and the y1 row to -tbar^2 with tbar =
-    +-g'bar when m + 2s = 2d, else to 0 (tbar None: the component is
-    inseparable).  The sign puts first in gf.elements() order the leading
-    coefficient of tbar among the two square roots of its square.
+    content min(3b+3d, 3b+d+m+2s), capped (as m >= 1, 3b+2d+m+s is never
+    below both).  Divided by the only content that leaves y1^3 a nonzero
+    constant, pi^(3b+3d), the y1^2 row reduces to 0 (m+s-d > 0 there), and
+    the y1 row to -tbar^2 with tbar = +-g'bar when m + 2s = 2d, else to 0
+    (tbar None: the component is inseparable).  The sign puts first in
+    gf.elements() order the leading coefficient of tbar among the two
+    square roots of its square.
     """
     b, d, m = chart.y_scale, chart.y_codim, ring.e
     gf = ring.gf
@@ -357,7 +358,7 @@ def _chart_constants(ring, chart):
     pb3 = ring.pi_power(3 * b)
     y0 = [ring.mul(c, pb3) for c in gmul(ring, G, gmul(ring, G, G))]
     s = min([ring.val(c) for c in G], default=ring.cap)
-    upper = min(3 * (b + d), 3 * b + 2 * d + m + s, 3 * b + d + m + 2 * s, ring.cap)
+    upper = min(3 * (b + d), 3 * b + d + m + 2 * s, ring.cap)
     tbar = None
     if s < ring.cap and m + 2 * s == 2 * d:
         tbar = gtrim(gf, [ring.residue(ring.div_pi(c, s)) for c in G])

@@ -15,6 +15,7 @@ bug fix:
 """
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -235,6 +236,22 @@ def _four_row_reduction(ring, f_ints, chart):
     return [lf.gtrim(gf, [ring.residue(ring.div_pi(c, n0)) for c in row]) for row in rows], n0
 
 
+def _raised_inputs():
+    """(key, f_ints, witness): the m = 8 bundled charts with x_scale and y_codim both raised by 1 or 2.
+
+    There the y1 row's content is the least of the chart's, below that of
+    the y1^0 row and of pi^(3b+3d): no corpus input has that.
+    """
+    for fix in load_fixtures():
+        data = fix.get("witness")
+        if not data or data["m"] != 8:
+            continue
+        for da, dd in itertools.product((1, 2), repeat=2):
+            chart = data["charts"][0]
+            raised = dict(chart, x_scale=chart["x_scale"] + da, y_codim=chart["y_codim"] + dd)
+            yield f"raised {fix['name']} +{da} +{dd}", data["curve"][::-1], WildWitness.from_dict(dict(data, charts=[raised]))
+
+
 def test_chart_constants_match_the_four_row_reduction():
     """On every chart of the corpus whose y1^3 row reduces to a nonzero constant: A3 = 1, A2 = 0, A1 = -tbar^2.
 
@@ -244,7 +261,7 @@ def test_chart_constants_match_the_four_row_reduction():
     import picard.wild3 as wild3
 
     checked = Counter()
-    for key, f_ints, w in _witness_inputs():
+    for key, f_ints, w in [*_witness_inputs(), *_raised_inputs()]:
         ring = wild3._witness_ring(w.m, lf.multiplicative_order(3, w.m))
         gf = ring.gf
         for chart in w.charts:
@@ -262,7 +279,6 @@ def test_chart_constants_match_the_four_row_reduction():
             minus_t2 = [] if tbar is None else [gf.neg(c) for c in lf.gmul(gf, tbar, tbar)]
             assert rows[1] == minus_t2, key
             checked[tbar is None] += 1
-    print(checked)
     # separable: the bundled, family, mutated and m = 16 charts; inseparable:
     # the lowered and the m = 10 ones
     assert checked == {False: 254, True: 10}
